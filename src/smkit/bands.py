@@ -18,6 +18,7 @@ chaining exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .hardware import AdmissibleWord
 from .presentation import Presentation, alpha, normalize_relator
@@ -94,8 +95,8 @@ def theta_band(pres: Presentation, machine: Machine, W: AdmissibleWord, rid: Rul
             top = one if bar else alpha(rid.inverse, one)
             cells.append(Cell("bar_theta_a" if bar else "theta_a",
                               Theta(tau, zone), Theta(tau, zone), bottom, top))
-    bottom = Word(sum((list(c.bottom.letters) for c in cells), []))
-    top = Word(sum((list(c.top.letters) for c in cells), []))
+    bottom = Word(chain.from_iterable(c.bottom.letters for c in cells))
+    top = Word(chain.from_iterable(c.top.letters for c in cells))
     return Band(rid, tuple(cells), bottom, top, W.base())
 
 
@@ -168,8 +169,8 @@ def verify_band(band: Band, pres: Presentation, machine: Machine):
     for k, (c1, c2) in enumerate(zip(band.cells, band.cells[1:])):
         if c1.right != c2.left or c1.dir != c2.dir:
             report.append(f"cells {k},{k + 1}: theta edges {c1.right!r} != {c2.left!r}")
-    bottom = Word(sum((list(c.bottom.letters) for c in band.cells), []))
-    top = Word(sum((list(c.top.letters) for c in band.cells), []))
+    bottom = Word(chain.from_iterable(c.bottom.letters for c in band.cells))
+    top = Word(chain.from_iterable(c.top.letters for c in band.cells))
     if bottom != band.bottom:
         report.append("bottom label mismatch")
     if top != band.top:

@@ -119,10 +119,6 @@ def derivation_history(hw: Hardware, w0, steps):
     return tuple(h), w
 
 
-def _letters(word):
-    return tuple(word)
-
-
 def _inv_letters(word):
     return tuple((i, -s) for i, s in word)
 

@@ -28,14 +28,16 @@ the cyclic rotations of itself and its inverse before deduplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional
 
 from .hardware import Hardware
 from .smachine import Machine, enumerate_rule_ids
 from .words import (
     BaseLetter, CyclicWord, RuleId, State, Tape, Theta, Word, X, EMPTY,
-    letter_key, parse_word, word_to_text, wletter,
+    conjugator_length, least_rotation, letter_key, parse_word, word_to_text,
+    wletter,
 )
 
 KINDS = ("main", "theta_a", "a_x", "k_x", "bar_main", "bar_theta_a", "hub")
@@ -62,14 +64,29 @@ class Relation:
 
 
 def normalize_relator(w: Word):
-    from .words import cyclic_reduce
-    a = cyclic_reduce(w)[1]
-    b = cyclic_reduce(w.inverse())[1]
-    if not len(a):
+    """Canonical form of the relator w, up to cyclic conjugation and inversion.
+
+    Strips the conjugating prefix and suffix of w, leaving the core c, and
+    returns whichever is lexicographically smaller under ``letter_key``: the
+    least rotation of c or the least rotation of c^-1.  Raises
+    PresentationError when nothing is left.  For w freely reduced the result
+    is cyclically reduced, so normalizing it again changes nothing.  Each
+    letter is keyed once; the keys of c^-1 are those of c reversed with the
+    sign bit flipped.
+    """
+    letters = w.letters
+    i = conjugator_length(letters)
+    core = letters[i:len(letters) - i]
+    if not core:
         raise PresentationError("trivial relator")
-    ka = tuple(letter_key(l) for l in a.letters)
-    kb = tuple(letter_key(l) for l in b.letters)
-    return a if ka <= kb else b
+    keys = [letter_key(l) for l in core]
+    inv_keys = [(sym, 1 - sign) for sym, sign in reversed(keys)]
+    k = least_rotation(keys)
+    kinv = least_rotation(inv_keys)
+    if keys[k:] + keys[:k] <= inv_keys[kinv:] + inv_keys[:kinv]:
+        return CyclicWord._rotated(core[k:] + core[:k])
+    inv = tuple((sym, -sign) for sym, sign in reversed(core))
+    return CyclicWord._rotated(inv[kinv:] + inv[:kinv])
 
 
 @dataclass(frozen=True)
@@ -77,13 +94,15 @@ class Presentation:
     n: int
     ee_label: str
     relations: tuple
+    _index: MappingProxyType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
+        index = {}
         for rel in self.relations:
-            if rel.relator in seen:
+            if rel.relator in index:
                 raise PresentationError(f"duplicate relator {rel.relator!r}")
-            seen.add(rel.relator)
+            index[rel.relator] = rel
+        object.__setattr__(self, "_index", MappingProxyType(index))
 
     def stats(self):
         out = {k: 0 for k in KINDS}
@@ -99,7 +118,11 @@ class Presentation:
         return sorted(syms, key=symbol_key)
 
     def index(self):
-        return {rel.relator: rel for rel in self.relations}
+        """Read-only map from each normalized relator to its Relation.
+
+        Built once, at construction, by the duplicate check; every call
+        returns the same mapping."""
+        return self._index
 
     def __eq__(self, other):
         return (isinstance(other, Presentation) and self.n == other.n
@@ -143,27 +166,14 @@ def alpha(rid: RuleId, w):
     return Word(out)
 
 
-def _tape_projection(w, include_bar=True, include_plain=True):
-    out = []
-    for sym, s in w:
-        if isinstance(sym, Tape) and (include_bar if sym.bar else include_plain):
-            out.append((f"a{sym.i}", s))
-    return Word(out)
-
-
 def delta(w):
     """Letterwise a_i(z), bar a_i(z) -> a_i; every other generator -> 1."""
-    return _tape_projection(w)
+    return Word((f"a{sym.i}", s) for sym, s in w if isinstance(sym, Tape))
 
 
-def beta(w):
-    """The tape-alphabet map of the combined machine; same images as delta."""
-    return _tape_projection(w)
-
-
-def gamma(w):
-    """The map used for positivity bookkeeping; same letter images as delta."""
-    return _tape_projection(w)
+# The paper's tape-alphabet map of the combined machine (beta) and its map
+# for positivity bookkeeping (gamma) have the same letter images as delta.
+beta = gamma = delta
 
 
 def letter_index(sym):

@@ -237,12 +237,13 @@ def is_reduced(letters):
     return tuple(letters) == free_reduce(letters)
 
 
-def _canonical_rotation(letters):
-    """Index of the lexicographically least rotation (Booth's algorithm)."""
-    n = len(letters)
+def least_rotation(keys):
+    """Index of the lexicographically least rotation of a key sequence
+    (Booth's algorithm)."""
+    n = len(keys)
     if n == 0:
         return 0
-    keys = [letter_key(l) for l in letters] * 2
+    keys = keys * 2
     f = [-1] * (2 * n)
     k = 0
     for j in range(1, 2 * n):
@@ -261,16 +262,31 @@ def _canonical_rotation(letters):
     return k
 
 
+def _canonical_rotation(letters):
+    """Index of the least rotation of ``letters`` under ``letter_key``."""
+    return least_rotation([letter_key(l) for l in letters])
+
+
+def conjugator_length(letters):
+    """Largest i such that letters[:i] is the inverse of letters[-i:] and at
+    least one letter is left between them (none when len(letters) == 2i)."""
+    i, j = 0, len(letters)
+    while j - i >= 2 and letters[i][0] == letters[j - 1][0] \
+            and letters[i][1] == -letters[j - 1][1]:
+        i += 1
+        j -= 1
+    return i
+
+
 def cyclic_reduce(w):
     """Split w = conjugator * core * conjugator^-1 with core cyclically
     reduced and in canonical rotation.  Returns (conjugator, core)."""
-    letters = list(w.letters)
-    pre = []
-    while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
-        pre.append(letters[0])
-        letters = letters[1:-1]
-    k = _canonical_rotation(tuple(letters))
-    return Word(pre + letters[:k], reduce=False), CyclicWord(letters)
+    letters = w.letters
+    i = conjugator_length(letters)
+    core = letters[i:len(letters) - i]
+    k = _canonical_rotation(core)
+    return (Word(letters[:i] + core[:k], reduce=False),
+            CyclicWord._rotated(core[k:] + core[:k]))
 
 
 class CyclicWord:
@@ -286,6 +302,14 @@ class CyclicWord:
         k = _canonical_rotation(letters)
         letters = letters[k:] + letters[:k]
         object.__setattr__(self, "letters", letters)
+
+    @classmethod
+    def _rotated(cls, letters):
+        """A CyclicWord from a tuple already in canonical rotation; skips
+        the Booth pass of ``__init__``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "letters", letters)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("CyclicWord is immutable")
@@ -313,13 +337,6 @@ class CyclicWord:
         for k in range(n):
             yield self.letters[k:] + self.letters[:k]
 
-    def is_rotation_of(self, other):
-        if len(self) != len(other):
-            return False
-        if len(self) == 0:
-            return True
-        return other.letters in set(self.rotations())
-
     def word(self):
         return Word(self.letters, reduce=False)
 
@@ -327,10 +344,7 @@ class CyclicWord:
 def is_dyck(w: CyclicWord):
     """A Dyck word is a cyclically freely trivial word."""
     letters = free_reduce(w.letters)
-    while len(letters) >= 2 and letters[0][0] == letters[-1][0] \
-            and letters[0][1] == -letters[-1][1]:
-        letters = letters[1:-1]
-    return not letters
+    return 2 * conjugator_length(letters) == len(letters)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Independent brute-force oracles used by the tests.
 
 Nothing here shares code paths with the library algorithms it checks:
-matchings are enumerated over all position pairings and filtered, and the
+matchings are enumerated over all position pairings and filtered, the
 x-word conjugacy oracle is a plain breadth-first closure over the
-elementary conjugation moves.
+elementary conjugation moves, and relator canonicalization strips and
+rotates letter by letter, trying every rotation.
 """
 
 import itertools
 
 from smkit.h2 import is_uniform, run_of
-from smkit.words import CyclicWord, Tape, X
+from smkit.presentation import PresentationError
+from smkit.words import CyclicWord, Tape, X, letter_key
 
 
 def all_perfect_matchings(positions):
@@ -147,3 +149,40 @@ def x_conjugacy_closure(hw, w: CyclicWord, depth):
                     nxt.append(cc)
         frontier = nxt
     return seen
+
+
+# ---------------------------------------------------------------------------
+# relator canonicalization
+# ---------------------------------------------------------------------------
+
+def least_rotation_index(letters):
+    """Smallest k whose rotation letters[k:] + letters[:k] is least under
+    letter_key, by comparing every rotation."""
+    keys = [letter_key(l) for l in letters]
+    rots = [keys[k:] + keys[:k] for k in range(len(keys))]
+    return rots.index(min(rots)) if rots else 0
+
+
+def cyclic_reduce(w):
+    """(conjugator, core) letter tuples of a Word: strip one inverse pair of
+    end letters at a time, then put the core in its least rotation."""
+    letters = list(w.letters)
+    pre = []
+    while len(letters) >= 2 and letters[0][0] == letters[-1][0] \
+            and letters[0][1] == -letters[-1][1]:
+        pre.append(letters[0])
+        letters = letters[1:-1]
+    k = least_rotation_index(letters)
+    return tuple(pre + letters[:k]), tuple(letters[k:] + letters[:k])
+
+
+def normalize_relator(w):
+    """Letters of the canonical relator: the cyclic cores of w and of w^-1,
+    each in least rotation, and the smaller of the two under letter_key."""
+    a = cyclic_reduce(w)[1]
+    b = cyclic_reduce(w.inverse())[1]
+    if not a:
+        raise PresentationError("trivial relator")
+    ka = [letter_key(l) for l in a]
+    kb = [letter_key(l) for l in b]
+    return a if ka <= kb else b

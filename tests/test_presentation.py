@@ -8,8 +8,8 @@ import pytest
 from conftest import GOLDEN
 from smkit.hardware import BaseLetter
 from smkit.presentation import (
-    NonUniformIndex, Presentation, PresentationError, alpha, beta, delta,
-    gamma, normalize_relator, read_presentation, shift_index,
+    NonUniformIndex, Presentation, PresentationError, Relation, alpha, beta,
+    delta, gamma, normalize_relator, read_presentation, shift_index,
     write_presentation,
 )
 from smkit.smachine import enumerate_rule_ids
@@ -173,6 +173,46 @@ class TestRoundTrip:
         head = "".join(buf.getvalue().splitlines(keepends=True)[:14])
         with open(os.path.join(GOLDEN, "presentation_n8_head.txt")) as f:
             assert head == f.read()
+
+
+class TestIndex:
+    def test_same_mapping_every_call(self, pres):
+        assert pres.index() is pres.index()
+
+    def test_every_relator_maps_to_its_relation(self, pres):
+        index = pres.index()
+        assert len(index) == len(pres.relations)
+        for rel in pres.relations:
+            hit = index[rel.relator]
+            assert (hit.kind, hit.rule, hit.at) == (rel.kind, rel.rule, rel.at)
+
+    def test_read_only(self, pres):
+        index = pres.index()
+        rel = pres.relations[0]
+        with pytest.raises(TypeError):
+            index[rel.relator] = rel
+        with pytest.raises(TypeError):
+            del index[rel.relator]
+
+    def test_duplicate_relator_rejected(self, pres):
+        rel = pres.relations[0]
+        twin = Relation("hub", rel.relator)
+        with pytest.raises(PresentationError, match="duplicate relator"):
+            Presentation(8, "", (rel, twin))
+
+    def test_cmd_present_rebuild_indexes(self, monkeypatch, tmp_path, pres):
+        from conftest import DATA
+        from smkit import cli
+        written = []
+        monkeypatch.setattr(cli, "write_presentation", lambda p, fh: written.append(p))
+        out = tmp_path / "p.txt"
+        assert cli.main(["present", "--ee", os.path.join(DATA, "sample.ee"),
+                         "--out", str(out)]) == 0
+        (rebuilt,) = written
+        assert rebuilt.ee_label == "sample.ee"
+        assert dict(rebuilt.index()) == dict(pres.index())
+        for rel in rebuilt.relations:
+            assert rebuilt.index()[rel.relator] is rel
 
 
 class TestShiftIndex:
