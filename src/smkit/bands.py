@@ -63,29 +63,38 @@ class Band:
 
 def theta_band(pres: Presentation, machine: Machine, W: AdmissibleWord, rid: RuleId):
     """The band simulating one application of rid to W; cells are verified
-    against the presentation by ``verify``."""
-    diag = machine.applicable(rid, W)
+    against the presentation by ``verify``.  Building reads no relator:
+    ``pres`` may be None."""
+    return _band_step(machine, W, rid)[0]
+
+
+def _band_step(machine, W, rid):
+    """(band of rid over W, W o rid), with W o rid built by one step."""
+    out, diag = machine.step(rid, W)
     if diag is not None:
         raise NotApplicable(diag)
     if rid.sign < 0:
-        flipped = theta_band(pres, machine, machine.apply(rid, W), rid.positive)
-        return flipped.mirror()
+        return _positive_band(machine, out, rid.positive).mirror(), out
+    return _positive_band(machine, W, rid), out
+
+
+def _positive_band(machine, W, rid):
+    """Cells of the band of a positive rule rid known to apply to W."""
     rule = machine.rule(rid)
     hw = machine.hw
     bar = rid.bar
-    tau = rid.positive
     cells = []
     for k, (st, s) in enumerate(W.states):
         zb, za = hw.zones_of(st.base)
         lzone, rzone = (zb, za) if s > 0 else (za, zb)
-        left_part, right_part = machine._parts(rule, rid.sign, st, s)
+        left_part, right_part = machine._parts(rid, st.kind, st.j, s)
         st2 = hw.state(st.kind, st.j, rule.dst, bar)
         bottom = Word(((st, s),), reduce=False)
         top = left_part * Word(((st2, s),), reduce=False) * right_part
         if not bar:
             top = alpha(rid.inverse, top)
         cells.append(Cell("bar_main" if bar else "main",
-                          Theta(tau, lzone), Theta(tau, rzone), bottom, top))
+                          Theta(rid, lzone), Theta(rid, rzone), bottom, top))
         if k == len(W.inners):
             break
         zone = hw.zone_after((st.base, s))
@@ -94,7 +103,7 @@ def theta_band(pres: Presentation, machine: Machine, W: AdmissibleWord, rid: Rul
             bottom = one if bar else alpha(rid, one)
             top = one if bar else alpha(rid.inverse, one)
             cells.append(Cell("bar_theta_a" if bar else "theta_a",
-                              Theta(tau, zone), Theta(tau, zone), bottom, top))
+                              Theta(rid, zone), Theta(rid, zone), bottom, top))
     bottom = Word(chain.from_iterable(c.bottom.letters for c in cells))
     top = Word(chain.from_iterable(c.top.letters for c in cells))
     return Band(rid, tuple(cells), bottom, top, W.base())
@@ -123,7 +132,7 @@ def trapezium(pres: Presentation, machine: Machine, W: AdmissibleWord, history):
 
     history must be freely reduced and consist of bar rules; W must start
     and end with K-type state letters so that every trim word is empty and
-    band tops chain graphically."""
+    band tops chain graphically.  ``pres`` is not read and may be None."""
     if not history:
         raise BandError("empty history")
     if not is_reduced_history(history):
@@ -135,8 +144,8 @@ def trapezium(pres: Presentation, machine: Machine, W: AdmissibleWord, history):
     bands = []
     cur = W
     for rid in history:
-        bands.append(theta_band(pres, machine, cur, rid))
-        cur = machine.apply(rid, cur)
+        band, cur = _band_step(machine, cur, rid)
+        bands.append(band)
     return Trapezium(tuple(history), tuple(bands), bands[0].bottom, bands[-1].top)
 
 

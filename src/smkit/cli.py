@@ -158,12 +158,11 @@ def cmd_accept(args):
 def cmd_band(args):
     hw = _load_hw(args)
     machine = Machine(hw, "mixed")
-    pres = emit(hw)
     W = _machine_word(hw, args, "mixed")
-    band = theta_band(pres, machine, W, parse_rule(args.rule))
+    band = theta_band(None, machine, W, parse_rule(args.rule))
     print(band_text(band))
     if args.verify:
-        report = verify(band, pres, machine)
+        report = verify(band, emit(hw), machine)
         for line in report:
             print(f"violation: {line}", file=sys.stderr)
         return 1 if report else 0
@@ -173,13 +172,12 @@ def cmd_band(args):
 def cmd_trapezium(args):
     hw = _load_hw(args)
     machine = Machine(hw, "mixed")
-    pres = emit(hw)
     W = _machine_word(hw, args, "mixed")
     h = parse_history(_slurp(args.history))
-    trap = trapezium(pres, machine, W, h)
+    trap = trapezium(None, machine, W, h)
     print(trapezium_text(trap))
     if args.verify:
-        report = verify(trap, pres, machine)
+        report = verify(trap, emit(hw), machine)
         for line in report:
             print(f"violation: {line}", file=sys.stderr)
         return 1 if report else 0

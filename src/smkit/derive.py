@@ -203,8 +203,7 @@ def accept_bfs(machine: Machine, W: AdmissibleWord, max_steps):
         cur, key, depth = frontier.popleft()
         if depth >= max_steps:
             continue
-        for rid in machine.applicable_rules(cur):
-            nxt = machine._apply(rid, cur)
+        for rid, nxt in machine.applicable_rules(cur):
             nkey = nxt.text()
             if nkey in seen:
                 continue

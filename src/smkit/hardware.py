@@ -227,6 +227,7 @@ class Hardware:
         self._zone_after_pos = tuple(zones)  # zone of the gap after position p
         self._pos = {bl: p for p, (bl, _) in enumerate(sigma)}
         self._orient = {bl: s for bl, s in sigma}
+        self._zone_after = {}  # signed letter -> zone, filled by zone_after
         self._flanks = {}
         for j in range(1, N + 1):
             L, P, R = (BaseLetter(k, j) for k in "LPR")
@@ -258,12 +259,16 @@ class Hardware:
         return (nb, -ns)
 
     def zone_after(self, y):
-        """Zone of the sector that starts at the signed letter y."""
-        bl, s = y
-        p = self._pos[bl]
-        if s == self._orient[bl]:
-            return self._zone_after_pos[p]
-        return self._zone_after_pos[(p - 1) % len(self.sigma)]
+        """Zone of the sector that starts at the signed letter y (looked up
+        once per letter, then remembered)."""
+        zone = self._zone_after.get(y)
+        if zone is None:
+            bl, s = y
+            p = self._pos[bl]
+            if s != self._orient[bl]:
+                p -= 1
+            zone = self._zone_after[y] = self._zone_after_pos[p % len(self.sigma)]
+        return zone
 
     def zone_before(self, y):
         return self.zone_after((y[0], -y[1]))
@@ -313,9 +318,6 @@ class Hardware:
         return st.bar or st.coord == COORD_E1
 
     # -- standard words ---------------------------------------------------
-
-    def sigma_tilde(self):
-        return self.sigma
 
     def hub(self):
         """The hub: the base word decorated with coordinates (e,1)."""

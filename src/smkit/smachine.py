@@ -30,7 +30,7 @@ from typing import Optional
 
 from .hardware import AdmissibleError, AdmissibleWord, Hardware
 from .words import (
-    AGE_FAMILIES, Coord, RuleId, State, EMPTY, TRANSITION_FAMILIES,
+    AGE_FAMILIES, BaseLetter, Coord, RuleId, EMPTY, TRANSITION_FAMILIES,
 )
 
 LOCKS = {
@@ -136,6 +136,8 @@ class Machine:
                 src, dst = _coords(rid)
                 self.rules[rid] = Rule(rid, src, dst, LOCKS[rid.family],
                                        _actions(self.ee, rid))
+        self._by_src = None  # source coordinate -> signed candidates, on first use
+        self._part_memo = {}
 
     def rule_ids(self):
         return list(self.rules)
@@ -149,93 +151,162 @@ class Machine:
 
     # -- applying rules --------------------------------------------------
 
-    def _parts(self, rule, sign, st: State, s):
-        """(left, right) tape words attached around one state occurrence."""
+    def _parts(self, rid, kind, j, s):
+        """(left, right) tape words the signed rule rid attaches around one
+        occurrence of the signed basic letter (kind_j)^s.
+
+        They depend on nothing else, so they are memoized per machine under
+        the key (rid, kind, j, s): at most (signed rules) x 4N x 2 entries.
+        """
+        key = (rid, kind, j, s)
+        hit = self._part_memo.get(key)
+        if hit is not None:
+            return hit
         hw = self.hw
-        zb, za = hw.zones_of(st.base)
-        v = rule.v_spec(st.kind)
-        u = rule.u_spec(st.kind)
-        if sign < 0:
+        rule = self.rules[rid.positive]
+        zb, za = hw.zones_of(BaseLetter(kind, j))
+        v = rule.v_spec(kind)
+        u = rule.u_spec(kind)
+        if rid.sign < 0:
             v = tuple((i, -e) for i, e in reversed(v))
             u = tuple((i, -e) for i, e in reversed(u))
 
         def mat(spec, zone, invert):
-            if rule.rid.bar and zone.j == 1:
+            if rid.bar and zone.j == 1:
                 return EMPTY
-            return hw.tape_word(spec, zone, rule.rid.bar, invert)
+            return hw.tape_word(spec, zone, rid.bar, invert)
 
         if s > 0:
-            return mat(v, zb, False), mat(u, za, False)
-        return mat(u, za, True), mat(v, zb, True)
+            hit = mat(v, zb, False), mat(u, za, False)
+        else:
+            hit = mat(u, za, True), mat(v, zb, True)
+        self._part_memo[key] = hit
+        return hit
 
-    def applicable(self, rid: RuleId, W: AdmissibleWord):
-        """None when applicable, else a Diagnosis naming the first failure."""
-        rule = self.rule(rid)
+    def step(self, rid: RuleId, W: AdmissibleWord):
+        """Apply rid to W in one pass: (W o rid, None) when rid applies,
+        else (None, Diagnosis) naming the first failed check.
+
+        The checks run in this order: the rule exists (UnknownRule), W has
+        the rule's plain or bar shape (FlavorMismatch), W sits at the rule's
+        source coordinate (CoordMismatch), every sector in a locked zone is
+        empty and no fold-back (ForbiddenSectorShape, LockedSectorNonEmpty),
+        and the result is admissible (ResultNotAdmissible).  The result is
+        built and validated once.
+        """
+        rule = self.rules.get(rid.positive)
         if rule is None:
-            return Diagnosis("UnknownRule", repr(rid))
-        try:
-            if rid.bar:
-                self.hw.validate_bar_shape(W)
-            else:
-                self.hw.validate_plain_shape(W)
-        except AdmissibleError as e:
-            return Diagnosis("FlavorMismatch", e.clause)
-        src, _ = self.coords_of(rid)
+            return None, Diagnosis("UnknownRule", repr(rid))
+        err = self._shape_error(W, rid.bar)
+        if err is not None:
+            return None, Diagnosis("FlavorMismatch", err.clause)
+        src = rule.src if rid.sign > 0 else rule.dst
         if W.coord != src:
-            return Diagnosis("CoordMismatch", f"word at {W.coord!r}, rule needs {src!r}")
+            return None, Diagnosis("CoordMismatch", f"word at {W.coord!r}, rule needs {src!r}")
         for k in range(len(W.inners)):
             (st, s), inner, (st2, s2) = W.sector(k)
             zone = self.hw.zone_after((st.base, s))
             if zone.kind in rule.locks:
                 if (st2, s2) == (st, -s):
-                    return Diagnosis("ForbiddenSectorShape",
-                                     f"fold-back at {st!r}^{s} in locked {zone!r}-zone")
+                    return None, Diagnosis("ForbiddenSectorShape",
+                                           f"fold-back at {st!r}^{s} in locked {zone!r}-zone")
                 if len(inner):
-                    return Diagnosis("LockedSectorNonEmpty", repr(zone))
+                    return None, Diagnosis("LockedSectorNonEmpty", repr(zone))
         try:
-            self._apply(rid, W)
+            return self._apply(rid, W), None
         except AdmissibleError as e:
-            return Diagnosis("ResultNotAdmissible", e.clause)
-        return None
+            return None, Diagnosis("ResultNotAdmissible", e.clause)
+
+    def applicable(self, rid: RuleId, W: AdmissibleWord):
+        """None when applicable, else a Diagnosis naming the first failure."""
+        return self.step(rid, W)[1]
 
     def _apply(self, rid, W):
-        rule = self.rule(rid)
-        _, dst = self.coords_of(rid)
+        """W o rid, validated; the checks before it are the caller's."""
+        rule = self.rules[rid.positive]
+        dst = rule.dst if rid.sign > 0 else rule.src
+        state, parts = self.hw.state, self._parts
         states = []
-        parts = []
+        sides = []
         for st, s in W.states:
-            new = self.hw.state(st.kind, st.j, dst, rid.bar)
-            states.append((new, s))
-            parts.append(self._parts(rule, rid.sign, st, s))
-        inners = []
-        for k, inner in enumerate(W.inners):
-            inners.append(parts[k][1] * inner * parts[k + 1][0])
-        out = AdmissibleWord(W.flavor, tuple(states), tuple(inners))
+            states.append((state(st.kind, st.j, dst, rid.bar), s))
+            sides.append(parts(rid, st.kind, st.j, s))
+        inners = tuple(sides[k][1] * inner * sides[k + 1][0]
+                       for k, inner in enumerate(W.inners))
+        out = AdmissibleWord(W.flavor, tuple(states), inners)
         self.hw.validate(out)
         return out
 
     def apply(self, rid: RuleId, W: AdmissibleWord):
-        diag = self.applicable(rid, W)
+        out, diag = self.step(rid, W)
         if diag is not None:
             raise NotApplicable(diag)
-        return self._apply(rid, W)
+        return out
 
     def run(self, W: AdmissibleWord, history):
         """Apply a history stepwise; never raises, failures end the trace."""
         words = [W]
         for k, rid in enumerate(history):
-            diag = self.applicable(rid, words[-1])
+            out, diag = self.step(rid, words[-1])
             if diag is not None:
                 return Trace(tuple(history), tuple(words), (k, diag))
-            words.append(self._apply(rid, words[-1]))
+            words.append(out)
         return Trace(tuple(history), tuple(words), None)
 
     def applicable_rules(self, W):
+        """[(rid, W o rid)] for every signed rule rid that applies to W.
+
+        The order is canonical: rules in the order of ``self.rules``, each
+        positive rule before its inverse; the rids are exactly those whose
+        ``applicable`` is None.  Only the rules whose source coordinate is
+        W.coord are looked at, the plain and bar shape checks and the lock
+        scan run once per W, and each result is built and validated once.
+        """
+        if self._by_src is None:
+            self._by_src = self._index_sources()
+        shape_ok = {}
+        blocked = self._blocked_kinds(W)
         out = []
-        for rid in self.rules:
-            for signed in (rid, rid.inverse):
-                if self.applicable(signed, W) is None:
-                    out.append(signed)
+        for rid, locks in self._by_src.get(W.coord, ()):
+            ok = shape_ok.get(rid.bar)
+            if ok is None:
+                ok = shape_ok[rid.bar] = self._shape_error(W, rid.bar) is None
+            if not ok or locks & blocked:
+                continue
+            try:
+                out.append((rid, self._apply(rid, W)))
+            except AdmissibleError:
+                pass
+        return out
+
+    def _index_sources(self):
+        """Signed rules with their locks, grouped by source coordinate, each
+        group in the canonical order of ``applicable_rules``."""
+        by_src = {}
+        for rid, rule in self.rules.items():
+            by_src.setdefault(rule.src, []).append((rid, rule.locks))
+            by_src.setdefault(rule.dst, []).append((rid.inverse, rule.locks))
+        return by_src
+
+    def _shape_error(self, W, bar):
+        """The AdmissibleError of W's bar or plain shape check, or None."""
+        try:
+            if bar:
+                self.hw.validate_bar_shape(W)
+            else:
+                self.hw.validate_plain_shape(W)
+        except AdmissibleError as e:
+            return e
+        return None
+
+    def _blocked_kinds(self, W):
+        """Zone kinds of the sectors of W that are non-empty or fold back:
+        a rule applies only if it locks none of them."""
+        out = set()
+        for k, inner in enumerate(W.inners):
+            (st, s), (st2, s2) = W.states[k], W.states[k + 1]
+            if len(inner) or (st2, s2) == (st, -s):
+                out.add(self.hw.zone_after((st.base, s)).kind)
         return out
 
     # -- content-independent sector transport ----------------------------
@@ -253,8 +324,6 @@ class Machine:
         if (z2, s2) != self.hw.succ((z, s)) and (z2, s2) != (z, -s):
             raise ValueError("not a sector shape")
         zone = self.hw.zone_after((z, s))
-        st = self.hw.state(z.kind, z.j, Coord(None, 1))
-        st2 = self.hw.state(z2.kind, z2.j, Coord(None, 1))
         u, v = EMPTY, EMPTY
         coord = None
         for rid in history:
@@ -267,8 +336,8 @@ class Machine:
             coord = dst
             if zone.kind in rule.locks:
                 raise ValueError(f"{rid!r} locks the {zone!r}-zone: undefined action")
-            right = self._parts(rule, rid.sign, State(z.kind, z.j, src, rid.bar), s)[1]
-            left = self._parts(rule, rid.sign, State(z2.kind, z2.j, src, rid.bar), s2)[0]
+            right = self._parts(rid, z.kind, z.j, s)[1]
+            left = self._parts(rid, z2.kind, z2.j, s2)[0]
             u = right * u
             v = v * left
         return u, v

@@ -391,43 +391,34 @@ class DyckPairing:
         return out
 
 
-def _inside(n, open_pos, close_pos):
-    """Positions strictly inside the clockwise arc open_pos..close_pos."""
-    out = []
-    k = (open_pos + 1) % n
-    while k != close_pos:
-        out.append(k)
-        k = (k + 1) % n
-    return out
-
-
 def _nesting(n, oriented_pairs):
     """Parent table for oriented pairs, or None if the nesting is inconsistent.
 
     A valid cancellation scheme has, for each pair, all other pairs either
     completely inside its clockwise open..close arc or completely outside,
-    and the insides ordered by containment.
+    and the insides ordered by containment.  Then no arc covers a cut of
+    least bracket depth, and reading the brackets from there every close
+    meets its own open on top of the stack, whose next entry is the parent.
+    Pairs oriented at min/max position always pass with the cut before 0.
     """
-    insides = []
-    for (o, c) in oriented_pairs:
-        inside = set(_inside(n, o, c))
-        for (o2, c2) in oriented_pairs:
-            if (o2, c2) == (o, c):
-                continue
-            hit = len({o2, c2} & inside)
-            if hit == 1:
-                return None
-            if hit == 2 and not set(_inside(n, o2, c2)) <= inside:
-                return None
-        insides.append(inside)
-    parents = []
+    event = [None] * n
     for k, (o, c) in enumerate(oriented_pairs):
-        best = -1
-        for k2, inside2 in enumerate(insides):
-            if k2 != k and o in inside2 and c in inside2:
-                if best < 0 or len(inside2) < len(insides[best]):
-                    best = k2
-        parents.append(best)
+        event[o] = (k, True)
+        event[c] = (k, False)
+    depth = low = cut = 0
+    for p in range(n):
+        depth += 1 if event[p][1] else -1
+        if depth < low:
+            low, cut = depth, p + 1
+    parents = [-1] * len(oriented_pairs)
+    stack = []
+    for p in range(cut, cut + n):
+        k, opens = event[p % n]
+        if opens:
+            parents[k] = stack[-1] if stack else -1
+            stack.append(k)
+        elif not stack or stack.pop() != k:
+            return None
     return tuple(parents)
 
 

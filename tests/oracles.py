@@ -3,15 +3,19 @@
 Nothing here shares code paths with the library algorithms it checks:
 matchings are enumerated over all position pairings and filtered, the
 x-word conjugacy oracle is a plain breadth-first closure over the
-elementary conjugation moves, and relator canonicalization strips and
-rotates letter by letter, trying every rotation.
+elementary conjugation moves, relator canonicalization strips and
+rotates letter by letter, trying every rotation, rule application checks a
+rule, then builds and validates its result twice with unmemoized tape
+parts, and pair nesting compares every arc with every other.
 """
 
 import itertools
 
 from smkit.h2 import is_uniform, run_of
+from smkit.hardware import AdmissibleError, AdmissibleWord
 from smkit.presentation import PresentationError
-from smkit.words import CyclicWord, Tape, X, letter_key
+from smkit.smachine import Diagnosis
+from smkit.words import EMPTY, CyclicWord, Tape, X, letter_key
 
 
 def all_perfect_matchings(positions):
@@ -186,3 +190,133 @@ def normalize_relator(w):
     ka = [letter_key(l) for l in a]
     kb = [letter_key(l) for l in b]
     return a if ka <= kb else b
+
+
+# ---------------------------------------------------------------------------
+# rule application: check, then build the result (and build it again)
+# ---------------------------------------------------------------------------
+
+def zone_after(hw, y):
+    """Zone of the sector starting at the signed letter y, from the base
+    word's positions."""
+    bl, s = y
+    p = hw._pos[bl]
+    if s == hw._orient[bl]:
+        return hw._zone_after_pos[p]
+    return hw._zone_after_pos[(p - 1) % len(hw.sigma)]
+
+
+def _parts(machine, rule, sign, st, s):
+    hw = machine.hw
+    zb, za = zone_after(hw, (st.base, -1)), zone_after(hw, (st.base, 1))
+    v = rule.v_spec(st.kind)
+    u = rule.u_spec(st.kind)
+    if sign < 0:
+        v = tuple((i, -e) for i, e in reversed(v))
+        u = tuple((i, -e) for i, e in reversed(u))
+
+    def mat(spec, zone, invert):
+        if rule.rid.bar and zone.j == 1:
+            return EMPTY
+        return hw.tape_word(spec, zone, rule.rid.bar, invert)
+
+    if s > 0:
+        return mat(v, zb, False), mat(u, za, False)
+    return mat(u, za, True), mat(v, zb, True)
+
+
+def applicable(machine, rid, W):
+    """None when rid applies to W, else the Diagnosis of the first failure."""
+    rule = machine.rules.get(rid.positive)
+    if rule is None:
+        return Diagnosis("UnknownRule", repr(rid))
+    try:
+        if rid.bar:
+            machine.hw.validate_bar_shape(W)
+        else:
+            machine.hw.validate_plain_shape(W)
+    except AdmissibleError as e:
+        return Diagnosis("FlavorMismatch", e.clause)
+    src = rule.src if rid.sign > 0 else rule.dst
+    if W.coord != src:
+        return Diagnosis("CoordMismatch", f"word at {W.coord!r}, rule needs {src!r}")
+    for k in range(len(W.inners)):
+        (st, s), inner, (st2, s2) = W.sector(k)
+        zone = zone_after(machine.hw, (st.base, s))
+        if zone.kind in rule.locks:
+            if (st2, s2) == (st, -s):
+                return Diagnosis("ForbiddenSectorShape",
+                                 f"fold-back at {st!r}^{s} in locked {zone!r}-zone")
+            if len(inner):
+                return Diagnosis("LockedSectorNonEmpty", repr(zone))
+    try:
+        apply(machine, rid, W)
+    except AdmissibleError as e:
+        return Diagnosis("ResultNotAdmissible", e.clause)
+    return None
+
+
+def apply(machine, rid, W):
+    """W o rid, validated; raises AdmissibleError when not admissible."""
+    rule = machine.rules[rid.positive]
+    dst = rule.dst if rid.sign > 0 else rule.src
+    states = []
+    parts = []
+    for st, s in W.states:
+        states.append((machine.hw.state(st.kind, st.j, dst, rid.bar), s))
+        parts.append(_parts(machine, rule, rid.sign, st, s))
+    inners = []
+    for k, inner in enumerate(W.inners):
+        inners.append(parts[k][1] * inner * parts[k + 1][0])
+    out = AdmissibleWord(W.flavor, tuple(states), tuple(inners))
+    machine.hw.validate(out)
+    return out
+
+
+def step(machine, rid, W):
+    """(W o rid, None) or (None, Diagnosis), the way Machine.step answers."""
+    diag = applicable(machine, rid, W)
+    if diag is not None:
+        return None, diag
+    return apply(machine, rid, W), None
+
+
+# ---------------------------------------------------------------------------
+# nesting of oriented Dyck pairs
+# ---------------------------------------------------------------------------
+
+def _inside(n, open_pos, close_pos):
+    """Positions strictly inside the clockwise arc open_pos..close_pos."""
+    out = []
+    k = (open_pos + 1) % n
+    while k != close_pos:
+        out.append(k)
+        k = (k + 1) % n
+    return out
+
+
+def nesting(n, oriented_pairs):
+    """Parent table for oriented pairs, or None if some pair holds another
+    pair only in part or holds one whose arc is not inside its own; the
+    parent is the pair with the smallest arc holding both positions."""
+    insides = []
+    for (o, c) in oriented_pairs:
+        inside = set(_inside(n, o, c))
+        for (o2, c2) in oriented_pairs:
+            if (o2, c2) == (o, c):
+                continue
+            hit = len({o2, c2} & inside)
+            if hit == 1:
+                return None
+            if hit == 2 and not set(_inside(n, o2, c2)) <= inside:
+                return None
+        insides.append(inside)
+    parents = []
+    for k, (o, c) in enumerate(oriented_pairs):
+        best = -1
+        for k2, inside2 in enumerate(insides):
+            if k2 != k and o in inside2 and c in inside2:
+                if best < 0 or len(inside2) < len(insides[best]):
+                    best = k2
+        parents.append(best)
+    return tuple(parents)

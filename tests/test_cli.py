@@ -153,6 +153,29 @@ class TestBandCli:
                                str(wpath), "--rule", "t23(r1)")
         assert code == 1 and "not applicable" in err
 
+    def test_presentation_emitted_only_to_verify(self, capsys, tmp_path, hw, monkeypatch):
+        import smkit.cli as cli
+        calls = []
+        real_emit = cli.emit
+        monkeypatch.setattr(cli, "emit", lambda *a: calls.append(a) or real_emit(*a))
+        wpath = tmp_path / "w.txt"
+        wpath.write_text(hw.sigma_w((), flavor="bar").text())
+        hpath = tmp_path / "h.txt"
+        hpath.write_text("~t12(r1)\n")
+        code, out, _ = run_cli(capsys, "band", "--ee", EE, "--word", str(wpath),
+                               "--rule", "~t12(r1)")
+        assert code == 0 and out.startswith("band ~t12(r1)")
+        code, _, err = run_cli(capsys, "band", "--ee", EE, "--word", str(wpath),
+                               "--rule", "t23(r1)")
+        assert code == 1 and "not applicable" in err
+        code, out, _ = run_cli(capsys, "trapezium", "--ee", EE, "--word", str(wpath),
+                               "--history", str(hpath))
+        assert code == 0 and out.startswith("trapezium height=1")
+        assert calls == []
+        code, _, err = run_cli(capsys, "band", "--ee", EE, "--word", str(wpath),
+                               "--rule", "~t12(r1)", "--verify")
+        assert code == 0 and "violation" not in err and len(calls) == 1
+
 
 class TestPresent:
     def test_present_stats_golden(self, capsys, tmp_path):
