@@ -67,8 +67,7 @@ def _machine_word(hw, args, flavor):
 
 def cmd_present(args):
     hw = _load_hw(args)
-    pres = emit(hw)
-    pres = type(pres)(pres.n, os.path.basename(args.ee), pres.relations)
+    pres = emit(hw, label=os.path.basename(args.ee))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             write_presentation(pres, f)

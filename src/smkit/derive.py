@@ -191,30 +191,29 @@ def accept_bfs(machine: Machine, W: AdmissibleWord, max_steps):
     """Deterministic breadth-first search for an accepting computation.
 
     Explores applicable rules in the machine's canonical order up to depth
-    max_steps, deduplicating on serialized words; returns the first trace
+    max_steps, deduplicating on the words themselves (all of the machine's
+    flavor, so equal words are equal texts); returns the first trace
     reaching a Sigma(v)^s K1 word, or None."""
     hw = machine.hw
     if is_accept_target(hw, W):
         return Trace((), (W,), None)
-    start = W.text()
-    seen = {start: (None, None)}
-    frontier = deque([(W, start, 0)])
+    seen = {W: (None, None)}
+    frontier = deque([(W, 0)])
     while frontier:
-        cur, key, depth = frontier.popleft()
+        cur, depth = frontier.popleft()
         if depth >= max_steps:
             continue
         for rid, nxt in machine.applicable_rules(cur):
-            nkey = nxt.text()
-            if nkey in seen:
+            if nxt in seen:
                 continue
-            seen[nkey] = (key, rid)
+            seen[nxt] = (cur, rid)
             if is_accept_target(hw, nxt):
                 h = []
-                k = nkey
+                k = nxt
                 while seen[k][0] is not None:
                     k, rid2 = seen[k]
                     h.append(rid2)
                 h.reverse()
                 return machine.run(W, tuple(h))
-            frontier.append((nxt, nkey, depth + 1))
+            frontier.append((nxt, depth + 1))
     return None

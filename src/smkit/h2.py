@@ -15,6 +15,7 @@ declared target exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .hardware import AdmissibleWord, Hardware, PositivityViolation
 from .words import BaseLetter, RuleId, State, Tape, Word, X
@@ -240,10 +241,19 @@ def is_uniform(w):
 
 
 def zone_components(hw):
-    """Partition of the zones under the state-letter crossing moves.
+    """Partition of the zones under the state-letter crossing moves, as a
+    map from each zone to its component's representative.
 
     L_j crosses between the K_j- and L_j-zones, odd K_j between K_{j-1} and
-    K_j, even K_j between R_j and R_{j-1}; P-zones are isolated."""
+    K_j, even K_j between R_j and R_{j-1}; P-zones are isolated.  Built on
+    the first call for a Hardware and kept on it; the map is read-only."""
+    comp = hw._zone_components
+    if comp is None:
+        comp = hw._zone_components = MappingProxyType(_zone_partition(hw))
+    return comp
+
+
+def _zone_partition(hw):
     parent = {}
 
     def find(z):

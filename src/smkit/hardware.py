@@ -228,6 +228,7 @@ class Hardware:
         self._pos = {bl: p for p, (bl, _) in enumerate(sigma)}
         self._orient = {bl: s for bl, s in sigma}
         self._zone_after = {}  # signed letter -> zone, filled by zone_after
+        self._zone_components = None  # filled by h2.zone_components
         self._flanks = {}
         for j in range(1, N + 1):
             L, P, R = (BaseLetter(k, j) for k in "LPR")

@@ -35,9 +35,8 @@ from typing import Optional
 from .hardware import Hardware
 from .smachine import Machine, enumerate_rule_ids
 from .words import (
-    BaseLetter, CyclicWord, RuleId, State, Tape, Theta, Word, X, EMPTY,
+    BaseLetter, CyclicWord, RuleId, State, Tape, Theta, Word, X,
     conjugator_length, least_rotation, letter_key, parse_word, word_to_text,
-    wletter,
 )
 
 KINDS = ("main", "theta_a", "a_x", "k_x", "bar_main", "bar_theta_a", "hub")
@@ -141,12 +140,17 @@ def alpha(rid: RuleId, w):
     map to a x(a,tau); state letters are fixed.  For negative rules the
     x-letters are inverted.  Bar rules and bar letters are out of domain.
     """
+    return Word(_alpha_letters(rid, w))
+
+
+def _alpha_letters(rid, letters):
+    """The letters of alpha(rid, letters), not freely reduced."""
     if rid.bar:
         raise PresentationError("alpha is only defined for plain rules")
     xsign = rid.sign
     tau = rid.positive
     out = []
-    for sym, s in w:
+    for sym, s in letters:
         if isinstance(sym, State):
             if sym.bar:
                 raise PresentationError(f"{sym!r} is out of alpha's domain")
@@ -163,7 +167,7 @@ def alpha(rid: RuleId, w):
         else:
             pair = ((x, xsign), (sym, 1))
         out += [(y, e * s) for y, e in (pair if s > 0 else reversed(pair))]
-    return Word(out)
+    return out
 
 
 def delta(w):
@@ -216,15 +220,21 @@ def shift_index(w, j2, bar_mode=False):
 # emission
 # ---------------------------------------------------------------------------
 
-def emit(hw: Hardware):
-    """The full presentation of the simulating group for (ee, N)."""
+def emit(hw: Hardware, label=""):
+    """The full presentation of the simulating group for (ee, N); ``label``
+    names the input in the text format's ``ee-file:`` line.
+
+    Each relator is spelled once as a tuple of letters and freely reduced
+    once, by the Word that ``normalize_relator`` receives."""
     machine = Machine(hw, "mixed")
     rels = []
 
-    def add(kind, w, rule=None, at=None):
-        rels.append(Relation(kind, normalize_relator(w), rule, at))
+    def add(kind, letters, rule=None, at=None):
+        rels.append(Relation(kind, normalize_relator(Word(letters)), rule, at))
 
+    indices = range(1, hw.ee.mbar + 1)
     zones = [hw.zone_after((bl, s)) for bl, s in hw.sigma]
+    tapes = {z: [hw.tape(i, z) for i in indices] for z in zones}
     for bar in (False, True):
         for rid in enumerate_rule_ids(hw.ee, bar):
             rule = machine.rules[rid]
@@ -232,38 +242,39 @@ def emit(hw: Hardware):
             # main relations, one per unsigned basic letter
             for bl, _ in hw.sigma:
                 zb, za = hw.zones_of(bl)
-                src = wletter(hw.state(bl.kind, bl.j, rule.src, bar))
-                dst = wletter(hw.state(bl.kind, bl.j, rule.dst, bar))
-                v = _mat(hw, rule, rule.v_spec(bl.kind), zb, bar)
-                u = _mat(hw, rule, rule.u_spec(bl.kind), za, bar)
+                src = hw.state(bl.kind, bl.j, rule.src, bar)
+                dst = hw.state(bl.kind, bl.j, rule.dst, bar)
+                v = _mat(hw, rule.v_spec(bl.kind), zb, bar)
+                u = _mat(hw, rule.u_spec(bl.kind), za, bar)
                 if not bar:
-                    v, u = alpha(rid.inverse, v), alpha(rid.inverse, u)
-                lhs = wletter(theta[zb], -1) * src * wletter(theta[za])
+                    v, u = _alpha_letters(rid.inverse, v), _alpha_letters(rid.inverse, u)
+                # th(zb)^-1 src th(za) (v dst u)^-1
                 add("bar_main" if bar else "main",
-                    lhs * (v * dst * u).inverse(), rid, bl)
+                    ((theta[zb], -1), (src, 1), (theta[za], 1), *_inverse(u),
+                     (dst, -1), *_inverse(v)),
+                    rid, bl)
             # theta-tape commutations at unlocked zones
             for zone in zones:
                 if zone.kind in rule.locks or (bar and zone.j == 1):
                     continue
-                for i in range(1, hw.ee.mbar + 1):
-                    a = wletter(hw.tape(i, zone, bar))
-                    top, bot = (a, a) if bar else (alpha(rid, a), alpha(rid.inverse, a))
+                th = theta[zone]
+                for i in indices:
+                    a = ((hw.tape(i, zone, bar), 1),)
+                    top, bot = (a, a) if bar else \
+                        (_alpha_letters(rid, a), _alpha_letters(rid.inverse, a))
                     add("bar_theta_a" if bar else "theta_a",
-                        wletter(theta[zone], -1) * top * wletter(theta[zone]) * bot.inverse(),
-                        rid, zone)
+                        ((th, -1), *top, (th, 1), *_inverse(bot)), rid, zone)
             if bar:
                 continue
+            xs = {z: [X(t, rid) for t in tapes[z]] for z in zones}
             # tape-x conjugation relations over K/L/R zones
             for zone in zones:
                 if zone.kind == "P":
                     continue
-                for i in range(1, hw.ee.mbar + 1):
-                    a = wletter(hw.tape(i, zone))
-                    for i2 in range(1, hw.ee.mbar + 1):
-                        x = X(hw.tape(i2, zone), rid)
-                        conj = a * wletter(x) * a.inverse() if zone.kind in "KL" \
-                            else a.inverse() * wletter(x) * a
-                        add("a_x", conj * Word(((x, -1),) * 4, reduce=False), rid, zone)
+                ax = 1 if zone.kind in "KL" else -1
+                for a in tapes[zone]:
+                    for x in xs[zone]:
+                        add("a_x", ((a, ax), (x, 1), (a, -ax)) + ((x, -1),) * 4, rid, zone)
             # state-x crossing relations at K and L letters
             for bl, _ in hw.sigma:
                 if bl.kind not in "KL":
@@ -271,21 +282,21 @@ def emit(hw: Hardware):
                 zb, za = hw.zones_of(bl)
                 exp = 1 if bl.kind == "K" else 4
                 for coord in hw.ee.coords():
-                    z = wletter(State(bl.kind, bl.j, coord))
-                    for i in range(1, hw.ee.mbar + 1):
-                        x = X(hw.tape(i, za), rid)
-                        x2 = X(hw.tape(i, zb), rid)
-                        add("k_x",
-                            z * wletter(x) * z.inverse() * Word(((x2, -1),) * exp, reduce=False),
-                            rid, bl)
-    add("hub", hw.hub())
-    return Presentation(hw.N, "", tuple(rels))
+                    z = State(bl.kind, bl.j, coord)
+                    for x, x2 in zip(xs[za], xs[zb]):
+                        add("k_x", ((z, 1), (x, 1), (z, -1)) + ((x2, -1),) * exp, rid, bl)
+    add("hub", hw.hub().letters)
+    return Presentation(hw.N, label, tuple(rels))
 
 
-def _mat(hw, rule, spec, zone, bar):
+def _inverse(letters):
+    return [(sym, -s) for sym, s in reversed(letters)]
+
+
+def _mat(hw, spec, zone, bar):
     if bar and zone.j == 1:
-        return EMPTY
-    return hw.tape_word(spec, zone, bar)
+        return ()
+    return hw.tape_word(spec, zone, bar).letters
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,18 @@ kinds below:
     Theta       -- theta letter th(rule, zone).
     X           -- letter x(a_i(zone), rule).
 
+Structured symbols are interned: each class keeps one pool, and calling the
+constructor with fields equal to an earlier call's returns that same
+object, so equal symbols are identical and compare by identity.  The
+presentation of the simulating group has tens of thousands of relators over
+a few thousand distinct letters, and a symbol nests others (an X holds a
+Tape holding a BaseLetter, and a RuleId), so without interning every hash,
+comparison and sort key would walk the nesting again.  Each symbol computes
+at construction, once: its hash (that of its field tuple, as for a frozen
+dataclass), its ``symbol_key``, its text token and, for a State, its
+``base`` letter.  The pools live as long as the process and hold one entry
+per distinct symbol ever built.
+
 The text grammar (one token per letter, whitespace separated, optional
 ``^-1`` suffix):
 
@@ -32,8 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from functools import total_ordering
 
 KINDS = "KLPR"
 FAMILIES = ("1", "12", "2", "23", "3", "34", "4", "45", "5", "51")
@@ -45,120 +56,202 @@ class TokenError(ValueError):
     """Raised when a word / rule token does not match the grammar."""
 
 
-@dataclass(frozen=True, order=True)
-class BaseLetter:
-    kind: str
-    j: int
+class _Symbol:
+    """Base of the interned structured symbols.
+
+    Each subclass keeps a ``_pool`` from field tuples to symbols; its
+    ``__new__`` returns the pooled symbol when there is one and otherwise
+    builds it with ``_build`` and pools it.  Equal symbols are therefore
+    identical and compare by identity (``object.__eq__``).  The hash is that
+    of the field tuple, computed once; ``_token`` is the text token (also
+    the repr).
+    """
+
+    __slots__ = ("_hash", "_token")
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
-        return f"{self.kind}{self.j}"
+        return self._token
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
-@dataclass(frozen=True)
-class Coord:
-    r: Optional[int]  # None = empty relator, else 1-based index into Ē\{∅}
-    omega: int
+def _build(cls, fields, token, **derived):
+    """A new, not yet pooled symbol of ``cls`` with ``fields``.
 
-    def __repr__(self):
-        return f"({coord_token(self.r)},{self.omega})"
+    Each constructor pools it with one ``dict.setdefault`` once every check
+    has passed, so a rejected symbol is never pooled, and when two threads
+    build the same symbol at once both get the one that went in first."""
+    self = object.__new__(cls)
+    for name, value in zip(cls._fields, fields):
+        object.__setattr__(self, name, value)
+    for name, value in derived.items():
+        object.__setattr__(self, name, value)
+    object.__setattr__(self, "_hash", hash(fields))
+    object.__setattr__(self, "_token", token)
+    return self
 
 
-@dataclass(frozen=True)
-class RuleId:
-    family: str
-    r: Optional[int]
-    i: Optional[int]
-    bar: bool = False
-    sign: int = 1
+@total_ordering
+class BaseLetter(_Symbol):
+    __slots__ = ("kind", "j")
+    _fields = ("kind", "j")
+    _pool = {}
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise TokenError(f"unknown rule family {self.family!r}")
+    def __new__(cls, kind, j):
+        fields = (kind, j)
+        self = cls._pool.get(fields)
+        if self is None:
+            self = cls._pool.setdefault(fields, _build(cls, fields, f"{kind}{j}"))
+        return self
 
-    @property
-    def positive(self):
-        return RuleId(self.family, self.r, self.i, self.bar, 1)
+    def __lt__(self, other):
+        if not isinstance(other, BaseLetter):
+            return NotImplemented
+        return (self.kind, self.j) < (other.kind, other.j)
+
+
+class Coord(_Symbol):
+    __slots__ = ("r", "omega")  # r: None = empty relator, else 1-based index into Ē\{∅}
+    _fields = ("r", "omega")
+    _pool = {}
+
+    def __new__(cls, r, omega):
+        fields = (r, omega)
+        self = cls._pool.get(fields)
+        if self is None:
+            token = f"({coord_token(r)},{omega})"
+            self = cls._pool.setdefault(fields, _build(cls, fields, token))
+        return self
+
+
+class RuleId(_Symbol):
+    """Name of a signed rule.  ``positive`` (the same rule with sign +1) is
+    stored at construction; ``_rkey`` is its part of the symbol order."""
+
+    __slots__ = ("family", "r", "i", "bar", "sign", "positive", "_rkey")
+    _fields = ("family", "r", "i", "bar", "sign")
+    _pool = {}
+
+    def __new__(cls, family, r, i, bar=False, sign=1):
+        fields = (family, r, i, bar, sign)
+        self = cls._pool.get(fields)
+        if self is None:
+            if family not in FAMILIES:
+                raise TokenError(f"unknown rule family {family!r}")
+            body = f"{coord_token(r)},{i}" if family in AGE_FAMILIES else coord_token(r)
+            token = f"{'~' if bar else ''}t{family}({body}){'^-1' if sign < 0 else ''}"
+            rkey = (bar, FAMILIES.index(family), -1 if r is None else r,
+                    -1 if i is None else i, sign)
+            self = _build(cls, fields, token, _rkey=rkey)
+            positive = self if sign == 1 else cls(family, r, i, bar, 1)
+            object.__setattr__(self, "positive", positive)
+            self = cls._pool.setdefault(fields, self)
+        return self
 
     @property
     def inverse(self):
         return RuleId(self.family, self.r, self.i, self.bar, -self.sign)
 
-    def __repr__(self):
-        return rule_token(self)
+
+class _Letter(_Symbol):
+    """A structured symbol that can be a word letter; ``_key`` is its
+    ``symbol_key``."""
+
+    __slots__ = ("_key",)
 
 
-@dataclass(frozen=True)
-class Tape:
-    i: int
-    zone: BaseLetter
-    bar: bool = False
+class Tape(_Letter):
+    __slots__ = ("i", "zone", "bar")
+    _fields = ("i", "zone", "bar")
+    _pool = {}
 
-    def __repr__(self):
-        return f"{'~' if self.bar else ''}a{self.i}({self.zone!r})"
-
-
-@dataclass(frozen=True)
-class State:
-    kind: str
-    j: int
-    coord: Coord
-    bar: bool = False
-
-    @property
-    def base(self):
-        return BaseLetter(self.kind, self.j)
-
-    def __repr__(self):
-        return f"{'~' if self.bar else ''}{self.kind}{self.j}{self.coord!r}"
+    def __new__(cls, i, zone, bar=False):
+        fields = (i, zone, bar)
+        self = cls._pool.get(fields)
+        if self is None:
+            token = f"{'~' if bar else ''}a{i}({zone._token})"
+            key = (1, bar, KINDS.index(zone.kind), zone.j, i)
+            self = cls._pool.setdefault(fields, _build(cls, fields, token, _key=key))
+        return self
 
 
-@dataclass(frozen=True)
-class Theta:
-    rule: RuleId  # positive, sign +1
-    zone: BaseLetter
+class State(_Letter):
+    """State letter; ``base`` is its unsigned basic letter, built once."""
+
+    __slots__ = ("kind", "j", "coord", "bar", "base")
+    _fields = ("kind", "j", "coord", "bar")
+    _pool = {}
+
+    def __new__(cls, kind, j, coord, bar=False):
+        fields = (kind, j, coord, bar)
+        self = cls._pool.get(fields)
+        if self is None:
+            token = f"{'~' if bar else ''}{kind}{j}{coord._token}"
+            key = (2, bar, KINDS.index(kind), j,
+                   -1 if coord.r is None else coord.r, coord.omega)
+            self = cls._pool.setdefault(fields, _build(
+                cls, fields, token, base=BaseLetter(kind, j), _key=key))
+        return self
+
+
+class Theta(_Letter):
+    __slots__ = ("rule", "zone")  # rule: positive, sign +1
+    _fields = ("rule", "zone")
+    _pool = {}
+
+    def __new__(cls, rule, zone):
+        fields = (rule, zone)
+        self = cls._pool.get(fields)
+        if self is None:
+            token = f"th({rule._token},{zone._token})"
+            key = (3, rule._rkey, KINDS.index(zone.kind), zone.j)
+            self = cls._pool.setdefault(fields, _build(cls, fields, token, _key=key))
+        return self
 
     @property
     def bar(self):
         return self.rule.bar
 
-    def __repr__(self):
-        return f"th({self.rule!r},{self.zone!r})"
+
+class X(_Letter):
+    __slots__ = ("tape", "rule")  # tape: non-bar, non-P zone; rule: positive, non-bar
+    _fields = ("tape", "rule")
+    _pool = {}
+
+    def __new__(cls, tape, rule):
+        fields = (tape, rule)
+        self = cls._pool.get(fields)
+        if self is None:
+            token = f"x({tape._token},{rule._token})"
+            key = (4, tape._key, rule._rkey)
+            self = cls._pool.setdefault(fields, _build(cls, fields, token, _key=key))
+        return self
 
 
-@dataclass(frozen=True)
-class X:
-    tape: Tape  # non-bar, non-P zone
-    rule: RuleId  # positive, non-bar
-
-    def __repr__(self):
-        return f"x({self.tape!r},{self.rule!r})"
-
-
-def _rule_key(rule):
-    return (rule.bar, FAMILIES.index(rule.family), -1 if rule.r is None else rule.r,
-            -1 if rule.i is None else rule.i, rule.sign)
-
-
-@lru_cache(maxsize=None)
 def symbol_key(sym):
     """Total order on symbols: kind tag, bar, indices; stable across runs."""
     if isinstance(sym, str):
         return (0, sym)
-    if isinstance(sym, Tape):
-        return (1, sym.bar, KINDS.index(sym.zone.kind), sym.zone.j, sym.i)
-    if isinstance(sym, State):
-        return (2, sym.bar, KINDS.index(sym.kind), sym.j,
-                -1 if sym.coord.r is None else sym.coord.r, sym.coord.omega)
-    if isinstance(sym, Theta):
-        return (3, _rule_key(sym.rule), KINDS.index(sym.zone.kind), sym.zone.j)
-    if isinstance(sym, X):
-        return (4, symbol_key(sym.tape), _rule_key(sym.rule))
+    if isinstance(sym, _Letter):
+        return sym._key
     raise TypeError(f"not a word symbol: {sym!r}")
 
 
 def letter_key(letter):
     sym, sign = letter
-    return (symbol_key(sym), 0 if sign > 0 else 1)
+    return (sym._key if isinstance(sym, _Letter) else symbol_key(sym),
+            0 if sign > 0 else 1)
 
 
 def free_reduce(letters):
@@ -547,13 +640,7 @@ def parse_zone(tok):
 
 
 def rule_token(rule):
-    bar = "~" if rule.bar else ""
-    if rule.family in AGE_FAMILIES:
-        body = f"{coord_token(rule.r)},{rule.i}"
-    else:
-        body = coord_token(rule.r)
-    suffix = "^-1" if rule.sign < 0 else ""
-    return f"{bar}t{rule.family}({body}){suffix}"
+    return rule._token
 
 
 def parse_rule(tok):
@@ -599,10 +686,13 @@ def _split_args(body):
 
 
 def symbol_token(sym, sign=1):
-    suffix = "^-1" if sign < 0 else ""
     if isinstance(sym, str):
-        return sym + suffix
-    return repr(sym) + suffix
+        tok = sym
+    elif isinstance(sym, _Symbol):
+        tok = sym._token
+    else:
+        tok = repr(sym)
+    return tok + "^-1" if sign < 0 else tok
 
 
 def parse_symbol(tok):

@@ -6,16 +6,21 @@ x-word conjugacy oracle is a plain breadth-first closure over the
 elementary conjugation moves, relator canonicalization strips and
 rotates letter by letter, trying every rotation, rule application checks a
 rule, then builds and validates its result twice with unmemoized tape
-parts, and pair nesting compares every arc with every other.
+parts, pair nesting compares every arc with every other, the symbol order
+is recomputed from the fields, zone components are grown by search, and
+the acceptance search keys its words on their text.
 """
 
 import itertools
+from collections import deque
 
 from smkit.h2 import is_uniform, run_of
 from smkit.hardware import AdmissibleError, AdmissibleWord
 from smkit.presentation import PresentationError
 from smkit.smachine import Diagnosis
-from smkit.words import EMPTY, CyclicWord, Tape, X, letter_key
+from smkit.words import (
+    EMPTY, FAMILIES, KINDS, CyclicWord, State, Tape, Theta, X, letter_key,
+)
 
 
 def all_perfect_matchings(positions):
@@ -320,3 +325,92 @@ def nesting(n, oriented_pairs):
                     best = k2
         parents.append(best)
     return tuple(parents)
+
+
+# ---------------------------------------------------------------------------
+# symbol order, recomputed from the fields on every call
+# ---------------------------------------------------------------------------
+
+def _rule_key(rule):
+    return (rule.bar, FAMILIES.index(rule.family), -1 if rule.r is None else rule.r,
+            -1 if rule.i is None else rule.i, rule.sign)
+
+
+def symbol_key(sym):
+    """The total order on symbols, unmemoized: kind tag, bar, indices."""
+    if isinstance(sym, str):
+        return (0, sym)
+    if isinstance(sym, Tape):
+        return (1, sym.bar, KINDS.index(sym.zone.kind), sym.zone.j, sym.i)
+    if isinstance(sym, State):
+        return (2, sym.bar, KINDS.index(sym.kind), sym.j,
+                -1 if sym.coord.r is None else sym.coord.r, sym.coord.omega)
+    if isinstance(sym, Theta):
+        return (3, _rule_key(sym.rule), KINDS.index(sym.zone.kind), sym.zone.j)
+    if isinstance(sym, X):
+        return (4, symbol_key(sym.tape), _rule_key(sym.rule))
+    raise TypeError(f"not a word symbol: {sym!r}")
+
+
+# ---------------------------------------------------------------------------
+# zone components, rebuilt on every call
+# ---------------------------------------------------------------------------
+
+def zone_components(hw):
+    """Zone -> component representative under the K/L crossing moves: each
+    zone's component is grown by search, and its least zone (in base-word
+    order) represents it."""
+    order = {z: p for p, z in enumerate(hw._zone_after_pos)}
+    moves = {}
+    for za, zb in _zone_moves(hw):
+        moves.setdefault(za, set()).add(zb)
+    out = {}
+    for z in hw._zone_after_pos:
+        if z in out:
+            continue
+        comp, todo = {z}, [z]
+        while todo:
+            for nb in moves.get(todo.pop(), ()):
+                if nb not in comp:
+                    comp.add(nb)
+                    todo.append(nb)
+        rep = min(comp, key=order.__getitem__)
+        for member in comp:
+            out[member] = rep
+    return out
+
+
+# ---------------------------------------------------------------------------
+# acceptance search, deduplicating on serialized words
+# ---------------------------------------------------------------------------
+
+def accept_bfs(machine, W, max_steps):
+    """Breadth-first search keyed on W.text(), the way the library searched
+    before it keyed on the words themselves."""
+    from smkit.derive import is_accept_target
+    from smkit.smachine import Trace
+    hw = machine.hw
+    if is_accept_target(hw, W):
+        return Trace((), (W,), None)
+    start = W.text()
+    seen = {start: (None, None)}
+    frontier = deque([(W, start, 0)])
+    while frontier:
+        cur, key, depth = frontier.popleft()
+        if depth >= max_steps:
+            continue
+        for rid, nxt in machine.applicable_rules(cur):
+            nkey = nxt.text()
+            if nkey in seen:
+                continue
+            seen[nkey] = (key, rid)
+            if is_accept_target(hw, nxt):
+                h = []
+                k = nkey
+                while seen[k][0] is not None:
+                    k, rid2 = seen[k]
+                    h.append(rid2)
+                h.reverse()
+                return machine.run(W, tuple(h))
+            frontier.append((nxt, nkey, depth + 1))
+    return None

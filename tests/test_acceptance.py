@@ -2,10 +2,13 @@
 
 Each test prints a single PASS line when its criterion holds at the stated
 tolerance; run with `pytest -s tests/test_acceptance.py` to see them.
+The module is marked ``slow``: `pytest -m "not slow"` leaves it out.
 """
 
 import itertools
 import time
+
+import pytest
 
 from genwords import (
     applicable_rules, block_word, random_bar_word, random_positive,
@@ -27,6 +30,8 @@ from smkit.words import (
     Coord, CyclicWord, Word, X, cyclic_reduce, enumerate_pairings,
     find_minus_pairing, is_dyck, parse_rule,
 )
+
+pytestmark = pytest.mark.slow
 
 B = BaseLetter
 

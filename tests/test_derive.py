@@ -1,12 +1,13 @@
 import pytest
 
+import oracles
 from genwords import random_positive, random_reduced
 from smkit.derive import (
     DeriveError, LENGTH_C, LENGTH_L, accept_bfs, bar_conjugated_insertion,
     copy_history, derivation_history, insertion_history, is_accept_target,
 )
 from smkit.smachine import brief_history, is_historical_form, inverse_history
-from smkit.words import parse_rule
+from smkit.words import Coord, parse_rule
 
 
 def reduce_seq(seq):
@@ -196,3 +197,30 @@ class TestAcceptBFS:
         assert is_accept_target(hw, hw.sigma_w(((1, -1), (2, 1)), flavor="bar"))
         W = hw.sigma_w(()).with_coord(hw, hw.ee.coords()[6])
         assert not is_accept_target(hw, W)
+
+    @pytest.mark.parametrize("flavor", ["strict", "mixed"])
+    def test_same_trace_as_text_keyed_search(self, hw, rng, request, flavor):
+        # seeded walks of 1-3 steps off Sigma(w)K1, searched with their own
+        # length as budget, plus words at (e,2), which no rule leads out of
+        # to (e,1), searched to exhaustion
+        machine = request.getfixturevalue(flavor)
+        starts = []
+        for steps in (1, 2, 3, 3):
+            w = random_positive(rng, hw.ee.mbar, 2) if flavor == "strict" \
+                else random_reduced(rng, hw.ee.mbar, 2)
+            W = hw.sigma_w(w, flavor)
+            for _ in range(steps):
+                W = rng.choice(machine.applicable_rules(W))[1]
+            starts.append((W, steps))
+        W = hw.sigma_w(random_positive(rng, hw.ee.mbar, 2), flavor)
+        W = W.with_coord(hw, Coord(None, 2))
+        starts.append((hw.parse_admissible(W.flat(), flavor), 2))
+        found = 0
+        for W, k in starts:
+            got, want = accept_bfs(machine, W, k), oracles.accept_bfs(machine, W, k)
+            assert (got is None) == (want is None)
+            if got is not None:
+                found += 1
+                assert (got.history, got.words, got.final) == \
+                    (want.history, want.words, want.final)
+        assert found >= 4

@@ -1,12 +1,13 @@
 import pytest
 
+import oracles
 from oracles import canonical_runs_of_cyclic, x_conjugacy_closure
 from smkit.h2 import (
     CertificateError, RewriteCertificate, Step, apply_step, are_related,
     is_fourth_power_product, is_uniform, run_of, word_of, x_flank,
     x_words_conjugate, zone_components,
 )
-from smkit.hardware import BaseLetter, PositivityViolation
+from smkit.hardware import BaseLetter, Hardware, PositivityViolation
 from smkit.words import Coord, CyclicWord, Word, X, parse_rule, parse_word
 
 B = BaseLetter
@@ -175,6 +176,22 @@ class TestUniformRelated:
         assert comp[B("R", 1)] != comp[B("L", 1)]
         assert comp[B("L", 1)] == comp[B("K", 1)] == comp[B("K", 8)]
         assert comp[B("P", 1)] != comp[B("P", 2)]
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_components_built_once(self, ee, n):
+        def blocks(comp):
+            out = {}
+            for z, rep in comp.items():
+                out.setdefault(rep, set()).add(z)
+            return sorted(sorted(b) for b in out.values())
+
+        hw = Hardware(ee, n)
+        comp = zone_components(hw)
+        assert zone_components(hw) is comp
+        assert blocks(comp) == blocks(oracles.zone_components(hw))
+        assert set(comp) == set(hw._zone_after_pos)
+        with pytest.raises(TypeError):
+            comp[B("P", 1)] = B("P", 1)
 
     def test_component_blocked_at_P(self, hw):
         w = xw(hw, B("L", 2), "t2(r1,1)", (1, 1))
