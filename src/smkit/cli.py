@@ -145,9 +145,11 @@ def cmd_accept(args):
     hw = _load_hw(args)
     machine = Machine(hw, args.flavor)
     W = _machine_word(hw, args, args.flavor)
-    trace = accept_bfs(machine, W, args.max_steps)
+    stats = {}
+    trace = accept_bfs(machine, W, args.max_steps, stats)
     if trace is None:
-        print("no accepting computation found", file=sys.stderr)
+        print(f"no accepting computation found ({stats['stop']}; "
+              f"{stats['expanded']} nodes expanded)", file=sys.stderr)
         return 1
     print(history_text(trace.history))
     print(f"accepted: {trace.final.text()}", file=sys.stderr)

@@ -187,26 +187,49 @@ def is_accept_target(hw: Hardware, W: AdmissibleWord):
     return True
 
 
-def accept_bfs(machine: Machine, W: AdmissibleWord, max_steps):
+def accept_bfs(machine: Machine, W: AdmissibleWord, max_steps, stats=None):
     """Deterministic breadth-first search for an accepting computation.
 
     Explores applicable rules in the machine's canonical order up to depth
     max_steps, deduplicating on the words themselves (all of the machine's
     flavor, so equal words are equal texts); returns the first trace
-    reaching a Sigma(v)^s K1 word, or None."""
+    reaching a Sigma(v)^s K1 word, or None.
+
+    When ``stats`` is a dict, the search writes into it on return: the
+    nodes ``expanded`` (their applicable rules listed), the words
+    ``generated`` by those rules, the ``dedup_hits`` among them, the size of
+    ``seen`` and why it stopped (``stop``): ``"accepted"``, ``"depth"``
+    (some node sat at max_steps and was not expanded) or ``"exhausted"``
+    (the frontier emptied below the limit)."""
     hw = machine.hw
-    if is_accept_target(hw, W):
-        return Trace((), (W,), None)
+    expanded = generated = dedup_hits = 0
+    cut = False
     seen = {W: (None, None)}
+
+    def done(trace):
+        if stats is not None:
+            stop = "accepted" if trace is not None else "depth" if cut else "exhausted"
+            stats.update(expanded=expanded, generated=generated, dedup_hits=dedup_hits,
+                         seen=len(seen), stop=stop)
+        return trace
+
+    if is_accept_target(hw, W):
+        return done(Trace((), (W,), None))
     frontier = deque([(W, 0)])
     while frontier:
         cur, depth = frontier.popleft()
         if depth >= max_steps:
+            cut = True
             continue
-        for rid, nxt in machine.applicable_rules(cur):
-            if nxt in seen:
+        expanded += 1
+        pairs = machine.applicable_rules(cur)
+        generated += len(pairs)
+        for rid, nxt in pairs:
+            size = len(seen)
+            seen.setdefault(nxt, (cur, rid))  # one hash of nxt, new or not
+            if len(seen) == size:
+                dedup_hits += 1
                 continue
-            seen[nxt] = (cur, rid)
             if is_accept_target(hw, nxt):
                 h = []
                 k = nxt
@@ -214,6 +237,6 @@ def accept_bfs(machine: Machine, W: AdmissibleWord, max_steps):
                     k, rid2 = seen[k]
                     h.append(rid2)
                 h.reverse()
-                return machine.run(W, tuple(h))
+                return done(machine.run(W, tuple(h)))
             frontier.append((nxt, depth + 1))
-    return None
+    return done(None)

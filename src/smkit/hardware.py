@@ -31,6 +31,17 @@ the whole word is freely reduced.  Flavors:
               letters with index <= m are shared with the plain alphabet);
               every sector of a j=1 zone is empty; no positivity.
     mixed  -- bar-admissible, or the strict shape without positivity.
+
+A word's state letters fix everything about its sectors except the inner
+words: whether the states are admissible at all, each sector's zone, the
+sign a strict sector's inner word needs, which sectors fold back, and
+whether the states are plain or bar.  ``Hardware.sector_table`` works this
+out once per states tuple and keeps it in a SectorTable; ``validate`` and
+the shape checks read it and then check every inner letter (zone alphabet,
+index range, plain or bar letter, positivity, empty j=1 sectors for bar) on
+every call.  The tables are memoized per Hardware under the states tuple
+and live as long as it does, one entry per distinct valid states tuple
+validated; an invalid tuple is never stored and raises on every call.
 """
 
 from __future__ import annotations
@@ -206,6 +217,22 @@ def load_ee_file(path):
         return load_ee(f.read())
 
 
+class SectorTable:
+    """What a states tuple fixes about its sectors, whatever their inner
+    words: the zone of each sector, the sign its inner word needs in the
+    strict flavor (+1, -1 or None), whether the sector folds back (y y^-1),
+    and the first state letter that is not plain (not bar), or None."""
+
+    __slots__ = ("zones", "signs", "folds", "not_plain", "not_bar")
+
+    def __init__(self, zones, signs, folds, not_plain, not_bar):
+        self.zones = zones
+        self.signs = signs
+        self.folds = folds
+        self.not_plain = not_plain
+        self.not_bar = not_bar
+
+
 class Hardware:
     """Precomputed base-word geometry for a given presentation and N."""
 
@@ -229,6 +256,7 @@ class Hardware:
         self._orient = {bl: s for bl, s in sigma}
         self._zone_after = {}  # signed letter -> zone, filled by zone_after
         self._zone_components = None  # filled by h2.zone_components
+        self._sector_tables = {}  # states tuple -> SectorTable, by sector_table
         self._flanks = {}
         for j in range(1, N + 1):
             L, P, R = (BaseLetter(k, j) for k in "LPR")
@@ -404,62 +432,93 @@ class Hardware:
         self.validate(aw)
         return aw
 
-    def validate(self, aw):
-        states, inners = aw.states, aw.inners
+    def sector_table(self, states):
+        """The SectorTable of a states tuple: its structure checked once.
+
+        The checks are those at the head of ``validate``, in its order: one
+        coordinate (MixedCoordinates), every state letter on the base word
+        at this N and each adjacent pair a successor or a fold-back
+        (BadBasePattern).  Only tuples that pass are remembered, so an
+        invalid tuple raises the same error on every call.
+        """
+        table = self._sector_tables.get(states)
+        if table is None:
+            table = self._sector_tables[states] = self._build_sector_table(states)
+        return table
+
+    def _build_sector_table(self, states):
         coord = states[0][0].coord
         for st, _ in states:
             if st.coord != coord:
                 raise MixedCoordinates(f"{st!r} vs coordinate {coord!r}")
+        for st, _ in states:
+            if st.base not in self._pos:
+                raise BadBasePattern(f"{st!r} is not on the base word at N={self.N}")
         for (st, s), (st2, s2) in zip(states, states[1:]):
             y, y2 = (st.base, s), (st2.base, s2)
             if y2 != self.succ(y) and y2 != (y[0], -y[1]):
                 raise BadBasePattern(f"{st!r}^{s} followed by {st2!r}^{s2}")
-        for k, inner in enumerate(inners):
-            zone = self.zone_after((states[k][0].base, states[k][1]))
-            for sym, _ in inner:
+        pairs = tuple(zip(states, states[1:]))
+        return SectorTable(
+            zones=tuple(self.zone_after((st.base, s)) for (st, s), _ in pairs),
+            signs=tuple(self.positivity_sign(y, y2) for y, y2 in pairs),
+            folds=tuple(st2 is st and s2 == -s for (st, s), (st2, s2) in pairs),
+            not_plain=next((st for st, _ in states if not self.plain_state_ok(st)), None),
+            not_bar=next((st for st, _ in states if not self.bar_state_ok(st)), None),
+        )
+
+    def validate(self, aw):
+        table = self.sector_table(aw.states)
+        mbar = self.ee.mbar
+        for k, (zone, inner) in enumerate(zip(table.zones, aw.inners)):
+            for sym, _ in inner.letters:
                 if sym.zone != zone:
                     raise BadInnerAlphabet(
                         f"sector {k}: {sym!r} is not in the {zone!r}-zone alphabet")
-                if not 1 <= sym.i <= self.ee.mbar:
+                if not 1 <= sym.i <= mbar:
                     raise BadInnerAlphabet(f"sector {k}: index of {sym!r} out of range")
         if aw.flavor == "strict":
-            self._validate_strict(aw)
+            self._validate_strict(aw, table)
         elif aw.flavor == "bar":
-            self.validate_bar_shape(aw)
+            self.validate_bar_shape(aw, table)
         elif aw.flavor == "mixed":
             try:
-                self.validate_plain_shape(aw)
+                self.validate_plain_shape(aw, table)
             except AdmissibleError:
-                self.validate_bar_shape(aw)
+                self.validate_bar_shape(aw, table)
         else:
             raise ValueError(f"unknown flavor {aw.flavor!r}")
 
-    def validate_plain_shape(self, aw):
-        for st, _ in aw.states:
-            if not self.plain_state_ok(st):
-                raise BadInnerAlphabet(f"{st!r} is not a plain state letter")
+    def validate_plain_shape(self, aw, table=None):
+        """Plain state and tape letters only; ``table`` is the sector table
+        of ``aw.states`` when the caller has it."""
+        if table is None:
+            table = self.sector_table(aw.states)
+        if table.not_plain is not None:
+            raise BadInnerAlphabet(f"{table.not_plain!r} is not a plain state letter")
         for inner in aw.inners:
-            for sym, _ in inner:
+            for sym, _ in inner.letters:
                 if not self.plain_tape_ok(sym):
                     raise BadInnerAlphabet(f"{sym!r} is not a plain tape letter")
 
-    def _validate_strict(self, aw):
-        self.validate_plain_shape(aw)
-        for k, inner in enumerate(aw.inners):
-            need = self.positivity_sign(aw.states[k], aw.states[k + 1])
-            if need and any(s != need for _, s in inner):
+    def _validate_strict(self, aw, table):
+        self.validate_plain_shape(aw, table)
+        for k, (need, inner) in enumerate(zip(table.signs, aw.inners)):
+            if need and any(s != need for _, s in inner.letters):
                 raise PositivityViolation(
                     f"sector {k} between {aw.states[k][0]!r} and {aw.states[k + 1][0]!r}")
 
-    def validate_bar_shape(self, aw):
-        for st, _ in aw.states:
-            if not self.bar_state_ok(st):
-                raise BadInnerAlphabet(f"{st!r} is not a bar state letter")
-        for k, inner in enumerate(aw.inners):
-            zone = self.zone_after((aw.states[k][0].base, aw.states[k][1]))
-            if zone.j == 1 and len(inner):
+    def validate_bar_shape(self, aw, table=None):
+        """Bar state and tape letters only, empty j=1 sectors; ``table`` as
+        for ``validate_plain_shape``."""
+        if table is None:
+            table = self.sector_table(aw.states)
+        if table.not_bar is not None:
+            raise BadInnerAlphabet(f"{table.not_bar!r} is not a bar state letter")
+        for k, (zone, inner) in enumerate(zip(table.zones, aw.inners)):
+            if zone.j == 1 and inner.letters:
                 raise BarSectorNotEmpty(f"sector {k} in zone {zone!r}")
-            for sym, _ in inner:
+            for sym, _ in inner.letters:
                 if not self.bar_tape_ok(sym):
                     raise BadInnerAlphabet(f"{sym!r} is not a bar tape letter")
 

@@ -21,6 +21,17 @@ The ten positive families (i ranges over tape indices, r over relators):
 Negative rules are computed views (v, u inverted, coordinates swapped).
 The bar machine has the same table with barred letters, except that letters
 of the j=1 zones are dropped from every v and u.
+
+A rule never changes a word's base, so what it does to a word W is fixed by
+the rule and W's state letters; only the inner words vary.  ``_apply``
+compiles this once into a step plan, memoized per Machine under the key
+(signed rule, W.states): the result's states tuple, and the tape words to
+attach on either side of each sector that changes.  Applying the plan
+copies W's inner words, rebuilds each changed sector with one free
+reduction and keeps the other sectors' words.  The plans live as long as
+the Machine, like the tape parts behind them (``_parts``, at most signed
+rules x 4N x 2 entries); they grow with signed rules x distinct states
+tuples seen.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from typing import Optional
 
 from .hardware import AdmissibleError, AdmissibleWord, Hardware
 from .words import (
-    AGE_FAMILIES, BaseLetter, Coord, RuleId, EMPTY, TRANSITION_FAMILIES,
+    AGE_FAMILIES, BaseLetter, Coord, RuleId, EMPTY, TRANSITION_FAMILIES, Word,
 )
 
 LOCKS = {
@@ -138,6 +149,7 @@ class Machine:
                                        _actions(self.ee, rid))
         self._by_src = None  # source coordinate -> signed candidates, on first use
         self._part_memo = {}
+        self._plans = {}  # (signed rule, states tuple) -> step plan, by _apply
 
     def rule_ids(self):
         return list(self.rules)
@@ -203,14 +215,14 @@ class Machine:
         src = rule.src if rid.sign > 0 else rule.dst
         if W.coord != src:
             return None, Diagnosis("CoordMismatch", f"word at {W.coord!r}, rule needs {src!r}")
-        for k in range(len(W.inners)):
-            (st, s), inner, (st2, s2) = W.sector(k)
-            zone = self.hw.zone_after((st.base, s))
+        table = self.hw.sector_table(W.states)
+        for k, (zone, fold, inner) in enumerate(zip(table.zones, table.folds, W.inners)):
             if zone.kind in rule.locks:
-                if (st2, s2) == (st, -s):
+                if fold:
+                    st, s = W.states[k]
                     return None, Diagnosis("ForbiddenSectorShape",
                                            f"fold-back at {st!r}^{s} in locked {zone!r}-zone")
-                if len(inner):
+                if inner.letters:
                     return None, Diagnosis("LockedSectorNonEmpty", repr(zone))
         try:
             return self._apply(rid, W), None
@@ -223,19 +235,35 @@ class Machine:
 
     def _apply(self, rid, W):
         """W o rid, validated; the checks before it are the caller's."""
+        key = (rid, W.states)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(rid, W.states)
+        states, changes = plan
+        inners = W.inners
+        if changes:
+            inners = list(inners)
+            for k, right, left in changes:
+                inners[k] = Word(right + inners[k].letters + left)
+            inners = tuple(inners)
+        out = AdmissibleWord(W.flavor, states, inners)
+        self.hw.validate(out)
+        return out
+
+    def _plan(self, rid, states):
+        """The step plan of rid on words with these state letters: the
+        result's states tuple, and (k, right, left) letter tuples for each
+        sector k whose inner word becomes right + inner + left, freely
+        reduced; the sectors not listed keep their inner words."""
         rule = self.rules[rid.positive]
         dst = rule.dst if rid.sign > 0 else rule.src
         state, parts = self.hw.state, self._parts
-        states = []
-        sides = []
-        for st, s in W.states:
-            states.append((state(st.kind, st.j, dst, rid.bar), s))
-            sides.append(parts(rid, st.kind, st.j, s))
-        inners = tuple(sides[k][1] * inner * sides[k + 1][0]
-                       for k, inner in enumerate(W.inners))
-        out = AdmissibleWord(W.flavor, tuple(states), inners)
-        self.hw.validate(out)
-        return out
+        out = tuple((state(st.kind, st.j, dst, rid.bar), s) for st, s in states)
+        sides = [parts(rid, st.kind, st.j, s) for st, s in states]
+        changes = tuple((k, sides[k][1].letters, sides[k + 1][0].letters)
+                        for k in range(len(states) - 1)
+                        if sides[k][1].letters or sides[k + 1][0].letters)
+        return out, changes
 
     def apply(self, rid: RuleId, W: AdmissibleWord):
         out, diag = self.step(rid, W)
@@ -302,12 +330,9 @@ class Machine:
     def _blocked_kinds(self, W):
         """Zone kinds of the sectors of W that are non-empty or fold back:
         a rule applies only if it locks none of them."""
-        out = set()
-        for k, inner in enumerate(W.inners):
-            (st, s), (st2, s2) = W.states[k], W.states[k + 1]
-            if len(inner) or (st2, s2) == (st, -s):
-                out.add(self.hw.zone_after((st.base, s)).kind)
-        return out
+        table = self.hw.sector_table(W.states)
+        return {zone.kind for zone, fold, inner in zip(table.zones, table.folds, W.inners)
+                if fold or inner.letters}
 
     # -- content-independent sector transport ----------------------------
 

@@ -2,6 +2,7 @@ import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from smkit.hardware import Hardware, load_ee_file
 from smkit.presentation import emit
@@ -11,6 +12,11 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 SEED = int(os.environ.get("SMW_SEED", "20240811"))
+
+# Property tests draw the same examples on every run and have no deadline
+# (a cold memo or the first emit can make one example slow).
+settings.register_profile("smkit", deadline=None, derandomize=True)
+settings.load_profile("smkit")
 
 
 @pytest.fixture

@@ -4,9 +4,10 @@ Nothing here shares code paths with the library algorithms it checks:
 matchings are enumerated over all position pairings and filtered, the
 x-word conjugacy oracle is a plain breadth-first closure over the
 elementary conjugation moves, relator canonicalization strips and
-rotates letter by letter, trying every rotation, rule application checks a
-rule, then builds and validates its result twice with unmemoized tape
-parts, pair nesting compares every arc with every other, the symbol order
+rotates letter by letter, trying every rotation, admissibility is checked
+letter by letter with no sector table, rule application checks a rule,
+then builds and validates its result twice with unmemoized tape parts and
+no step plan, pair nesting compares every arc with every other, the symbol order
 is recomputed from the fields, zone components are grown by search, and
 the acceptance search keys its words on their text.
 """
@@ -15,7 +16,10 @@ import itertools
 from collections import deque
 
 from smkit.h2 import is_uniform, run_of
-from smkit.hardware import AdmissibleError, AdmissibleWord
+from smkit.hardware import (
+    AdmissibleError, AdmissibleWord, BadBasePattern, BadInnerAlphabet, BarSectorNotEmpty,
+    MixedCoordinates, PositivityViolation,
+)
 from smkit.presentation import PresentationError
 from smkit.smachine import Diagnosis
 from smkit.words import (
@@ -211,6 +215,72 @@ def zone_after(hw, y):
     return hw._zone_after_pos[(p - 1) % len(hw.sigma)]
 
 
+# Hardware.validate and its shape checks as they were before the sector
+# table: every structural fact is looked up again on every call.
+
+def validate(hw, aw):
+    states, inners = aw.states, aw.inners
+    coord = states[0][0].coord
+    for st, _ in states:
+        if st.coord != coord:
+            raise MixedCoordinates(f"{st!r} vs coordinate {coord!r}")
+    for (st, s), (st2, s2) in zip(states, states[1:]):
+        y, y2 = (st.base, s), (st2.base, s2)
+        if y2 != hw.succ(y) and y2 != (y[0], -y[1]):
+            raise BadBasePattern(f"{st!r}^{s} followed by {st2!r}^{s2}")
+    for k, inner in enumerate(inners):
+        zone = zone_after(hw, (states[k][0].base, states[k][1]))
+        for sym, _ in inner:
+            if sym.zone != zone:
+                raise BadInnerAlphabet(
+                    f"sector {k}: {sym!r} is not in the {zone!r}-zone alphabet")
+            if not 1 <= sym.i <= hw.ee.mbar:
+                raise BadInnerAlphabet(f"sector {k}: index of {sym!r} out of range")
+    if aw.flavor == "strict":
+        _validate_strict(hw, aw)
+    elif aw.flavor == "bar":
+        validate_bar_shape(hw, aw)
+    elif aw.flavor == "mixed":
+        try:
+            validate_plain_shape(hw, aw)
+        except AdmissibleError:
+            validate_bar_shape(hw, aw)
+    else:
+        raise ValueError(f"unknown flavor {aw.flavor!r}")
+
+
+def validate_plain_shape(hw, aw):
+    for st, _ in aw.states:
+        if not hw.plain_state_ok(st):
+            raise BadInnerAlphabet(f"{st!r} is not a plain state letter")
+    for inner in aw.inners:
+        for sym, _ in inner:
+            if not hw.plain_tape_ok(sym):
+                raise BadInnerAlphabet(f"{sym!r} is not a plain tape letter")
+
+
+def _validate_strict(hw, aw):
+    validate_plain_shape(hw, aw)
+    for k, inner in enumerate(aw.inners):
+        need = hw.positivity_sign(aw.states[k], aw.states[k + 1])
+        if need and any(s != need for _, s in inner):
+            raise PositivityViolation(
+                f"sector {k} between {aw.states[k][0]!r} and {aw.states[k + 1][0]!r}")
+
+
+def validate_bar_shape(hw, aw):
+    for st, _ in aw.states:
+        if not hw.bar_state_ok(st):
+            raise BadInnerAlphabet(f"{st!r} is not a bar state letter")
+    for k, inner in enumerate(aw.inners):
+        zone = zone_after(hw, (aw.states[k][0].base, aw.states[k][1]))
+        if zone.j == 1 and len(inner):
+            raise BarSectorNotEmpty(f"sector {k} in zone {zone!r}")
+        for sym, _ in inner:
+            if not hw.bar_tape_ok(sym):
+                raise BadInnerAlphabet(f"{sym!r} is not a bar tape letter")
+
+
 def _parts(machine, rule, sign, st, s):
     hw = machine.hw
     zb, za = zone_after(hw, (st.base, -1)), zone_after(hw, (st.base, 1))
@@ -237,9 +307,9 @@ def applicable(machine, rid, W):
         return Diagnosis("UnknownRule", repr(rid))
     try:
         if rid.bar:
-            machine.hw.validate_bar_shape(W)
+            validate_bar_shape(machine.hw, W)
         else:
-            machine.hw.validate_plain_shape(W)
+            validate_plain_shape(machine.hw, W)
     except AdmissibleError as e:
         return Diagnosis("FlavorMismatch", e.clause)
     src = rule.src if rid.sign > 0 else rule.dst
@@ -274,7 +344,7 @@ def apply(machine, rid, W):
     for k, inner in enumerate(W.inners):
         inners.append(parts[k][1] * inner * parts[k + 1][0])
     out = AdmissibleWord(W.flavor, tuple(states), tuple(inners))
-    machine.hw.validate(out)
+    validate(machine.hw, out)
     return out
 
 

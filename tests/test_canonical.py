@@ -93,19 +93,19 @@ class TestDifferential:
             assert report == [f"cell {k}: boundary is not a relator"]
         assert checked > 200
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(conjugated_words())
     def test_hypothesis_words(self, w):
         assert outcome(normalize_relator, w) == outcome(oracles.normalize_relator, w)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(conjugated_words())
     def test_cyclic_reduce(self, w):
         conj, core = cyclic_reduce(w)
         assert (conj.letters, core.letters) == oracles.cyclic_reduce(w)
         assert CyclicWord(core.letters) == core
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(letters_of(STRUCTURED + PLAIN))
     def test_cyclic_word_least_rotation(self, letters):
         k = oracles.least_rotation_index(letters)
@@ -117,7 +117,7 @@ class TestLaws:
     words, which reduce on construction).  A word kept unreduced can have a
     least rotation whose end letters cancel, so they do not hold there."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(conjugated_words())
     def test_idempotent(self, w):
         try:
@@ -126,7 +126,7 @@ class TestLaws:
             return
         assert normalize_relator(c.word()) == c
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(conjugated_words())
     def test_rotation_and_inversion_invariant(self, w):
         try:
@@ -137,7 +137,7 @@ class TestLaws:
             assert normalize_relator(Word(rot, reduce=False)) == c
             assert normalize_relator(Word(rot, reduce=False).inverse()) == c
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100)
     @given(letters_of(STRUCTURED + PLAIN), letters_of(STRUCTURED + PLAIN))
     def test_trivial_raises(self, p, q):
         w = Word(p + q)

@@ -106,6 +106,13 @@ class TestAccept:
         code, _, err = run_cli(capsys, "accept", "--ee", EE, "--word",
                                str(wpath), "--max-steps", "0")
         assert code == 1 and "no accepting" in err
+        assert "(depth; 0 nodes expanded)" in err
+
+    def test_exhausted_search_says_so(self, capsys):
+        code, out, err = run_cli(capsys, "accept", "--ee", EE, "--word", "K1(e,1)",
+                                 "--max-steps", "30")
+        assert code == 1 and out == ""
+        assert err == "no accepting computation found (exhausted; 11 nodes expanded)\n"
 
 
 class TestStatsAndXconj:

@@ -7,7 +7,7 @@ from smkit.derive import (
     copy_history, derivation_history, insertion_history, is_accept_target,
 )
 from smkit.smachine import brief_history, is_historical_form, inverse_history
-from smkit.words import Coord, parse_rule
+from smkit.words import Coord, parse_rule, parse_word
 
 
 def reduce_seq(seq):
@@ -224,3 +224,35 @@ class TestAcceptBFS:
                 assert (got.history, got.words, got.final) == \
                     (want.history, want.words, want.final)
         assert found >= 4
+
+    @pytest.mark.parametrize("flavor", ["strict", "mixed"])
+    def test_stats_say_why_the_search_stopped(self, hw, request, flavor):
+        # an accepted walk, a lone state letter whose frontier empties
+        # (every rule leaves it alone or only moves its coordinate) and a
+        # word at (e,2) cut at depth 2
+        machine = request.getfixturevalue(flavor)
+        h = insertion_history(hw, (), 0, 1)
+        mid = machine.run(hw.parse_admissible(hw.sigma_w(()).flat(), flavor), h[:4]).final
+        lone = hw.parse_admissible(parse_word("K1(e,1)"), flavor)
+        cut = hw.sigma_w(((1, 1),)).with_coord(hw, Coord(None, 2))
+        cut = hw.parse_admissible(cut.flat(), flavor)
+        for W, k, stop in ((mid, len(h), "accepted"), (lone, 30, "exhausted"),
+                           (cut, 2, "depth")):
+            stats = {}
+            got = accept_bfs(machine, W, k, stats)
+            plain, want = accept_bfs(machine, W, k), oracles.accept_bfs(machine, W, k)
+            assert stats["stop"] == stop
+            assert (got is None) == (plain is None) == (want is None) == (stop != "accepted")
+            if got is not None:
+                assert (got.history, got.words) == (plain.history, plain.words) == \
+                    (want.history, want.words)
+            else:
+                # every generated word is new or a dedup hit
+                assert stats["seen"] == 1 + stats["generated"] - stats["dedup_hits"]
+            assert stats["expanded"] >= 1
+
+    def test_stats_on_a_target(self, hw, strict):
+        stats = {}
+        assert accept_bfs(strict, hw.sigma_w(()), 3, stats).history == ()
+        assert stats == {"expanded": 0, "generated": 0, "dedup_hits": 0, "seen": 1,
+                         "stop": "accepted"}

@@ -192,7 +192,7 @@ symbols = st.one_of(
 
 
 class TestTextRoundTrip:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(st.lists(st.tuples(symbols, st.sampled_from((1, -1))), max_size=12))
     def test_parse_word_inverts_word_to_text(self, letters):
         w = Word(letters)
@@ -200,7 +200,7 @@ class TestTextRoundTrip:
         assert back == w
         assert all(a is b for (a, _), (b, _) in zip(back, w))
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(rules())
     def test_rule_tokens(self, rid):
         assert parse_rule(rule_token(rid)) is rid

@@ -1,6 +1,7 @@
-"""One-pass rule application: ``Machine.step`` and ``applicable_rules``
-against the check-then-build reference in ``oracles``, the step/inverse
-law, the lazily filled zone lookup and the one-scan pair nesting."""
+"""One-pass rule application: ``Machine.step`` (with cold and warm step
+plans) and ``applicable_rules`` against the check-then-build reference in
+``oracles``, the step/inverse law, the lazily filled zone lookup and the
+one-scan pair nesting."""
 
 import random
 
@@ -82,8 +83,10 @@ class TestStepAgainstReference:
         accepted = 0
         for W in words:
             for rid in signed_rules(machine):
-                got = machine.step(rid, W)
-                assert got == oracles.step(machine, rid, W), (rid, W.text())
+                want = oracles.step(machine, rid, W)
+                for _ in range(2):  # the second step reads a warm step plan
+                    got = machine.step(rid, W)
+                    assert got == want, (rid, W.text())
                 assert machine.applicable(rid, W) == got[1]
                 if got[1] is None:
                     accepted += 1
@@ -112,7 +115,7 @@ def stepped_words(draw):
 
 
 class TestStepLaw:
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @settings(max_examples=120)
     @given(stepped_words())
     def test_step_then_inverse_gives_back_the_word(self, hw, strict, bar, mixed, case):
         flavor, seed, empty, pick = case
