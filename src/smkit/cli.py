@@ -34,6 +34,18 @@ def _slurp(value):
     return value
 
 
+def _int_at_least(low):
+    """argparse type: an integer no smaller than ``low``.  Named ``int``, so
+    argparse reports a non-integer as ``invalid int value``."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def _load_hw(args):
     ee = hardware.load_ee_file(args.ee)
     return hardware.Hardware(ee, args.n)
@@ -288,7 +300,7 @@ def build_parser():
     sp = sub.add_parser("accept", help="bounded search for an accepting run")
     common(sp)
     sp.add_argument("--word", required=True)
-    sp.add_argument("--max-steps", type=int, required=True)
+    sp.add_argument("--max-steps", type=_int_at_least(0), required=True)
     sp.add_argument("--flavor", choices=("strict", "bar", "mixed"), default="strict")
     sp.set_defaults(fn=cmd_accept)
 
@@ -309,7 +321,7 @@ def build_parser():
     sp = sub.add_parser("dyck", help="pairings of a cyclic Dyck word")
     sp.add_argument("--word", required=True)
     sp.add_argument("--minus", action="store_true")
-    sp.add_argument("--limit", type=int)
+    sp.add_argument("--limit", type=_int_at_least(1))
     sp.set_defaults(fn=cmd_dyck)
 
     sp = sub.add_parser("brief", help="brief history of a rule sequence")

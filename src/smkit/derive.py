@@ -21,23 +21,13 @@ from collections import deque
 
 from .hardware import AdmissibleWord, Hardware
 from .smachine import Machine, Trace, inverse_history
-from .words import RuleId
+from .words import RuleId, free_reduce
 
 COPY_FAMILIES = ("1", "2", "3", "4", "5")
 
 
 class DeriveError(ValueError):
     pass
-
-
-def _reduce_seq(seq):
-    out = []
-    for i, s in seq:
-        if out and out[-1][0] == i and out[-1][1] == -s:
-            out.pop()
-        else:
-            out.append((i, s))
-    return tuple(out)
 
 
 def _check_positive(w):
@@ -133,9 +123,9 @@ def bar_conjugated_insertion(hw: Hardware, w, u, r):
     if r is None:
         raise DeriveError("conjugated insertion needs a relator index")
     rel = tuple((a, 1) for a in hw.ee.relator(r))
-    w, u = _reduce_seq(w), _reduce_seq(u)
-    p = _reduce_seq(w + u)           # parked prefix w u
-    q = _reduce_seq(p + rel)         # w u r
+    w, u = free_reduce(w), free_reduce(u)
+    p = free_reduce(w + u)           # parked prefix w u
+    q = free_reduce(p + rel)         # w u r
     h = []
     h += copy_history("1", p)                       # L <- p, P <- u^-1
     h.append(RuleId("12", r, None, True, 1))

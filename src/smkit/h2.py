@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .hardware import AdmissibleWord, Hardware, PositivityViolation
+from .presentation import _alpha_letters
 from .words import BaseLetter, RuleId, State, Tape, Word, X
 
 
@@ -134,23 +135,6 @@ def apply_step(cur, step):
     return cur[:p] + [r for r in repl if r[1]] + cur[p + 2:]
 
 
-def _alpha_entries(rid, entries):
-    """alpha of an entry list; no merging, letters stay individual."""
-    tau, sgn = rid.positive, rid.sign
-    out = []
-    for sym, e in entries:
-        if isinstance(sym, Tape) and sym.zone.kind != "P":
-            x = X(sym, tau)
-            pair = [(x, sgn), (sym, 1)] if sym.zone.kind in "KL" else \
-                [(sym, 1), (x, sgn)]
-            if e < 0:
-                pair = [(s, -v) for s, v in reversed(pair)]
-            out += pair
-        else:
-            out.append((sym, e))
-    return out
-
-
 def x_flank(hw: Hardware, W: AdmissibleWord, rid: RuleId):
     """Flank words X1, X1' with X1 * F * X1' = alpha_rid(F), certified.
 
@@ -185,7 +169,7 @@ def x_flank(hw: Hardware, W: AdmissibleWord, rid: RuleId):
     frag = list(w1) + [W.states[1]] + list(w2) + [W.states[2]] + \
         list(w3) + [W.states[3]] + list(w4)
     source = tuple(x1 + frag + x1p)
-    target = tuple(_alpha_entries(rid, frag))
+    target = tuple(_alpha_letters(rid, frag))
 
     steps = []
     cur = list(source)

@@ -244,8 +244,7 @@ def emit(hw: Hardware, label=""):
                 zb, za = hw.zones_of(bl)
                 src = hw.state(bl.kind, bl.j, rule.src, bar)
                 dst = hw.state(bl.kind, bl.j, rule.dst, bar)
-                v = _mat(hw, rule.v_spec(bl.kind), zb, bar)
-                u = _mat(hw, rule.u_spec(bl.kind), za, bar)
+                v, u = (part.letters for part in machine._parts(rid, bl.kind, bl.j, 1))
                 if not bar:
                     v, u = _alpha_letters(rid.inverse, v), _alpha_letters(rid.inverse, u)
                 # th(zb)^-1 src th(za) (v dst u)^-1
@@ -291,12 +290,6 @@ def emit(hw: Hardware, label=""):
 
 def _inverse(letters):
     return [(sym, -s) for sym, s in reversed(letters)]
-
-
-def _mat(hw, spec, zone, bar):
-    if bar and zone.j == 1:
-        return ()
-    return hw.tape_word(spec, zone, bar).letters
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import islice
 
 KINDS = "KLPR"
 FAMILIES = ("1", "12", "2", "23", "3", "34", "4", "45", "5", "51")
@@ -317,10 +318,6 @@ def wletter(sym, sign=1):
     return Word(((sym, sign),), reduce=False)
 
 
-def word_from(symbols):
-    return Word((s, 1) for s in symbols)
-
-
 def is_positive(w):
     """True iff every letter of ``w`` has sign +1 (vacuous for the empty word)."""
     return all(sign > 0 for _, sign in w)
@@ -484,35 +481,55 @@ class DyckPairing:
         return out
 
 
+def _bracket_scan(opens):
+    """Stack matching of a cyclic bracket word, or None if it is unbalanced.
+
+    ``opens[p]`` says whether position p opens a bracket; every other
+    position closes one.  The scan cuts after the first position of least
+    running depth.  When the total depth is 0, the depth read from that cut
+    never drops below 0, so every close pops an open and the stack ends
+    empty.  Returns ``(pairs, parent)``: the (open, close) pairs in the
+    order they close, and for each open position the open that was on top
+    of the stack when it was pushed (-1 for none; unused at closes).
+    """
+    n = len(opens)
+    depth = low = cut = 0
+    for p in range(n):
+        depth += 1 if opens[p] else -1
+        if depth < low:
+            low, cut = depth, p + 1
+    if depth:
+        return None
+    pairs, parent, stack = [], [-1] * n, []
+    for p in range(cut, cut + n):
+        p %= n
+        if opens[p]:
+            parent[p] = stack[-1] if stack else -1
+            stack.append(p)
+        else:
+            pairs.append((stack.pop(), p))
+    return pairs, parent
+
+
 def _nesting(n, oriented_pairs):
     """Parent table for oriented pairs, or None if the nesting is inconsistent.
 
     A valid cancellation scheme has, for each pair, all other pairs either
     completely inside its clockwise open..close arc or completely outside,
     and the insides ordered by containment.  Then no arc covers a cut of
-    least bracket depth, and reading the brackets from there every close
-    meets its own open on top of the stack, whose next entry is the parent.
+    least bracket depth, and the bracket scan pops each pair's own open at
+    its close; the parent is the pair whose open was below it on the stack.
     Pairs oriented at min/max position always pass with the cut before 0.
     """
-    event = [None] * n
+    opens = [False] * n
+    pair_at = [0] * n
     for k, (o, c) in enumerate(oriented_pairs):
-        event[o] = (k, True)
-        event[c] = (k, False)
-    depth = low = cut = 0
-    for p in range(n):
-        depth += 1 if event[p][1] else -1
-        if depth < low:
-            low, cut = depth, p + 1
-    parents = [-1] * len(oriented_pairs)
-    stack = []
-    for p in range(cut, cut + n):
-        k, opens = event[p % n]
-        if opens:
-            parents[k] = stack[-1] if stack else -1
-            stack.append(k)
-        elif not stack or stack.pop() != k:
-            return None
-    return tuple(parents)
+        opens[o] = True
+        pair_at[o] = pair_at[c] = k
+    pairs, parent = _bracket_scan(opens)
+    if any(pair_at[o] != pair_at[c] for o, c in pairs):
+        return None
+    return tuple(-1 if parent[o] < 0 else pair_at[parent[o]] for o, _ in oriented_pairs)
 
 
 def _matchings(word, positions):
@@ -539,55 +556,50 @@ def _canonical_orientation(n, matching):
     return tuple(sorted((min(p, q), max(p, q)) for p, q in matching))
 
 
-def _make_pairing(word, oriented):
-    parents = _nesting(len(word), oriented)
-    if parents is None:
-        return None
-    return DyckPairing(word, oriented, parents)
-
-
 def enumerate_pairings(w: CyclicWord, limit=None):
-    """Distinct cancellation pairings of ``w`` in leftmost-first DFS order.
+    """Distinct cancellation pairings of ``w`` in leftmost-first DFS order,
+    at most ``limit`` of them (all when ``limit`` is None).
 
     Pairings are identified with their (unoriented) non-crossing matchings;
     each is returned with the canonical orientation induced by cutting the
     canonical rotation before position 0.  A non-Dyck word yields [].
+    Raises ValueError for a negative ``limit``.
     """
-    if len(w) == 0:
-        return [DyckPairing(w, (), ())]
-    if len(w) % 2 or not is_dyck(w):
+    if limit is not None and limit < 0:
+        raise ValueError(f"pairing limit must be >= 0, got {limit}")
+    if not is_dyck(w):
         return []
+    n = len(w)
     out = []
-    for matching in _matchings(w.letters, list(range(len(w)))):
-        pairing = _make_pairing(w, _canonical_orientation(len(w), matching))
-        if pairing is not None:
-            out.append(pairing)
-            if limit is not None and len(out) >= limit:
-                break
+    for matching in islice(_matchings(w.letters, list(range(n))), limit):
+        oriented = _canonical_orientation(n, matching)
+        out.append(DyckPairing(w, oriented, _nesting(n, oriented)))
     return out
 
 
 def find_minus_pairing(w: CyclicWord):
-    """First pairing (enumeration order) all of whose pairs read (z^-1, z).
+    """The minus pairing of ``w``: the pairing all of whose pairs read
+    (z^-1, z), or None when ``w`` has none.
 
-    The minus condition forces each pair's orientation: open at the negative
-    letter.  Absent when no matching admits a consistent nesting.
+    The minus condition fixes every bracket: a negative letter opens a pair
+    and a positive letter closes one.  A consistent nesting of pairs of a
+    cyclic bracket word is the stack matching from a cut of least depth, and
+    that matching depends only on the brackets, so the minus pairing is
+    forced and unique when it exists, and one bracket scan finds it.  It
+    exists iff the scan balances and every pair it pops reads z^-1 ... z
+    with the same symbol z.  Such a matching pairs inverse letters without
+    crossings, so ``w`` is then a Dyck word.
     """
-    if len(w) == 0:
-        return DyckPairing(w, (), ())
-    if len(w) % 2 or not is_dyck(w):
+    letters = w.letters
+    scan = _bracket_scan([sign < 0 for _, sign in letters])
+    if scan is None:
         return None
-    for matching in _matchings(w.letters, list(range(len(w)))):
-        oriented = []
-        for p, q in matching:
-            if w[p][1] < 0:
-                oriented.append((p, q))
-            else:
-                oriented.append((q, p))
-        pairing = _make_pairing(w, tuple(sorted(oriented)))
-        if pairing is not None:
-            return pairing
-    return None
+    pairs, parent = scan
+    if any(letters[o][0] != letters[c][0] for o, c in pairs):
+        return None
+    pairs.sort()
+    index = {o: k for k, (o, _) in enumerate(pairs)}
+    return DyckPairing(w, tuple(pairs), tuple(index.get(parent[o], -1) for o, _ in pairs))
 
 
 def classify_pair(w: CyclicWord, pairing: DyckPairing, pair):

@@ -2,6 +2,7 @@
 applicable rule walks."""
 
 from smkit.hardware import BaseLetter
+from smkit.words import CyclicWord
 
 
 def random_positive(rng, mbar, maxlen, minlen=0):
@@ -92,3 +93,41 @@ def random_walk(machine, W, rng, steps, allow=None, reduced=True):
         h.append(rid)
         words.append(machine._apply(rid, words[-1]))
     return tuple(h), words
+
+
+def dyck_words(max_len):
+    """Every non-empty cyclic Dyck word of length <= max_len over a, b, in
+    canonical rotation, shortest first.
+
+    Linear words are grown letter by letter with a stack of their unreduced
+    letters, while the stack fits in the letters left, and kept when the
+    stack is empty.  A rotation of a freely trivial word is freely trivial,
+    so each cyclic word shows up in all its rotations and only the least
+    one is kept, compared on letter codes 0-3 that order a, a^-1, b, b^-1
+    as ``letter_key`` does."""
+    letters = (("a", 1), ("a", -1), ("b", 1), ("b", -1))
+    out, stack, word = [], [], []
+
+    def grow():
+        n = len(word)
+        if n and not stack:
+            w = tuple(word)
+            twice = w + w
+            if all(twice[k:k + n] >= w for k in range(1, n)):
+                out.append(CyclicWord(letters[code] for code in w))
+        if n == max_len or len(stack) > max_len - n:
+            return
+        for code in range(4):
+            word.append(code)
+            if stack and stack[-1] == code ^ 1:
+                stack.pop()
+                grow()
+                stack.append(code ^ 1)
+            else:
+                stack.append(code)
+                grow()
+                stack.pop()
+            word.pop()
+
+    grow()
+    return sorted(out, key=lambda w: (len(w), str(w.letters)))

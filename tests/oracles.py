@@ -7,7 +7,8 @@ elementary conjugation moves, relator canonicalization strips and
 rotates letter by letter, trying every rotation, admissibility is checked
 letter by letter with no sector table, rule application checks a rule,
 then builds and validates its result twice with unmemoized tape parts and
-no step plan, pair nesting compares every arc with every other, the symbol order
+no step plan, pair nesting compares every arc with every other, the minus
+pairing is searched for over every non-crossing matching, the symbol order
 is recomputed from the fields, zone components are grown by search, and
 the acceptance search keys its words on their text.
 """
@@ -23,7 +24,8 @@ from smkit.hardware import (
 from smkit.presentation import PresentationError
 from smkit.smachine import Diagnosis
 from smkit.words import (
-    EMPTY, FAMILIES, KINDS, CyclicWord, State, Tape, Theta, X, letter_key,
+    EMPTY, FAMILIES, KINDS, CyclicWord, DyckPairing, State, Tape, Theta, X, is_dyck,
+    letter_key,
 )
 
 
@@ -395,6 +397,47 @@ def nesting(n, oriented_pairs):
                     best = k2
         parents.append(best)
     return tuple(parents)
+
+
+def _matchings(word, positions):
+    """All non-crossing inverse-letter perfect matchings of ``positions``,
+    leftmost position first, partners scanned left to right."""
+    if not positions:
+        yield []
+        return
+    p = positions[0]
+    sym, sign = word[p]
+    for idx in range(1, len(positions)):
+        q = positions[idx]
+        if word[q] == (sym, -sign):
+            for left in _matchings(word, positions[1:idx]):
+                for right in _matchings(word, positions[idx + 1:]):
+                    yield [(p, q)] + left + right
+
+
+def minus_pairing_search(w):
+    """First pairing (enumeration order) all of whose pairs read (z^-1, z).
+
+    The search over every non-crossing matching that the library ran before
+    its bracket scan: each matching is oriented at its negative letters and
+    kept when ``nesting`` accepts it.
+    """
+    if len(w) == 0:
+        return DyckPairing(w, (), ())
+    if len(w) % 2 or not is_dyck(w):
+        return None
+    for matching in _matchings(w.letters, list(range(len(w)))):
+        oriented = []
+        for p, q in matching:
+            if w[p][1] < 0:
+                oriented.append((p, q))
+            else:
+                oriented.append((q, p))
+        oriented = tuple(sorted(oriented))
+        parents = nesting(len(w), oriented)
+        if parents is not None:
+            return DyckPairing(w, oriented, parents)
+    return None
 
 
 # ---------------------------------------------------------------------------

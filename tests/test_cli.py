@@ -1,6 +1,9 @@
 import os
 
+import pytest
+
 from conftest import DATA
+from smkit import words
 from smkit.cli import main
 
 EE = os.path.join(DATA, "sample.ee")
@@ -10,6 +13,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def usage_error(capsys, *argv):
+    """Exit code and stderr of a command line that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
 
 
 class TestDyck:
@@ -29,6 +39,22 @@ class TestDyck:
     def test_bad_token_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "dyck", "--word", "a(")
         assert code == 2 and "error" in err
+
+    def test_minus_on_34_letters_answers_at_once(self, capsys, monkeypatch):
+        # the search over matchings took 49 s on this word
+        def no_search(*args):
+            raise AssertionError("searched over matchings")
+
+        monkeypatch.setattr(words, "_matchings", no_search)
+        text = " ".join(["a a^-1"] * 8 + ["b^-1"] + ["a a^-1"] * 8 + ["b"])
+        code, _, err = run_cli(capsys, "dyck", "--word", text, "--minus")
+        assert code == 1 and "no minus pairing" in err
+
+    def test_limit_below_one_exit_two(self, capsys):
+        for limit in ("0", "-1"):
+            code, err = usage_error(capsys, "dyck", "--word", "a a^-1 a a^-1",
+                                    "--limit", limit)
+            assert code == 2 and "error:" in err and "--limit" in err
 
 
 class TestBriefAndRun:
@@ -107,6 +133,11 @@ class TestAccept:
                                str(wpath), "--max-steps", "0")
         assert code == 1 and "no accepting" in err
         assert "(depth; 0 nodes expanded)" in err
+
+    def test_negative_max_steps_exit_two(self, capsys):
+        code, err = usage_error(capsys, "accept", "--ee", EE, "--word", "K1(e,1)",
+                                "--max-steps", "-1")
+        assert code == 2 and "error:" in err and "--max-steps" in err
 
     def test_exhausted_search_says_so(self, capsys):
         code, out, err = run_cli(capsys, "accept", "--ee", EE, "--word", "K1(e,1)",

@@ -8,6 +8,7 @@ from smkit.h2 import (
     x_words_conjugate, zone_components,
 )
 from smkit.hardware import BaseLetter, Hardware, PositivityViolation
+from smkit.presentation import PresentationError
 from smkit.words import Coord, CyclicWord, Word, X, parse_rule, parse_word
 
 B = BaseLetter
@@ -132,6 +133,19 @@ class TestXFlank:
         bad = make_block(hw, 3, (), (), (), ())
         with pytest.raises(PositivityViolation):
             x_flank(hw, bad, parse_rule("~t2(r1,1)"))
+
+    def test_bar_tape_letters_out_of_domain(self, hw):
+        # x-letters exist only over plain tape letters, so alpha of a
+        # fragment with a bar tape letter is undefined
+        j, coord = 3, Coord(None, 1)
+        states = [hw.left_letter_of_L(j), (B("L", j), 1), (B("P", j), 1),
+                  (B("R", j), 1), hw.succ((B("R", j), 1))]
+        for pos, kind in ((1, "K"), (2, "L"), (4, "R")):
+            letters = [(hw.state(y.kind, y.j, coord), s) for y, s in states]
+            letters.insert(pos, (hw.tape(1, B(kind, j), True), 1))
+            W = hw.parse_admissible(Word(letters, reduce=False), "mixed")
+            with pytest.raises(PresentationError):
+                x_flank(hw, W, parse_rule("t2(r1,2)"))
 
     def test_tampered_certificate_fails(self, hw):
         W = make_block(hw, 3, (), ((1, 1),), (), ())

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from genwords import applicable_rules, block_word, random_bar_word, random_positive
+from genwords import (
+    applicable_rules, block_word, dyck_words, random_bar_word, random_positive,
+)
 from smkit.hardware import COORD_E1, BaseLetter
 from smkit.smachine import Machine
 from smkit.words import (
-    Coord, CyclicWord, RuleId, Word, _canonical_orientation, _matchings, _nesting,
+    Coord, RuleId, Word, _canonical_orientation, _matchings, _nesting,
 )
 
 B = BaseLetter
@@ -144,24 +146,6 @@ class TestZoneLookup:
         for _ in range(2):  # filling, then remembered
             for y in letters:
                 assert hw.zone_after(y) == oracles.zone_after(hw, y)
-
-
-def dyck_words(max_len):
-    words = set()
-
-    def grow(stack, word):
-        if not stack and word:
-            words.add(CyclicWord(tuple(word)))
-        if len(word) == max_len:
-            return
-        for letter in (("a", 1), ("a", -1), ("b", 1), ("b", -1)):
-            if stack and stack[-1] == (letter[0], -letter[1]):
-                grow(stack[:-1], word + [letter])
-            else:
-                grow(stack + [letter], word + [letter])
-
-    grow([], [])
-    return sorted(words, key=lambda w: (len(w), str(w.letters)))
 
 
 class TestNesting:

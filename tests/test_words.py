@@ -2,7 +2,10 @@ import itertools
 
 import pytest
 
+import oracles
+from genwords import dyck_words
 from oracles import has_minus_pairing, noncrossing_inverse_matchings
+from smkit import words
 from smkit.words import (
     CyclicWord, PairingError, TokenError, Word, classify_pair, cyclic_reduce,
     enumerate_pairings, find_minus_pairing, is_dyck, is_positive, parse_rule,
@@ -135,7 +138,18 @@ class TestPairings:
 
     def test_limit(self):
         w = C("a a^-1 a a^-1")
-        assert len(enumerate_pairings(w, limit=1)) == 1
+        everything = enumerate_pairings(w)
+        assert len(everything) == 2
+        for limit in (0, 1, 2, 3):
+            assert enumerate_pairings(w, limit=limit) == everything[:limit]
+        empty = CyclicWord(())
+        assert enumerate_pairings(empty, limit=0) == []
+        assert len(enumerate_pairings(empty, limit=1)) == 1
+
+    def test_negative_limit_raises(self):
+        for w in (C("a a^-1 a a^-1"), CyclicWord(()), C("a b")):
+            with pytest.raises(ValueError):
+                enumerate_pairings(w, limit=-1)
 
     def test_minus_present_paper_example(self):
         w = C("a b b^-1 a^-1 a b b^-1 a^-1")
@@ -175,6 +189,108 @@ class TestPairings:
                 continue
             seen.add(w)
             assert {p.matching() for p in enumerate_pairings(w)} == brute_matchings(w)
+
+
+def same_as_search(w):
+    """find_minus_pairing(w) has the pairs and parents of the old search."""
+    got, expect = find_minus_pairing(w), oracles.minus_pairing_search(w)
+    if expect is None:
+        assert got is None, word_to_text(w)
+    else:
+        assert got is not None, word_to_text(w)
+        assert (got.word, got.pairs, got.parents) == (w, expect.pairs, expect.parents), \
+            word_to_text(w)
+    return got
+
+
+def cancels_to_empty(letters):
+    """True iff deleting cyclically adjacent z^-1 z (in this order) again and
+    again empties the word.
+
+    The innermost pair of a minus pairing reads z^-1 z with nothing between,
+    and deleting it leaves a minus pairing of the rest; conversely the
+    deletions pair the word.  Two such redexes never share a letter, so the
+    order of the deletions does not matter."""
+    letters = list(letters)
+    while letters:
+        n = len(letters)
+        for k in range(n):
+            (sym, sign), (sym2, sign2) = letters[k], letters[(k + 1) % n]
+            if sign < 0 < sign2 and sym == sym2:
+                for pos in sorted((k, (k + 1) % n), reverse=True):
+                    del letters[pos]
+                break
+        else:
+            return False
+    return True
+
+
+def long_word(unit, k):
+    """(unit)^k b^-1 (unit)^k b, a Dyck word of 4k + 2 letters."""
+    return C(" ".join([unit] * k + ["b^-1"] + [unit] * k + ["b"]))
+
+
+class TestMinusScan:
+    def test_every_dyck_word_to_length_10(self):
+        ws = dyck_words(10)
+        found = 0
+        for w in ws:
+            got = same_as_search(w)
+            assert (got is not None) == cancels_to_empty(w.letters), word_to_text(w)
+            found += got is not None
+        assert 0 < found < len(ws)
+        same_as_search(CyclicWord(()))
+
+    @pytest.mark.slow
+    def test_every_dyck_word_to_length_12(self):
+        ws = dyck_words(12)
+        assert len(ws) == 18608  # the empty word is checked in the unit lane
+        found = sum(same_as_search(w) is not None for w in ws)
+        assert 0 < found < len(ws)
+
+    def test_non_dyck_words(self, rng):
+        alphabet = [("a", 1), ("a", -1), ("b", 1), ("b", -1)]
+        checked = 0
+        for _ in range(600):
+            if rng.random() < 0.5:
+                letters = [rng.choice(alphabet) for _ in range(rng.randrange(1, 15))]
+            else:
+                # as many negative as positive letters: the scan balances
+                half = [rng.choice(alphabet) for _ in range(rng.randrange(1, 8))]
+                letters = half + [(sym, -sign) for sym, sign in half]
+                rng.shuffle(letters)
+            w = CyclicWord(letters)
+            if is_dyck(w):
+                continue
+            checked += 1
+            assert find_minus_pairing(w) is None, word_to_text(w)
+            assert oracles.minus_pairing_search(w) is None
+        assert checked > 300
+
+    @pytest.mark.parametrize("unit,k,exists", [
+        ("a a^-1", 8, False), ("a^-1 a", 8, True),
+        ("a a^-1", 10, False), ("a^-1 a", 10, True),
+    ])
+    def test_long_words_without_a_search(self, monkeypatch, unit, k, exists):
+        def no_search(*args):
+            raise AssertionError("find_minus_pairing searched over matchings")
+
+        monkeypatch.setattr(words, "_matchings", no_search)
+        w = long_word(unit, k)
+        n = len(w)
+        assert n == 4 * k + 2 and is_dyck(w)
+        assert cancels_to_empty(w.letters) == exists
+        p = find_minus_pairing(w)
+        if not exists:
+            assert p is None
+            return
+        assert sorted(q for pair in p.pairs for q in pair) == list(range(n))
+        assert list(p.pairs) == sorted(p.pairs)
+        for o, c in p.pairs:
+            assert w[o][1] < 0 < w[c][1] and w[o][0] == w[c][0]
+        for pair, other in itertools.combinations(p.pairs, 2):
+            assert not oracles._crossing(n, pair, other)
+        assert p.parents == oracles.nesting(n, p.pairs)
 
 
 class TestClassify:
