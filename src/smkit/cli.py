@@ -72,6 +72,15 @@ def _relator_index(tok):
     raise TokenError(f"bad relator token {tok!r} (want e or r<k>)")
 
 
+def _known_rules(machine, history):
+    """history, once every rule in it is a rule of machine; an unknown rule
+    is an input error."""
+    for rid in history:
+        if machine.rule(rid) is None:
+            raise ValueError(f"unknown rule {rid!r} for the {machine.flavor} machine")
+    return history
+
+
 def _machine_word(hw, args, flavor):
     text = _slurp(args.word)
     return hw.parse_admissible(parse_word(text), flavor)
@@ -95,7 +104,7 @@ def cmd_run(args):
     hw = _load_hw(args)
     machine = Machine(hw, args.flavor)
     W = _machine_word(hw, args, args.flavor)
-    h = parse_history(_slurp(args.history))
+    h = _known_rules(machine, parse_history(_slurp(args.history)))
     trace = machine.run(W, h)
     for k, word in enumerate(trace.words):
         print(f"{k}: {word.text()}")
@@ -172,7 +181,8 @@ def cmd_band(args):
     hw = _load_hw(args)
     machine = Machine(hw, "mixed")
     W = _machine_word(hw, args, "mixed")
-    band = theta_band(None, machine, W, parse_rule(args.rule))
+    (rid,) = _known_rules(machine, (parse_rule(args.rule),))
+    band = theta_band(None, machine, W, rid)
     print(band_text(band))
     if args.verify:
         report = verify(band, emit(hw), machine)
@@ -186,7 +196,7 @@ def cmd_trapezium(args):
     hw = _load_hw(args)
     machine = Machine(hw, "mixed")
     W = _machine_word(hw, args, "mixed")
-    h = parse_history(_slurp(args.history))
+    h = _known_rules(machine, parse_history(_slurp(args.history)))
     trap = trapezium(None, machine, W, h)
     print(trapezium_text(trap))
     if args.verify:

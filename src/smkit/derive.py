@@ -190,7 +190,10 @@ def accept_bfs(machine: Machine, W: AdmissibleWord, max_steps, stats=None):
     ``generated`` by those rules, the ``dedup_hits`` among them, the size of
     ``seen`` and why it stopped (``stop``): ``"accepted"``, ``"depth"``
     (some node sat at max_steps and was not expanded) or ``"exhausted"``
-    (the frontier emptied below the limit)."""
+    (the frontier emptied below the limit).  A negative max_steps is a
+    ValueError."""
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be at least 0, got {max_steps}")
     hw = machine.hw
     expanded = generated = dedup_hits = 0
     cut = False

@@ -305,13 +305,28 @@ def x_words_conjugate(hw, w1, w2):
 
     Conjugate iff one is a cyclic permutation of the other, or cyclic shifts
     of the two are related uniform words.  Returns (flag, witness) where the
-    witness names the rotation offset or the relating shift."""
+    witness names the rotation offset or the relating shift.  An empty word,
+    a letter that is not an x-letter, and an x-letter whose index exceeds
+    mbar, whose zone lies beyond N or whose rule names a relator the
+    presentation lacks are ValueErrors."""
+    mbar, nrel = hw.ee.mbar, len(hw.ee.nonempty)
     for w in (w1, w2):
         if len(w) == 0:
             raise ValueError("words must be nonempty")
+        last = None
         for sym, _ in w:
+            if sym is last:
+                continue  # a run of one letter is checked once
+            last = sym
             if not isinstance(sym, X):
                 raise ValueError(f"{sym!r} is not an x-letter")
+            tape, rule = sym.tape, sym.rule
+            if tape.i > mbar or (rule.i or 0) > mbar:
+                raise ValueError(f"{sym!r}: index exceeds mbar = {mbar}")
+            if tape.zone.j > hw.N:
+                raise ValueError(f"{sym!r}: zone {tape.zone!r} is beyond N = {hw.N}")
+            if (rule.r or 0) > nrel:
+                raise ValueError(f"{sym!r}: no relator r{rule.r}")
     if w1 == w2:
         return True, "cyclic permutation"
     lin1 = list(w1)

@@ -33,15 +33,29 @@ the whole word is freely reduced.  Flavors:
     mixed  -- bar-admissible, or the strict shape without positivity.
 
 A word's state letters fix everything about its sectors except the inner
-words: whether the states are admissible at all, each sector's zone, the
-sign a strict sector's inner word needs, which sectors fold back, and
-whether the states are plain or bar.  ``Hardware.sector_table`` works this
-out once per states tuple and keeps it in a SectorTable; ``validate`` and
-the shape checks read it and then check every inner letter (zone alphabet,
-index range, plain or bar letter, positivity, empty j=1 sectors for bar) on
-every call.  The tables are memoized per Hardware under the states tuple
-and live as long as it does, one entry per distinct valid states tuple
-validated; an invalid tuple is never stored and raises on every call.
+words: whether the states are admissible at all (one coordinate of the
+presentation, every letter on the base word, successors or fold-backs),
+each sector's zone, the sign a strict sector's inner word needs, which
+sectors fold back, and whether the states are plain or bar.
+``Hardware.sector_table`` works this out once per states tuple and keeps it
+in a SectorTable; the tables are memoized per Hardware under the states
+tuple and live as long as it does, one entry per distinct valid states
+tuple looked up; an invalid tuple is never stored and raises on every call.
+A table also holds the step plans of the rules applied to words with its
+states (``SectorTable.plans``, filled by ``Machine._apply``), so they live
+as long as the table.
+
+``validate`` reads the table and then checks every inner letter (zone
+alphabet, index range, plain or bar letter, positivity, empty j=1 sectors
+for bar).  When it passes and the inner words are freely reduced, it
+records the table on the word (``AdmissibleWord._table``): the word is then
+*trusted* by that Hardware (``Hardware.trusts``).  The record is not a
+field, so it stays out of ``==``, ``repr`` and pickles, and the hash is the
+same with or without it (the table only saves hashing the states tuple).
+Only ``validate`` (so ``parse_admissible``) and ``Machine._apply`` record a
+table; words from ``with_coord``, ``inverse``, hand-built words and words
+validated by another Hardware are not trusted, and a step on them runs the
+full ``validate``.
 """
 
 from __future__ import annotations
@@ -85,6 +99,11 @@ class MixedCoordinates(AdmissibleError):
 class PositivityViolation(AdmissibleError):
     def __init__(self, detail=""):
         super().__init__("PositivityViolation", detail)
+
+    @classmethod
+    def at(cls, states, k):
+        """The violation in sector k of a strict word with these states."""
+        return cls(f"sector {k} between {states[k][0]!r} and {states[k + 1][0]!r}")
 
 
 class BarSectorNotEmpty(AdmissibleError):
@@ -221,16 +240,23 @@ class SectorTable:
     """What a states tuple fixes about its sectors, whatever their inner
     words: the zone of each sector, the sign its inner word needs in the
     strict flavor (+1, -1 or None), whether the sector folds back (y y^-1),
-    and the first state letter that is not plain (not bar), or None."""
+    and the first state letter that is not plain (not bar), or None.
 
-    __slots__ = ("zones", "signs", "folds", "not_plain", "not_bar")
+    ``hw`` is the Hardware that built the table, ``states_hash`` the hash of
+    the states tuple, and ``plans`` maps a signed rule to its step plan on
+    these states (filled by ``Machine._apply``)."""
 
-    def __init__(self, zones, signs, folds, not_plain, not_bar):
+    __slots__ = ("hw", "states_hash", "zones", "signs", "folds", "not_plain", "not_bar", "plans")
+
+    def __init__(self, hw, states_hash, zones, signs, folds, not_plain, not_bar):
+        self.hw = hw
+        self.states_hash = states_hash
         self.zones = zones
         self.signs = signs
         self.folds = folds
         self.not_plain = not_plain
         self.not_bar = not_bar
+        self.plans = {}
 
 
 class Hardware:
@@ -436,10 +462,10 @@ class Hardware:
         """The SectorTable of a states tuple: its structure checked once.
 
         The checks are those at the head of ``validate``, in its order: one
-        coordinate (MixedCoordinates), every state letter on the base word
-        at this N and each adjacent pair a successor or a fold-back
-        (BadBasePattern).  Only tuples that pass are remembered, so an
-        invalid tuple raises the same error on every call.
+        coordinate (MixedCoordinates), one of ``ee.coords()``, every state
+        letter on the base word at this N and each adjacent pair a successor
+        or a fold-back (BadBasePattern).  Only tuples that pass are
+        remembered, so an invalid tuple raises the same error on every call.
         """
         table = self._sector_tables.get(states)
         if table is None:
@@ -451,6 +477,9 @@ class Hardware:
         for st, _ in states:
             if st.coord != coord:
                 raise MixedCoordinates(f"{st!r} vs coordinate {coord!r}")
+        if coord not in self.ee.coords():
+            raise BadBasePattern(f"{states[0][0]!r}: {coord!r} names no relator "
+                                 f"and age of the presentation")
         for st, _ in states:
             if st.base not in self._pos:
                 raise BadBasePattern(f"{st!r} is not on the base word at N={self.N}")
@@ -460,6 +489,7 @@ class Hardware:
                 raise BadBasePattern(f"{st!r}^{s} followed by {st2!r}^{s2}")
         pairs = tuple(zip(states, states[1:]))
         return SectorTable(
+            self, hash(states),
             zones=tuple(self.zone_after((st.base, s)) for (st, s), _ in pairs),
             signs=tuple(self.positivity_sign(y, y2) for y, y2 in pairs),
             folds=tuple(st2 is st and s2 == -s for (st, s), (st2, s2) in pairs),
@@ -467,16 +497,32 @@ class Hardware:
             not_bar=next((st for st, _ in states if not self.bar_state_ok(st)), None),
         )
 
+    def trusts(self, aw):
+        """True when this Hardware validated ``aw`` (or built it in a step
+        from a word it trusted): ``aw`` carries one of its sector tables."""
+        return aw._table is not None and aw._table.hw is self
+
     def validate(self, aw):
+        """Check every clause of admissibility for ``aw.flavor``; raises the
+        first AdmissibleError.  Free reduction is not a clause here
+        (``parse_admissible`` checks it), but a step on a trusted word relies
+        on it, so the sector table is recorded on ``aw`` only when every
+        inner word is freely reduced."""
         table = self.sector_table(aw.states)
         mbar = self.ee.mbar
+        reduced = True
         for k, (zone, inner) in enumerate(zip(table.zones, aw.inners)):
-            for sym, _ in inner.letters:
+            last = None
+            for letter in inner.letters:
+                sym = letter[0]
                 if sym.zone != zone:
                     raise BadInnerAlphabet(
                         f"sector {k}: {sym!r} is not in the {zone!r}-zone alphabet")
                 if not 1 <= sym.i <= mbar:
                     raise BadInnerAlphabet(f"sector {k}: index of {sym!r} out of range")
+                if last is not None and last[0] is sym and last[1] != letter[1]:
+                    reduced = False
+                last = letter
         if aw.flavor == "strict":
             self._validate_strict(aw, table)
         elif aw.flavor == "bar":
@@ -488,6 +534,8 @@ class Hardware:
                 self.validate_bar_shape(aw, table)
         else:
             raise ValueError(f"unknown flavor {aw.flavor!r}")
+        if reduced:
+            object.__setattr__(aw, "_table", table)
 
     def validate_plain_shape(self, aw, table=None):
         """Plain state and tape letters only; ``table`` is the sector table
@@ -505,8 +553,7 @@ class Hardware:
         self.validate_plain_shape(aw, table)
         for k, (need, inner) in enumerate(zip(table.signs, aw.inners)):
             if need and any(s != need for _, s in inner.letters):
-                raise PositivityViolation(
-                    f"sector {k} between {aw.states[k][0]!r} and {aw.states[k + 1][0]!r}")
+                raise PositivityViolation.at(aw.states, k)
 
     def validate_bar_shape(self, aw, table=None):
         """Bar state and tape letters only, empty j=1 sectors; ``table`` as
@@ -542,6 +589,23 @@ class AdmissibleWord:
     flavor: str
     states: tuple  # (State, sign) pairs
     inners: tuple  # Word per sector, len == len(states) - 1
+
+    # The SectorTable of the Hardware that validated the word, or None; set
+    # only by Hardware.validate and Machine._apply, and not a field.
+    _table = None
+
+    def __hash__(self):
+        # Equal words hash equally with or without a recorded table: the
+        # table only keeps the hash of the states tuple, so a trusted word's
+        # states are not hashed again.
+        table = self._table
+        return hash((self.flavor, hash(self.states) if table is None else table.states_hash,
+                     tuple([inner.letters for inner in self.inners])))
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_table", None)
+        return state
 
     @property
     def coord(self):

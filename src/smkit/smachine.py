@@ -24,14 +24,30 @@ of the j=1 zones are dropped from every v and u.
 
 A rule never changes a word's base, so what it does to a word W is fixed by
 the rule and W's state letters; only the inner words vary.  ``_apply``
-compiles this once into a step plan, memoized per Machine under the key
-(signed rule, W.states): the result's states tuple, and the tape words to
-attach on either side of each sector that changes.  Applying the plan
-copies W's inner words, rebuilds each changed sector with one free
-reduction and keeps the other sectors' words.  The plans live as long as
-the Machine, like the tape parts behind them (``_parts``, at most signed
-rules x 4N x 2 entries); they grow with signed rules x distinct states
-tuples seen.
+compiles this once into a step plan: the result's states tuple and its
+SectorTable, and the tape words to attach on either side of each sector
+that changes.  The plan hangs on the SectorTable of W's states
+(``table.plans[rid]``), so it depends only on the Hardware and the signed
+rule, is shared by every Machine over that Hardware, and lives as long as
+the table: one plan per signed rule applied per distinct states tuple.
+The tape parts behind it are memoized per Machine (``_parts``, at most
+signed rules x 4N x 2 entries).
+
+A word the Hardware trusts (it validated the word, or built it in a step
+from a trusted word; see ``hardware``) carries its table, so a step reads
+the table without hashing the states tuple, and its result costs what the
+rule attaches: in each changed sector only the two junctions with the
+attached words can cancel, and only the attached letters that survive can
+break admissibility.  The zone, index and plain/bar letter clauses hold by
+construction of the tape parts, and the plan knows whether the result's
+states have the shape of W's flavor.  What is left is the sign of the
+surviving attached letters in a strict sector that needs one: the first
+sector where one has another sign is the PositivityViolation the full
+``Hardware.validate`` would raise first, and is raised as such.  A result
+that passes carries its table and is trusted in turn.  When W is not
+trusted, the changed sectors are freely reduced in full and the full
+``validate`` runs, as it does when the result's states have the other
+shape.
 """
 
 from __future__ import annotations
@@ -39,9 +55,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .hardware import AdmissibleError, AdmissibleWord, Hardware
+from .hardware import AdmissibleError, AdmissibleWord, Hardware, PositivityViolation
 from .words import (
-    AGE_FAMILIES, BaseLetter, Coord, RuleId, EMPTY, TRANSITION_FAMILIES, Word,
+    AGE_FAMILIES, BaseLetter, Coord, RuleId, EMPTY, TRANSITION_FAMILIES, Word, reduced_word,
 )
 
 LOCKS = {
@@ -149,7 +165,6 @@ class Machine:
                                        _actions(self.ee, rid))
         self._by_src = None  # source coordinate -> signed candidates, on first use
         self._part_memo = {}
-        self._plans = {}  # (signed rule, states tuple) -> step plan, by _apply
 
     def rule_ids(self):
         return list(self.rules)
@@ -209,13 +224,16 @@ class Machine:
         rule = self.rules.get(rid.positive)
         if rule is None:
             return None, Diagnosis("UnknownRule", repr(rid))
-        err = self._shape_error(W, rid.bar)
+        try:
+            table = self._table_of(W)
+        except AdmissibleError as e:
+            return None, Diagnosis("FlavorMismatch", e.clause)
+        err = self._shape_error(W, rid.bar, table)
         if err is not None:
             return None, Diagnosis("FlavorMismatch", err.clause)
         src = rule.src if rid.sign > 0 else rule.dst
         if W.coord != src:
             return None, Diagnosis("CoordMismatch", f"word at {W.coord!r}, rule needs {src!r}")
-        table = self.hw.sector_table(W.states)
         for k, (zone, fold, inner) in enumerate(zip(table.zones, table.folds, W.inners)):
             if zone.kind in rule.locks:
                 if fold:
@@ -225,7 +243,7 @@ class Machine:
                 if inner.letters:
                     return None, Diagnosis("LockedSectorNonEmpty", repr(zone))
         try:
-            return self._apply(rid, W), None
+            return self._apply(rid, W, table), None
         except AdmissibleError as e:
             return None, Diagnosis("ResultNotAdmissible", e.clause)
 
@@ -233,37 +251,83 @@ class Machine:
         """None when applicable, else a Diagnosis naming the first failure."""
         return self.step(rid, W)[1]
 
-    def _apply(self, rid, W):
-        """W o rid, validated; the checks before it are the caller's."""
-        key = (rid, W.states)
-        plan = self._plans.get(key)
+    def _table_of(self, W):
+        """The SectorTable of W's states: the one W carries when this
+        Machine's Hardware trusts W, else looked up (raising the
+        AdmissibleError of invalid states)."""
+        table = W._table
+        if table is None or table.hw is not self.hw:
+            table = self.hw.sector_table(W.states)
+        return table
+
+    def _apply(self, rid, W, table=None):
+        """W o rid, validated; the checks before it are the caller's.
+        ``table`` is the SectorTable of W's states when the caller has it.
+
+        On a trusted W each changed sector is joined at its two junctions
+        (``_attach``).  When W's flavor is among the plan's flavors (the
+        result's states have the plain or bar shape that flavor needs), the
+        only clause the result can fail is the sign of a surviving attached
+        letter in a strict sector; the first such sector is the first error
+        ``validate`` would raise, and a result without one is trusted.
+        Every other case runs the full ``validate``."""
+        if table is None:
+            table = self._table_of(W)
+        plan = table.plans.get(rid)
         if plan is None:
-            plan = self._plans[key] = self._plan(rid, W.states)
-        states, changes = plan
+            plan = table.plans[rid] = self._plan(rid, W.states)
+        states, changes, out_table, flavors = plan
+        trusted = W._table is table
+        fast = trusted and W.flavor in flavors
+        strict = fast and W.flavor == "strict"
         inners = W.inners
         if changes:
             inners = list(inners)
-            for k, right, left in changes:
-                inners[k] = Word(right + inners[k].letters + left)
+            for k, right, left, need in changes:
+                if trusted:
+                    letters, ok = _attach(right, inners[k].letters, left,
+                                          need if strict else None)
+                    if not ok:
+                        raise PositivityViolation.at(states, k)
+                    inners[k] = reduced_word(letters)
+                else:
+                    inners[k] = Word(right + inners[k].letters + left)
             inners = tuple(inners)
         out = AdmissibleWord(W.flavor, states, inners)
-        self.hw.validate(out)
+        if fast:
+            object.__setattr__(out, "_table", out_table)
+        else:
+            self.hw.validate(out)
         return out
 
     def _plan(self, rid, states):
         """The step plan of rid on words with these state letters: the
-        result's states tuple, and (k, right, left) letter tuples for each
-        sector k whose inner word becomes right + inner + left, freely
-        reduced; the sectors not listed keep their inner words."""
+        result's states tuple; (k, right, left, need) for each sector k whose
+        inner word becomes right + inner + left, freely reduced (the sectors
+        not listed keep their inner words), where need is the sign the
+        surviving letters of right and left must have in a strict word, or
+        None when every one of them has it or the sector needs none; the
+        result's SectorTable; and the flavors of a trusted word whose result
+        needs no check beyond those signs (the result's states have the
+        rule's plain or bar shape)."""
         rule = self.rules[rid.positive]
         dst = rule.dst if rid.sign > 0 else rule.src
         state, parts = self.hw.state, self._parts
         out = tuple((state(st.kind, st.j, dst, rid.bar), s) for st, s in states)
+        out_table = self.hw.sector_table(out)
         sides = [parts(rid, st.kind, st.j, s) for st, s in states]
-        changes = tuple((k, sides[k][1].letters, sides[k + 1][0].letters)
-                        for k in range(len(states) - 1)
-                        if sides[k][1].letters or sides[k + 1][0].letters)
-        return out, changes
+        changes = []
+        for k, need in enumerate(out_table.signs):
+            right, left = sides[k][1].letters, sides[k + 1][0].letters
+            if right or left:
+                if need is not None and all(e == need for _, e in right + left):
+                    need = None
+                changes.append((k, right, left, need))
+        if rid.bar:
+            flavors = ("bar", "mixed") if out_table.not_bar is None else ()
+        else:
+            flavors = ("strict", "mixed") if out_table.not_plain is None else ()
+        return out, tuple(changes), out_table, flavors
 
     def apply(self, rid: RuleId, W: AdmissibleWord):
         out, diag = self.step(rid, W)
@@ -293,16 +357,17 @@ class Machine:
         if self._by_src is None:
             self._by_src = self._index_sources()
         shape_ok = {}
-        blocked = self._blocked_kinds(W)
+        table = self._table_of(W)
+        blocked = self._blocked_kinds(W, table)
         out = []
         for rid, locks in self._by_src.get(W.coord, ()):
             ok = shape_ok.get(rid.bar)
             if ok is None:
-                ok = shape_ok[rid.bar] = self._shape_error(W, rid.bar) is None
+                ok = shape_ok[rid.bar] = self._shape_error(W, rid.bar, table) is None
             if not ok or locks & blocked:
                 continue
             try:
-                out.append((rid, self._apply(rid, W)))
+                out.append((rid, self._apply(rid, W, table)))
             except AdmissibleError:
                 pass
         return out
@@ -316,21 +381,26 @@ class Machine:
             by_src.setdefault(rule.dst, []).append((rid.inverse, rule.locks))
         return by_src
 
-    def _shape_error(self, W, bar):
-        """The AdmissibleError of W's bar or plain shape check, or None."""
+    def _shape_error(self, W, bar, table):
+        """The AdmissibleError of W's bar or plain shape check against W's
+        SectorTable, or None.  A trusted word of the bar or strict flavor
+        passed that check when it was validated, so its letters are not
+        walked again."""
+        if W._table is table and W.flavor == ("bar" if bar else "strict"):
+            return None
         try:
             if bar:
-                self.hw.validate_bar_shape(W)
+                self.hw.validate_bar_shape(W, table)
             else:
-                self.hw.validate_plain_shape(W)
+                self.hw.validate_plain_shape(W, table)
         except AdmissibleError as e:
             return e
         return None
 
-    def _blocked_kinds(self, W):
-        """Zone kinds of the sectors of W that are non-empty or fold back:
-        a rule applies only if it locks none of them."""
-        table = self.hw.sector_table(W.states)
+    def _blocked_kinds(self, W, table):
+        """Zone kinds of the sectors of W (with SectorTable ``table``) that
+        are non-empty or fold back: a rule applies only if it locks none of
+        them."""
         return {zone.kind for zone, fold, inner in zip(table.zones, table.folds, W.inners)
                 if fold or inner.letters}
 
@@ -366,6 +436,42 @@ class Machine:
             u = right * u
             v = v * left
         return u, v
+
+
+def _attach(right, inner, left, need):
+    """(right + inner + left freely reduced, ok) for freely reduced letter
+    tuples; ok is False when need is set and a letter of right or left that
+    survives has another sign."""
+    if not inner or (right and right[-1][0] is inner[0][0] and right[-1][1] != inner[0][1]) \
+            or (left and inner[-1][0] is left[0][0] and inner[-1][1] != left[0][1]):
+        right, inner, left = _cancel_junctions(right, inner, left)
+    ok = need is None or all(e == need for _, e in right + left)
+    return right + inner + left, ok
+
+
+def _cancel_junctions(right, inner, left):
+    """(right', inner', left') with right' + inner' + left' the free
+    reduction of right + inner + left, for freely reduced parts: only the
+    two junctions cancel, and when inner cancels away what is left of right
+    meets left."""
+    n = len(inner)
+    i = j = 0
+    if right:
+        m = min(len(right), n)
+        while i < m and right[-1 - i][0] is inner[i][0] and right[-1 - i][1] != inner[i][1]:
+            i += 1
+        right = right[:len(right) - i]
+    if left:
+        m = min(len(left), n - i)
+        while j < m and inner[n - 1 - j][0] is left[j][0] and inner[n - 1 - j][1] != left[j][1]:
+            j += 1
+        left = left[j:]
+    if i + j == n and right and left:
+        c, m = 0, min(len(right), len(left))
+        while c < m and right[-1 - c][0] is left[c][0] and right[-1 - c][1] != left[c][1]:
+            c += 1
+        right, left = right[:len(right) - c], left[c:]
+    return right, inner[i:n - j], left
 
 
 @dataclass(frozen=True)

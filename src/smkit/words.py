@@ -278,6 +278,9 @@ class Word:
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):
+        return Word, (self.letters, False)
+
     def __len__(self):
         return len(self.letters)
 
@@ -312,6 +315,17 @@ class Word:
 
 
 EMPTY = Word()
+
+_new_object = object.__new__
+_set_letters = Word.__dict__["letters"].__set__
+
+
+def reduced_word(letters):
+    """The Word over ``letters``, a tuple the caller knows to be freely
+    reduced: built without a copy, a check or a call of ``__init__``."""
+    w = _new_object(Word)
+    _set_letters(w, letters)
+    return w
 
 
 def wletter(sym, sign=1):

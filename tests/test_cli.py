@@ -159,6 +159,14 @@ class TestStatsAndXconj:
                                        "x(a1(K2),t2(r1,1)) x(a1(K2),t2(r1,1))")
         assert code == 0 and "conjugate" in out
 
+    @pytest.mark.parametrize("w2", ("x(a9(L2),t2(r1,1))", "x(a1(L12),t2(r1,1))",
+                                    "x(a1(L2),t2(r9,1))"))
+    def test_xconj_letter_naming_nothing_exit_two(self, capsys, w2):
+        code, out, err = run_cli(capsys, "xconj", "--ee", EE,
+                                 "--w1", "x(a1(L2),t2(r1,1))", "--w2", w2)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {w2}: ") and "Traceback" not in err
+
     def test_xconj_negative(self, capsys):
         code, out, _ = run_cli(capsys, "xconj", "--ee", EE,
                                "--w1", "x(a1(L2),t2(r1,1))",
@@ -228,3 +236,36 @@ class TestPresent:
         with open(out_path) as f:
             pres = read_presentation(f)
         assert pres.stats()["main"] == 1248
+
+
+class TestUnknownRules:
+    """A rule token that names no rule of the machine is an input error
+    (exit 2), not a failed step."""
+
+    @pytest.mark.parametrize("command", (
+        ("run", "--history", "t12(r5)"),
+        ("run", "--history", "t12(r1)\nt23(r1)\nt3(r1,7)"),
+        ("run", "--history", "~t12(r1)"),  # a bar rule: the strict machine has none
+        ("trapezium", "--history", "~t12(r5)"),
+        ("band", "--rule", "t12(r5)"),
+        ("band", "--rule", "~t1(e,3)")))
+    def test_exit_two(self, capsys, tmp_path, hw, command):
+        wpath = tmp_path / "w.txt"
+        wpath.write_text(hw.sigma_w((), flavor="bar").text())
+        name, option, value = command
+        if option == "--history":
+            hpath = tmp_path / "h.txt"
+            hpath.write_text(value + "\n")
+            value = str(hpath)
+        code, out, err = run_cli(capsys, name, "--ee", EE, "--word", str(wpath), option, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown rule ") and "machine" in err
+
+    def test_known_rules_still_run(self, capsys, tmp_path, hw):
+        wpath = tmp_path / "w.txt"
+        wpath.write_text(hw.sigma_w(()).text())
+        hpath = tmp_path / "h.txt"
+        hpath.write_text("t12(r2)\n")
+        code, out, _ = run_cli(capsys, "run", "--ee", EE, "--word", str(wpath),
+                               "--history", str(hpath))
+        assert code == 0 and out.count("\n") == 2

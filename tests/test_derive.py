@@ -166,6 +166,14 @@ class TestAcceptBFS:
         trace = accept_bfs(strict, hw.sigma_w(()), 0)
         assert trace is not None and trace.history == ()
 
+    def test_negative_max_steps_is_a_value_error(self, hw, strict):
+        W = hw.parse_admissible(parse_word("K1(e,1)"))
+        for max_steps in (-1, -5):
+            stats = {}
+            with pytest.raises(ValueError, match="max_steps must be at least 0"):
+                accept_bfs(strict, W, max_steps, stats)
+            assert stats == {}
+
     def test_zero_budget_non_target(self, hw, strict):
         W = strict.apply(parse_rule("t12(r1)"), hw.sigma_w(()))
         assert accept_bfs(strict, W, 0) is None

@@ -330,6 +330,18 @@ class TestConjugacy:
         with pytest.raises(ValueError):
             x_words_conjugate(hw, CyclicWord(()), CyclicWord(()))
 
+    @pytest.mark.parametrize("text, message", (
+        ("x(a9(L2),t2(r1,1))", "index exceeds mbar = 2"),
+        ("x(a1(L2),t2(r1,3))", "index exceeds mbar = 2"),
+        ("x(a1(L12),t2(r1,1))", "zone L12 is beyond N = 8"),
+        ("x(a1(L2),t2(r9,1))", "no relator r9")))
+    def test_rejects_letters_that_name_nothing(self, hw, text, message):
+        good = CyclicWord(parse_word("x(a1(L2),t2(r1,1))").letters)
+        bad = CyclicWord(parse_word(text).letters)
+        for w1, w2 in ((good, bad), (bad, good)):
+            with pytest.raises(ValueError, match=message):
+                x_words_conjugate(hw, w1, w2)
+
     def test_agrees_with_closure_oracle(self, hw, rng):
         # soundness and completeness against the brute-force closure of the
         # elementary conjugation moves

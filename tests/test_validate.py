@@ -182,3 +182,29 @@ class TestBlockBeyondN:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: BadBasePattern") and "Traceback" not in err
+
+
+class TestCoordinateThatNamesNothing:
+    @pytest.mark.parametrize("text", ("K1(r9,1)", "K1(e,99) L1(e,99)", "K1(r3,2)", "K1(e,6)"))
+    def test_rejected_as_bad_base_pattern(self, hw, text):
+        with pytest.raises(BadBasePattern, match="names no relator and age"):
+            hw.parse_admissible(parse_word(text), "strict")
+        states = tuple(parse_word(text).letters)
+        with pytest.raises(BadBasePattern):
+            hw.sector_table(states)
+
+    def test_every_coordinate_of_the_presentation_is_accepted(self, hw):
+        for coord in hw.ee.coords():
+            st = State("K", 1, coord)
+            hw.validate(AdmissibleWord("strict", ((st, 1),), ()))
+
+    @pytest.mark.parametrize("text", ("K1(r9,1)", "K1(e,99)"))
+    @pytest.mark.parametrize("command", (
+        ("run", "--history", "t12(r1)"), ("accept", "--max-steps", "1"),
+        ("band", "--rule", "t12(r1)")))
+    def test_cli_exits_two(self, capsys, command, text):
+        code = main([command[0], "--ee", os.path.join(DATA, "sample.ee"),
+                     "--word", text, *command[1:]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: BadBasePattern") and "Traceback" not in err
