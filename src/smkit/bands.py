@@ -40,8 +40,9 @@ class Cell:
     dir: int = 1  # +1: theta edges point up (source side down); -1: mirrored
 
     def boundary(self):
-        return (Word(((self.left, -self.dir),), reduce=False) * self.bottom
-                * Word(((self.right, self.dir),), reduce=False) * self.top.inverse())
+        """left^-dir bottom right^dir top^-1, freely reduced once."""
+        return Word(((self.left, -self.dir), *self.bottom.letters,
+                     (self.right, self.dir), *self.top.inverse().letters))
 
     def mirror(self):
         return Cell(self.kind, self.left, self.right, self.top, self.bottom,

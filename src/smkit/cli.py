@@ -19,7 +19,7 @@ from .derive import (
     insertion_history,
 )
 from .h2 import x_words_conjugate
-from .presentation import emit, write_presentation
+from .presentation import Presentation, emit, rule_relations, write_presentation
 from .smachine import (
     Machine, NotApplicable, brief_history, is_historical_form, parse_history,
     history_text,
@@ -177,6 +177,16 @@ def cmd_accept(args):
     return 0
 
 
+def _rules_presentation(machine, history):
+    """The relations of the positive rules of history.  A cell of a band of
+    rule tau carries tau's theta letters, so no other relator can match it:
+    checked against these, a band or trapezium over history gets the same
+    report as against the whole presentation."""
+    rids = dict.fromkeys(rid.positive for rid in history)
+    return Presentation(machine.hw.N, "", tuple(
+        rel for rid in rids for rel in rule_relations(machine, rid)))
+
+
 def cmd_band(args):
     hw = _load_hw(args)
     machine = Machine(hw, "mixed")
@@ -185,7 +195,7 @@ def cmd_band(args):
     band = theta_band(None, machine, W, rid)
     print(band_text(band))
     if args.verify:
-        report = verify(band, emit(hw), machine)
+        report = verify(band, _rules_presentation(machine, (rid,)), machine)
         for line in report:
             print(f"violation: {line}", file=sys.stderr)
         return 1 if report else 0
@@ -200,7 +210,7 @@ def cmd_trapezium(args):
     trap = trapezium(None, machine, W, h)
     print(trapezium_text(trap))
     if args.verify:
-        report = verify(trap, emit(hw), machine)
+        report = verify(trap, _rules_presentation(machine, h), machine)
         for line in report:
             print(f"violation: {line}", file=sys.stderr)
         return 1 if report else 0

@@ -50,16 +50,43 @@ class NonUniformIndex(ValueError):
     pass
 
 
+# The letter whose base letter or zone is a relation's place, per kind.
+_AT = {"main": (State, "base"), "bar_main": (State, "base"), "k_x": (State, "base"),
+       "theta_a": (Theta, "zone"), "bar_theta_a": (Theta, "zone"), "a_x": (Tape, "zone")}
+
+
 @dataclass(frozen=True)
 class Relation:
+    """One relator of the presentation.  Its rule and place are not stored:
+    the letters of the relator name them."""
+
     kind: str
     relator: CyclicWord  # normalized: least of relator/inverse rotations
-    rule: Optional[RuleId] = None
-    at: Optional[BaseLetter] = None  # base letter or zone, where applicable
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise PresentationError(f"unknown relation kind {self.kind!r}")
+
+    @property
+    def rule(self) -> Optional[RuleId]:
+        """The positive rule its theta or x letters name; None for the hub."""
+        for sym, _ in self.relator:
+            if isinstance(sym, (Theta, X)):
+                return sym.rule
+        return None
+
+    @property
+    def at(self) -> Optional[BaseLetter]:
+        """Where the relation sits: the base letter of its state letter
+        (main, bar_main, k_x), the zone of its theta letter (theta_a,
+        bar_theta_a) or of its tape letter (a_x); None for the hub."""
+        if self.kind not in _AT:
+            return None
+        cls, attr = _AT[self.kind]
+        for sym, _ in self.relator:
+            if isinstance(sym, cls):
+                return getattr(sym, attr)
+        return None
 
 
 def normalize_relator(w: Word):
@@ -91,7 +118,7 @@ def normalize_relator(w: Word):
 @dataclass(frozen=True)
 class Presentation:
     n: int
-    ee_label: str
+    ee_label: str = field(compare=False)
     relations: tuple
     _index: MappingProxyType = field(init=False, repr=False, compare=False)
 
@@ -122,11 +149,6 @@ class Presentation:
         Built once, at construction, by the duplicate check; every call
         returns the same mapping."""
         return self._index
-
-    def __eq__(self, other):
-        return (isinstance(other, Presentation) and self.n == other.n
-                and [(r.kind, r.relator) for r in self.relations]
-                == [(r.kind, r.relator) for r in other.relations])
 
 
 # ---------------------------------------------------------------------------
@@ -224,68 +246,79 @@ def emit(hw: Hardware, label=""):
     """The full presentation of the simulating group for (ee, N); ``label``
     names the input in the text format's ``ee-file:`` line.
 
+    The relations of every positive rule, plain rules first and then bar
+    rules, each in ``enumerate_rule_ids`` order, followed by the hub."""
+    machine = Machine(hw, "mixed")
+    rels = [rel for bar in (False, True) for rid in enumerate_rule_ids(hw.ee, bar)
+            for rel in rule_relations(machine, rid)]
+    rels.append(Relation("hub", normalize_relator(hw.hub())))
+    return Presentation(hw.N, label, tuple(rels))
+
+
+def rule_relations(machine: Machine, rid: RuleId):
+    """The relations of the positive rule rid of machine, in the order
+    ``emit`` lists them: main, then theta_a, then (plain rules only) a_x and
+    k_x, or their bar kinds for a bar rule.
+
     Each relator is spelled once as a tuple of letters and freely reduced
     once, by the Word that ``normalize_relator`` receives."""
-    machine = Machine(hw, "mixed")
+    hw = machine.hw
+    rule = machine.rules[rid]
+    bar = rid.bar
     rels = []
 
-    def add(kind, letters, rule=None, at=None):
-        rels.append(Relation(kind, normalize_relator(Word(letters)), rule, at))
+    def add(kind, letters):
+        rels.append(Relation(kind, normalize_relator(Word(letters))))
 
     indices = range(1, hw.ee.mbar + 1)
     zones = [hw.zone_after((bl, s)) for bl, s in hw.sigma]
+    theta = {z: Theta(rid, z) for z in zones}
+    # main relations, one per unsigned basic letter
+    for bl, _ in hw.sigma:
+        zb, za = hw.zones_of(bl)
+        src = hw.state(bl.kind, bl.j, rule.src, bar)
+        dst = hw.state(bl.kind, bl.j, rule.dst, bar)
+        v, u = (part.letters for part in machine._parts(rid, bl.kind, bl.j, 1))
+        if not bar:
+            v, u = _alpha_letters(rid.inverse, v), _alpha_letters(rid.inverse, u)
+        # th(zb)^-1 src th(za) (v dst u)^-1
+        add("bar_main" if bar else "main",
+            ((theta[zb], -1), (src, 1), (theta[za], 1), *_inverse(u),
+             (dst, -1), *_inverse(v)))
+    # theta-tape commutations at unlocked zones
+    for zone in zones:
+        if zone.kind in rule.locks or (bar and zone.j == 1):
+            continue
+        th = theta[zone]
+        for i in indices:
+            a = ((hw.tape(i, zone, bar), 1),)
+            top, bot = (a, a) if bar else \
+                (_alpha_letters(rid, a), _alpha_letters(rid.inverse, a))
+            add("bar_theta_a" if bar else "theta_a",
+                ((th, -1), *top, (th, 1), *_inverse(bot)))
+    if bar:
+        return rels
     tapes = {z: [hw.tape(i, z) for i in indices] for z in zones}
-    for bar in (False, True):
-        for rid in enumerate_rule_ids(hw.ee, bar):
-            rule = machine.rules[rid]
-            theta = {z: Theta(rid, z) for z in zones}
-            # main relations, one per unsigned basic letter
-            for bl, _ in hw.sigma:
-                zb, za = hw.zones_of(bl)
-                src = hw.state(bl.kind, bl.j, rule.src, bar)
-                dst = hw.state(bl.kind, bl.j, rule.dst, bar)
-                v, u = (part.letters for part in machine._parts(rid, bl.kind, bl.j, 1))
-                if not bar:
-                    v, u = _alpha_letters(rid.inverse, v), _alpha_letters(rid.inverse, u)
-                # th(zb)^-1 src th(za) (v dst u)^-1
-                add("bar_main" if bar else "main",
-                    ((theta[zb], -1), (src, 1), (theta[za], 1), *_inverse(u),
-                     (dst, -1), *_inverse(v)),
-                    rid, bl)
-            # theta-tape commutations at unlocked zones
-            for zone in zones:
-                if zone.kind in rule.locks or (bar and zone.j == 1):
-                    continue
-                th = theta[zone]
-                for i in indices:
-                    a = ((hw.tape(i, zone, bar), 1),)
-                    top, bot = (a, a) if bar else \
-                        (_alpha_letters(rid, a), _alpha_letters(rid.inverse, a))
-                    add("bar_theta_a" if bar else "theta_a",
-                        ((th, -1), *top, (th, 1), *_inverse(bot)), rid, zone)
-            if bar:
-                continue
-            xs = {z: [X(t, rid) for t in tapes[z]] for z in zones}
-            # tape-x conjugation relations over K/L/R zones
-            for zone in zones:
-                if zone.kind == "P":
-                    continue
-                ax = 1 if zone.kind in "KL" else -1
-                for a in tapes[zone]:
-                    for x in xs[zone]:
-                        add("a_x", ((a, ax), (x, 1), (a, -ax)) + ((x, -1),) * 4, rid, zone)
-            # state-x crossing relations at K and L letters
-            for bl, _ in hw.sigma:
-                if bl.kind not in "KL":
-                    continue
-                zb, za = hw.zones_of(bl)
-                exp = 1 if bl.kind == "K" else 4
-                for coord in hw.ee.coords():
-                    z = State(bl.kind, bl.j, coord)
-                    for x, x2 in zip(xs[za], xs[zb]):
-                        add("k_x", ((z, 1), (x, 1), (z, -1)) + ((x2, -1),) * exp, rid, bl)
-    add("hub", hw.hub().letters)
-    return Presentation(hw.N, label, tuple(rels))
+    xs = {z: [X(t, rid) for t in tapes[z]] for z in zones}
+    # tape-x conjugation relations over K/L/R zones
+    for zone in zones:
+        if zone.kind == "P":
+            continue
+        ax = 1 if zone.kind in "KL" else -1
+        for a in tapes[zone]:
+            for x in xs[zone]:
+                add("a_x", ((a, ax), (x, 1), (a, -ax)) + ((x, -1),) * 4)
+    # state-x crossing relations at K and L letters
+    for bl, _ in hw.sigma:
+        if bl.kind not in "KL":
+            continue
+        zb, za = hw.zones_of(bl)
+        exp = 1 if bl.kind == "K" else 4
+        for coord in hw.ee.coords():
+            z = State(bl.kind, bl.j, coord)
+            for x, x2 in zip(xs[za], xs[zb]):
+                add("k_x", ((z, 1), (x, 1), (z, -1)) + ((x2, -1),) * exp)
+    return rels
 
 
 def _inverse(letters):

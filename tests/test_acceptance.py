@@ -19,6 +19,7 @@ from oracles import (
     x_conjugacy_closure,
 )
 from smkit.bands import trapezium, verify_trapezium
+from smkit.cli import _rules_presentation
 from smkit.derive import (
     LENGTH_C, LENGTH_L, bar_conjugated_insertion, insertion_history,
 )
@@ -184,6 +185,8 @@ def test_c5_bar_trapezia(hw, mixed, pres, rng):
             continue
         trap = trapezium(pres, mixed, Wm, h)
         assert verify_trapezium(trap, pres, mixed) == []
+        # as `smkit trapezium --verify` checks it: against its rules' relations
+        assert verify_trapezium(trap, _rules_presentation(mixed, h), mixed) == []
         trace = mixed.run(Wm, h)
         assert trace.ok
         for i, band in enumerate(trap.bands):

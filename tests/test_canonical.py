@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from genwords import random_bar_word, random_sigma_word, random_walk
 from smkit.bands import Band, Cell, theta_band, trapezium, verify_band
+from smkit.cli import _rules_presentation
 from smkit.hardware import BaseLetter
 from smkit.presentation import PresentationError, normalize_relator
 from smkit.words import (
@@ -83,14 +84,19 @@ class TestDifferential:
             cells[k] = Cell(c.kind, c.left, c.right, c.bottom, c.top * wletter(tamper), c.dir)
             for cell in cells:
                 w = cell.boundary()
+                # one free reduction of the four parts, as the product reduces them
+                assert w == (wletter(cell.left, -cell.dir) * cell.bottom
+                             * wletter(cell.right, cell.dir) * cell.top.inverse())
                 got = outcome(normalize_relator, w)
                 assert got == outcome(oracles.normalize_relator, w)
                 assert (got in by_relator) == (cell is not cells[k])
                 checked += 1
             broken = Band(band.rid, tuple(cells), band.bottom, band.top, band.base)
-            report = [line for line in verify_band(broken, pres, mixed)
-                      if line.startswith("cell ")]
-            assert report == [f"cell {k}: boundary is not a relator"]
+            full = verify_band(broken, pres, mixed)
+            assert [line for line in full if line.startswith("cell ")] == \
+                [f"cell {k}: boundary is not a relator"]
+            # the relations of the band's own rule give the same report
+            assert verify_band(broken, _rules_presentation(mixed, (band.rid,)), mixed) == full
         assert checked > 200
 
     @settings(max_examples=300)

@@ -6,16 +6,39 @@ import os
 import pytest
 
 from conftest import GOLDEN
-from smkit.hardware import BaseLetter
+from smkit.hardware import BaseLetter, Hardware, load_ee
 from smkit.presentation import (
     NonUniformIndex, Presentation, PresentationError, Relation, alpha, beta,
-    delta, gamma, normalize_relator, read_presentation, shift_index,
-    write_presentation,
+    delta, emit, gamma, normalize_relator, read_presentation, rule_relations,
+    shift_index, write_presentation,
 )
-from smkit.smachine import enumerate_rule_ids
-from smkit.words import Word, cyclic_reduce, parse_rule, parse_word
+from smkit.smachine import Machine, enumerate_rule_ids
+from smkit.words import (
+    State, Tape, Theta, Word, X, cyclic_reduce, parse_rule, parse_word,
+)
 
 B = BaseLetter
+
+# The sample pair plus a1 a1 a2 a2, its own priming image: more relators
+# per k_x family over the same alphabet.
+FOUR_EE = ("generators: a1 a2\ninvolution: a1 a2\nm: 2\n"
+           "relator:\nrelator: a1 a2\nrelator: a2 a1\nrelator: a1 a1 a2 a2\n")
+
+
+def provenance(pres):
+    return [(rel.kind, rel.rule, rel.at) for rel in pres.relations]
+
+
+@pytest.fixture(scope="module", params=[("sample", 8), ("sample", 10), ("four", 8)],
+                ids=lambda p: f"{p[0]}-N{p[1]}")
+def emitted(request):
+    """(hw, emit(hw)) for three inputs; the sample at N=8 is the session's."""
+    name, n = request.param
+    if (name, n) == ("sample", 8):
+        return request.getfixturevalue("hw"), request.getfixturevalue("pres")
+    ee = request.getfixturevalue("ee") if name == "sample" else load_ee(FOUR_EE)
+    hw = Hardware(ee, n)
+    return hw, emit(hw)
 
 
 class TestAlpha:
@@ -145,6 +168,44 @@ class TestEmission:
                 assert sym in inv
 
 
+class TestByRule:
+    """Every relation but the hub belongs to one positive rule, which its
+    theta or x letters name."""
+
+    def test_emit_is_rule_relations_then_hub(self, emitted):
+        hw, pres = emitted
+        machine = Machine(hw, "mixed")
+        start = 0
+        for rid in enumerate_rule_ids(hw.ee) + enumerate_rule_ids(hw.ee, bar=True):
+            rels = tuple(rule_relations(machine, rid))
+            assert pres.relations[start:start + len(rels)] == rels
+            assert {rel.rule for rel in rels} == {rid}
+            start += len(rels)
+        (hub,) = pres.relations[start:]
+        assert hub.kind == "hub" and hub.relator == normalize_relator(hw.hub())
+        assert hub.rule is None and hub.at is None
+
+    def test_letters_name_the_rule_and_place(self, emitted):
+        place = {"main": (State, "base"), "bar_main": (State, "base"),
+                 "k_x": (State, "base"), "theta_a": (Theta, "zone"),
+                 "bar_theta_a": (Theta, "zone"), "a_x": (Tape, "zone")}
+        _, pres = emitted
+        for rel in pres.relations[:-1]:
+            named = {sym.rule for sym, _ in rel.relator if isinstance(sym, (Theta, X))}
+            assert named == {rel.rule}, rel
+            cls, attr = place[rel.kind]
+            places = {getattr(sym, attr) for sym, _ in rel.relator if isinstance(sym, cls)}
+            assert places == {rel.at}, rel
+
+    @pytest.mark.parametrize("emitted", [("four", 8)], indirect=True, ids=["four-N8"])
+    def test_round_trip_keeps_rule_and_place(self, emitted):
+        _, pres = emitted
+        buf = io.StringIO()
+        write_presentation(pres, buf)
+        back = read_presentation(io.StringIO(buf.getvalue()))
+        assert provenance(back) == provenance(pres)
+
+
 class TestRoundTrip:
     def test_write_read_equal(self, pres, tmp_path):
         path = tmp_path / "p.txt"
@@ -153,6 +214,7 @@ class TestRoundTrip:
         with open(path, encoding="utf-8") as f:
             back = read_presentation(f)
         assert back == pres
+        assert provenance(back) == provenance(pres)
 
     def test_empty_presentation(self, tmp_path):
         p = Presentation(8, "x", ())
