@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = success / positive answer, 1 = negative answer (rule not
-applicable, no pairing, not conjugate, search exhausted), 2 = input or
-usage error.  Word/history arguments accept either inline tokens or a path
-to a file holding them.
+applicable, no pairing, not conjugate, search exhausted or over its node
+budget), 2 = input or usage error.  Word/history arguments accept either
+inline tokens or a path to a file holding them.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def cmd_accept(args):
     machine = Machine(hw, args.flavor)
     W = _machine_word(hw, args, args.flavor)
     stats = {}
-    trace = accept_bfs(machine, W, args.max_steps, stats)
+    trace = accept_bfs(machine, W, args.max_steps, stats, args.max_nodes)
     if trace is None:
         print(f"no accepting computation found ({stats['stop']}; "
               f"{stats['expanded']} nodes expanded)", file=sys.stderr)
@@ -321,6 +321,9 @@ def build_parser():
     common(sp)
     sp.add_argument("--word", required=True)
     sp.add_argument("--max-steps", type=_int_at_least(0), required=True)
+    sp.add_argument("--max-nodes", type=_int_at_least(1), default=None,
+                    help="stop once the search has seen more words than this "
+                         "(default: no bound)")
     sp.add_argument("--flavor", choices=("strict", "bar", "mixed"), default="strict")
     sp.set_defaults(fn=cmd_accept)
 

@@ -177,7 +177,7 @@ def is_accept_target(hw: Hardware, W: AdmissibleWord):
     return True
 
 
-def accept_bfs(machine: Machine, W: AdmissibleWord, max_steps, stats=None):
+def accept_bfs(machine: Machine, W: AdmissibleWord, max_steps, stats=None, max_nodes=None):
     """Deterministic breadth-first search for an accepting computation.
 
     Explores applicable rules in the machine's canonical order up to depth
@@ -189,19 +189,23 @@ def accept_bfs(machine: Machine, W: AdmissibleWord, max_steps, stats=None):
     nodes ``expanded`` (their applicable rules listed), the words
     ``generated`` by those rules, the ``dedup_hits`` among them, the size of
     ``seen`` and why it stopped (``stop``): ``"accepted"``, ``"depth"``
-    (some node sat at max_steps and was not expanded) or ``"exhausted"``
-    (the frontier emptied below the limit).  A negative max_steps is a
-    ValueError."""
+    (some node sat at max_steps and was not expanded), ``"exhausted"``
+    (the frontier emptied below the limit) or ``"budget"`` (``seen`` grew
+    past ``max_nodes`` words; None, the default, sets no budget).  A
+    negative max_steps or a max_nodes below 1 is a ValueError."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, got {max_steps}")
+    if max_nodes is not None and max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
     hw = machine.hw
     expanded = generated = dedup_hits = 0
-    cut = False
+    cut = over = False
     seen = {W: (None, None)}
 
     def done(trace):
         if stats is not None:
-            stop = "accepted" if trace is not None else "depth" if cut else "exhausted"
+            stop = ("accepted" if trace is not None else "budget" if over
+                    else "depth" if cut else "exhausted")
             stats.update(expanded=expanded, generated=generated, dedup_hits=dedup_hits,
                          seen=len(seen), stop=stop)
         return trace
@@ -231,5 +235,8 @@ def accept_bfs(machine: Machine, W: AdmissibleWord, max_steps, stats=None):
                     h.append(rid2)
                 h.reverse()
                 return done(machine.run(W, tuple(h)))
+            if max_nodes is not None and len(seen) > max_nodes:
+                over = True
+                return done(None)
             frontier.append((nxt, depth + 1))
     return done(None)

@@ -36,7 +36,7 @@ from .hardware import Hardware
 from .smachine import Machine, enumerate_rule_ids
 from .words import (
     BaseLetter, CyclicWord, RuleId, State, Tape, Theta, Word, X,
-    conjugator_length, least_rotation, letter_key, parse_word, word_to_text,
+    conjugator_length, least_rotation, letter_keys, parse_symbol, word_to_text,
 )
 
 KINDS = ("main", "theta_a", "a_x", "k_x", "bar_main", "bar_theta_a", "hub")
@@ -55,7 +55,7 @@ _AT = {"main": (State, "base"), "bar_main": (State, "base"), "k_x": (State, "bas
        "theta_a": (Theta, "zone"), "bar_theta_a": (Theta, "zone"), "a_x": (Tape, "zone")}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     """One relator of the presentation.  Its rule and place are not stored:
     the letters of the relator name them."""
@@ -105,8 +105,8 @@ def normalize_relator(w: Word):
     core = letters[i:len(letters) - i]
     if not core:
         raise PresentationError("trivial relator")
-    keys = [letter_key(l) for l in core]
-    inv_keys = [(sym, 1 - sign) for sym, sign in reversed(keys)]
+    keys = letter_keys(core)
+    inv_keys = [(key, not neg) for key, neg in reversed(keys)]
     k = least_rotation(keys)
     kinv = least_rotation(inv_keys)
     if keys[k:] + keys[:k] <= inv_keys[kinv:] + inv_keys[:kinv]:
@@ -123,11 +123,13 @@ class Presentation:
     _index: MappingProxyType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        index = {}
-        for rel in self.relations:
-            if rel.relator in index:
-                raise PresentationError(f"duplicate relator {rel.relator!r}")
-            index[rel.relator] = rel
+        index = {rel.relator: rel for rel in self.relations}  # one hash per relator
+        if len(index) != len(self.relations):
+            seen = set()
+            for rel in self.relations:
+                if rel.relator in seen:
+                    raise PresentationError(f"duplicate relator {rel.relator!r}")
+                seen.add(rel.relator)
         object.__setattr__(self, "_index", MappingProxyType(index))
 
     def stats(self):
@@ -337,9 +339,20 @@ def write_presentation(p: Presentation, fh):
 
 
 def read_presentation(fh):
+    """The Presentation written by ``write_presentation``.  Each distinct
+    token is parsed once per call; a relator repeats the few thousand letters
+    of the presentation many times over."""
     n = None
     label = ""
     rels = []
+    letters = {}  # token -> (symbol, sign)
+
+    def letter(tok):
+        got = letters.get(tok)
+        if got is None:
+            got = letters[tok] = parse_symbol(tok)
+        return got
+
     for lineno, raw in enumerate(fh, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -353,7 +366,7 @@ def read_presentation(fh):
             head, _, body = line.partition(":")
             kind = head.split()[1]
             try:
-                w = parse_word(body)
+                w = Word([letter(tok) for tok in body.split()])
             except Exception as e:
                 raise PresentationError(f"line {lineno}: {e}") from None
             rels.append(Relation(kind, normalize_relator(w)))

@@ -21,9 +21,9 @@ a few thousand distinct letters, and a symbol nests others (an X holds a
 Tape holding a BaseLetter, and a RuleId), so without interning every hash,
 comparison and sort key would walk the nesting again.  Each symbol computes
 at construction, once: its hash (that of its field tuple, as for a frozen
-dataclass), its ``symbol_key``, its text token and, for a State, its
-``base`` letter.  The pools live as long as the process and hold one entry
-per distinct symbol ever built.
+dataclass), its ``symbol_key``, its text tokens (with and without ``^-1``)
+and, for a State, its ``base`` letter.  The pools live as long as the
+process and hold one entry per distinct symbol ever built.
 
 The text grammar (one token per letter, whitespace separated, optional
 ``^-1`` suffix):
@@ -65,10 +65,10 @@ class _Symbol:
     builds it with ``_build`` and pools it.  Equal symbols are therefore
     identical and compare by identity (``object.__eq__``).  The hash is that
     of the field tuple, computed once; ``_token`` is the text token (also
-    the repr).
+    the repr) and ``_inv_token`` the token of the inverse letter.
     """
 
-    __slots__ = ("_hash", "_token")
+    __slots__ = ("_hash", "_token", "_inv_token")
     _fields = ()
 
     def __setattr__(self, name, value):
@@ -100,6 +100,7 @@ def _build(cls, fields, token, **derived):
         object.__setattr__(self, name, value)
     object.__setattr__(self, "_hash", hash(fields))
     object.__setattr__(self, "_token", token)
+    object.__setattr__(self, "_inv_token", token + "^-1")
     return self
 
 
@@ -251,18 +252,29 @@ def symbol_key(sym):
 
 def letter_key(letter):
     sym, sign = letter
-    return (sym._key if isinstance(sym, _Letter) else symbol_key(sym),
-            0 if sign > 0 else 1)
+    return (sym._key if isinstance(sym, _Letter) else symbol_key(sym), sign < 0)
+
+
+def letter_keys(letters):
+    """``letter_key`` of each letter.  Read straight off the interned
+    symbols; a word holding plain strings takes the general path."""
+    try:
+        return [(sym._key, sign < 0) for sym, sign in letters]
+    except AttributeError:
+        return [letter_key(l) for l in letters]
 
 
 def free_reduce(letters):
-    """Freely reduce a sequence of (symbol, sign) pairs."""
+    """Freely reduce a sequence of (symbol, sign) pairs.  The letters that
+    survive are the caller's own tuples, not copies."""
     out = []
-    for sym, sign in letters:
-        if out and out[-1][0] == sym and out[-1][1] == -sign:
-            out.pop()
-        else:
-            out.append((sym, sign))
+    for letter in letters:
+        if out:
+            last = out[-1]
+            if last[0] == letter[0] and last[1] == -letter[1]:
+                out.pop()
+                continue
+        out.append(letter)
     return tuple(out)
 
 
@@ -342,11 +354,18 @@ def is_reduced(letters):
 
 
 def least_rotation(keys):
-    """Index of the lexicographically least rotation of a key sequence
-    (Booth's algorithm)."""
+    """Index of the lexicographically least rotation of a key sequence, the
+    first such index when rotations tie.
+
+    Only a rotation starting at a least key can be least, so when the least
+    key occurs once its index is the answer.  A tied least key runs Booth's
+    algorithm (Booth 1980, lexicographically least circular substrings)."""
     n = len(keys)
-    if n == 0:
+    if n < 2:
         return 0
+    low = min(keys)
+    if keys.count(low) == 1:
+        return keys.index(low)
     keys = keys * 2
     f = [-1] * (2 * n)
     k = 0
@@ -368,7 +387,7 @@ def least_rotation(keys):
 
 def _canonical_rotation(letters):
     """Index of the least rotation of ``letters`` under ``letter_key``."""
-    return least_rotation([letter_key(l) for l in letters])
+    return least_rotation(letter_keys(letters))
 
 
 def conjugator_length(letters):
@@ -712,12 +731,9 @@ def _split_args(body):
 
 
 def symbol_token(sym, sign=1):
-    if isinstance(sym, str):
-        tok = sym
-    elif isinstance(sym, _Symbol):
-        tok = sym._token
-    else:
-        tok = repr(sym)
+    if isinstance(sym, _Symbol):
+        return sym._inv_token if sign < 0 else sym._token
+    tok = sym if isinstance(sym, str) else repr(sym)
     return tok + "^-1" if sign < 0 else tok
 
 
@@ -767,4 +783,10 @@ def parse_word(text, reduce=True):
 
 
 def word_to_text(w):
-    return " ".join(symbol_token(sym, sign) for sym, sign in w)
+    """Tokens of the letters of ``w``, space separated.  Read straight off
+    the interned symbols; a word holding plain strings takes the general
+    path."""
+    try:
+        return " ".join([sym._inv_token if sign < 0 else sym._token for sym, sign in w])
+    except AttributeError:
+        return " ".join([symbol_token(sym, sign) for sym, sign in w])

@@ -145,6 +145,18 @@ class TestAccept:
         assert code == 1 and out == ""
         assert err == "no accepting computation found (exhausted; 11 nodes expanded)\n"
 
+    def test_node_budget(self, capsys):
+        code, out, err = run_cli(capsys, "accept", "--ee", EE, "--word", "K1(e,1) L1(e,1)",
+                                 "--max-steps", "30", "--max-nodes", "200")
+        assert code == 1 and out == ""
+        assert err.startswith("no accepting computation found (budget; ")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_node_budget_below_one_exit_two(self, capsys, value):
+        code, err = usage_error(capsys, "accept", "--ee", EE, "--word", "K1(e,1)",
+                                "--max-steps", "3", "--max-nodes", value)
+        assert code == 2 and "error:" in err and "--max-nodes" in err
+
 
 class TestStatsAndXconj:
     def test_stats(self, capsys):

@@ -206,6 +206,36 @@ class TestAcceptBFS:
         W = hw.sigma_w(()).with_coord(hw, hw.ee.coords()[6])
         assert not is_accept_target(hw, W)
 
+    def test_node_budget_stops_a_growing_search(self, hw, strict):
+        # each age rule lengthens the K1-zone word, so unbounded this search
+        # grows for as long as memory lasts
+        W = hw.parse_admissible(parse_word("K1(e,1) L1(e,1)"))
+        for budget in (1, 500):
+            stats = {}
+            assert accept_bfs(strict, W, 30, stats, max_nodes=budget) is None
+            assert stats["stop"] == "budget" and stats["seen"] == budget + 1
+            # the stop falls among the words of one expanded node
+            assert stats["seen"] <= 1 + stats["generated"] - stats["dedup_hits"]
+
+    def test_node_budget_leaves_smaller_searches_alone(self, hw, strict):
+        h = insertion_history(hw, (), 0, 1)
+        mid = strict.run(hw.sigma_w(()), h[:4]).final
+        lone = hw.parse_admissible(parse_word("K1(e,1)"))
+        for W, k in ((mid, len(h)), (lone, 30)):
+            stats, bounded = {}, {}
+            want = accept_bfs(strict, W, k, stats)
+            got = accept_bfs(strict, W, k, bounded, max_nodes=stats["seen"])
+            assert bounded == stats
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert (got.history, got.words) == (want.history, want.words)
+
+    def test_node_budget_below_one_is_a_value_error(self, hw, strict):
+        W = hw.parse_admissible(parse_word("K1(e,1)"))
+        for max_nodes in (0, -3):
+            with pytest.raises(ValueError, match="max_nodes must be at least 1"):
+                accept_bfs(strict, W, 5, max_nodes=max_nodes)
+
     @pytest.mark.parametrize("flavor", ["strict", "mixed"])
     def test_same_trace_as_text_keyed_search(self, hw, rng, request, flavor):
         # seeded walks of 1-3 steps off Sigma(w)K1, searched with their own

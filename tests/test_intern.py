@@ -200,6 +200,18 @@ class TestTextRoundTrip:
         assert back == w
         assert all(a is b for (a, _), (b, _) in zip(back, w))
 
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.one_of(symbols, st.sampled_from(("a", "b"))),
+                              st.sampled_from((1, -1))), max_size=12))
+    def test_word_to_text_is_the_token_join(self, letters):
+        # the cached inverse tokens against tokens spelled from the repr,
+        # on words mixing structured and plain symbols
+        w = Word(letters, reduce=False)
+        want = " ".join((sym if isinstance(sym, str) else repr(sym)) + ("^-1" if sign < 0 else "")
+                        for sym, sign in letters)
+        assert word_to_text(w) == want
+        assert [symbol_token(sym, sign) for sym, sign in letters] == want.split()
+
     @settings(max_examples=200)
     @given(rules())
     def test_rule_tokens(self, rid):

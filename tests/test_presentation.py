@@ -4,17 +4,19 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import GOLDEN
 from smkit.hardware import BaseLetter, Hardware, load_ee
 from smkit.presentation import (
-    NonUniformIndex, Presentation, PresentationError, Relation, alpha, beta,
-    delta, emit, gamma, normalize_relator, read_presentation, rule_relations,
-    shift_index, write_presentation,
+    KINDS, NonUniformIndex, Presentation, PresentationError, Relation, alpha,
+    beta, delta, emit, gamma, normalize_relator, read_presentation,
+    rule_relations, shift_index, write_presentation,
 )
 from smkit.smachine import Machine, enumerate_rule_ids
 from smkit.words import (
-    State, Tape, Theta, Word, X, cyclic_reduce, parse_rule, parse_word,
+    Coord, RuleId, State, Tape, Theta, Word, X, cyclic_reduce, parse_rule,
+    parse_word,
 )
 
 B = BaseLetter
@@ -206,7 +208,45 @@ class TestByRule:
         assert provenance(back) == provenance(pres)
 
 
+# Letters of every structured kind, barred and plain, for hand-built
+# presentations; each is drawn with both signs.
+POOL = (
+    Tape(1, B("L", 2)), Tape(2, B("L", 2)), Tape(1, B("P", 3), bar=True),
+    State("K", 1, Coord(None, 1)), State("L", 2, Coord(1, 3), bar=True),
+    Theta(RuleId("2", 1, 1), B("L", 2)), Theta(RuleId("12", 2, None, bar=True), B("K", 3)),
+    X(Tape(1, B("K", 3)), RuleId("12", 1, None)), X(Tape(2, B("R", 4)), RuleId("3", 1, 2)),
+)
+
+
+@st.composite
+def presentations(draw):
+    """A Presentation of up to 8 relations of any kind over POOL."""
+    rels, seen = [], set()
+    for letters in draw(st.lists(st.lists(st.tuples(st.sampled_from(POOL), st.sampled_from((1, -1))),
+                                          min_size=1, max_size=10), max_size=8)):
+        try:
+            relator = normalize_relator(Word(letters))
+        except PresentationError:
+            continue
+        if relator not in seen:
+            seen.add(relator)
+            rels.append(Relation(draw(st.sampled_from(KINDS)), relator))
+    label = draw(st.sampled_from(("", "sample.ee", "four ee.txt")))
+    return Presentation(draw(st.sampled_from((8, 10, 12))), label, tuple(rels))
+
+
 class TestRoundTrip:
+    @settings(max_examples=200)
+    @given(presentations())
+    def test_read_inverts_write(self, p):
+        buf = io.StringIO()
+        write_presentation(p, buf)
+        back = read_presentation(io.StringIO(buf.getvalue()))
+        assert back == p and back.ee_label == p.ee_label
+        assert [rel.relator.letters for rel in back.relations] == \
+            [rel.relator.letters for rel in p.relations]
+        assert provenance(back) == provenance(p)
+
     def test_write_read_equal(self, pres, tmp_path):
         path = tmp_path / "p.txt"
         with open(path, "w", encoding="utf-8") as f:

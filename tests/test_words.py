@@ -1,15 +1,17 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from genwords import dyck_words
 from oracles import has_minus_pairing, noncrossing_inverse_matchings
 from smkit import words
 from smkit.words import (
-    CyclicWord, PairingError, TokenError, Word, classify_pair, cyclic_reduce,
-    enumerate_pairings, find_minus_pairing, is_dyck, is_positive, parse_rule,
-    parse_symbol, parse_word, rule_token, word_to_text,
+    BaseLetter, Coord, CyclicWord, PairingError, RuleId, State, Tape, Theta,
+    TokenError, Word, X, classify_pair, cyclic_reduce, enumerate_pairings,
+    find_minus_pairing, is_dyck, is_positive, least_rotation, letter_key,
+    letter_keys, parse_rule, parse_symbol, parse_word, rule_token, word_to_text,
 )
 
 
@@ -51,6 +53,15 @@ class TestReduce:
             w = Word(letters)
             assert (w * w.inverse()).is_empty()
 
+    def test_word_keeps_the_callers_letters(self):
+        z = BaseLetter("P", 3)
+        letters = [(Tape(1, z), 1), (Tape(2, z), -1), ("a", 1), (Tape(1, z), 1)]
+        w = Word(letters)
+        assert len(w) == 4 and all(a is b for a, b in zip(w.letters, letters))
+        # survivors of a cancellation are the caller's tuples too
+        w = Word(letters[:1] + [(Tape(2, z), 1), (Tape(2, z), -1)] + letters[1:])
+        assert len(w) == 4 and all(a is b for a, b in zip(w.letters, letters))
+
 
 class TestCyclic:
     def test_one_step_conjugation(self):
@@ -78,6 +89,45 @@ class TestCyclic:
         w = C("b^-1 a b b^-1 a^-1 b")
         for rot in list(w.rotations()):
             assert CyclicWord(rot) == w
+
+
+class TestLeastRotation:
+    """``least_rotation`` returns the index of a least key that occurs once
+    and runs Booth's algorithm on ties; both paths against the oracle that
+    compares every rotation."""
+
+    @pytest.mark.parametrize("text", [
+        "a b c b", "c b a c b", "b c b a",    # unique least key first, middle, last
+        "a^-1 b a b", "b a b a^-1",            # least by sign alone
+        "a b a b a b", "a a b a a b",          # periodic
+        "b a c a b a d", "a b a a b a b",      # tied, not periodic
+        "a a a a", "a^-1 a^-1", "a", "",       # all equal, length 1, empty
+    ])
+    def test_hand_picked(self, text):
+        letters = parse_word(text, reduce=False).letters
+        keys = [letter_key(l) for l in letters]
+        assert letter_keys(letters) == keys
+        assert least_rotation(keys) == oracles.least_rotation_index(letters)
+
+    def test_structured_keys(self):
+        z = BaseLetter("L", 2)
+        pool = (Tape(1, z), Tape(2, z), State("L", 2, Coord(1, 3)),
+                Theta(RuleId("2", 1, 1), z), X(Tape(1, BaseLetter("K", 3)), RuleId("12", 1, None)))
+        for letters in itertools.product([(sym, s) for sym in pool[:3] for s in (1, -1)], repeat=4):
+            keys = letter_keys(letters)
+            assert keys == [letter_key(l) for l in letters]
+            assert least_rotation(keys) == oracles.least_rotation_index(letters)
+        letters = [(sym, 1) for sym in pool] * 2
+        assert least_rotation(letter_keys(letters)) == 0
+
+    @settings(max_examples=400)
+    @given(st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from((1, -1))), max_size=12))
+    def test_two_symbol_pool(self, letters):
+        # four letters at most, so least keys are often tied
+        keys = letter_keys(letters)
+        assert least_rotation(keys) == oracles.least_rotation_index(letters)
+        k = least_rotation(keys)
+        assert CyclicWord(letters).letters == tuple(letters[k:] + letters[:k])
 
 
 class TestPositive:
