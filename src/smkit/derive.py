@@ -185,29 +185,40 @@ def accept_bfs(machine: Machine, W: AdmissibleWord, max_steps, stats=None, max_n
     flavor, so equal words are equal texts); returns the first trace
     reaching a Sigma(v)^s K1 word, or None.
 
+    A target sits at (e,1), so a node at depth d expands with
+    ``reach = max_steps - d - 1``: ``applicable_rules`` builds only the
+    words whose coordinate is at most that many steps from (e,1)
+    (``Machine.distance``).  No word it skips could reach a target in the
+    steps left, and the words it builds come in the order of the full
+    search, so the returned trace is the one the unpruned search returns.
+
     When ``stats`` is a dict, the search writes into it on return: the
     nodes ``expanded`` (their applicable rules listed), the words
-    ``generated`` by those rules, the ``dedup_hits`` among them, the size of
-    ``seen`` and why it stopped (``stop``): ``"accepted"``, ``"depth"``
-    (some node sat at max_steps and was not expanded), ``"exhausted"``
-    (the frontier emptied below the limit) or ``"budget"`` (``seen`` grew
-    past ``max_nodes`` words; None, the default, sets no budget).  A
-    negative max_steps or a max_nodes below 1 is a ValueError."""
+    ``generated`` by those rules, the ``dedup_hits`` among them, the
+    candidate rules ``pruned`` (not tried, their target coordinate being
+    out of reach), the size of ``seen`` and why it stopped (``stop``):
+    ``"accepted"``, ``"depth"`` (some node sat at max_steps and was not
+    expanded, or some rule was pruned), ``"exhausted"`` (the frontier
+    emptied below the limit) or ``"budget"`` (``seen`` grew past
+    ``max_nodes`` words; None, the default, sets no budget).  Pruned words
+    are never built, so ``seen`` is ``1 + generated - dedup_hits`` unless
+    the search was accepted or over budget.  A negative max_steps or a
+    max_nodes below 1 is a ValueError."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, got {max_steps}")
     if max_nodes is not None and max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
     hw = machine.hw
-    expanded = generated = dedup_hits = 0
+    expanded = generated = dedup_hits = pruned = 0
     cut = over = False
     seen = {W: (None, None)}
 
     def done(trace):
         if stats is not None:
             stop = ("accepted" if trace is not None else "budget" if over
-                    else "depth" if cut else "exhausted")
+                    else "depth" if cut or pruned else "exhausted")
             stats.update(expanded=expanded, generated=generated, dedup_hits=dedup_hits,
-                         seen=len(seen), stop=stop)
+                         pruned=pruned, seen=len(seen), stop=stop)
         return trace
 
     if is_accept_target(hw, W):
@@ -219,7 +230,10 @@ def accept_bfs(machine: Machine, W: AdmissibleWord, max_steps, stats=None, max_n
             cut = True
             continue
         expanded += 1
-        pairs = machine.applicable_rules(cur)
+        reach = max_steps - depth - 1
+        if stats is not None:  # only the stats read the count
+            pruned += machine.beyond(cur.coord, reach)
+        pairs = machine.applicable_rules(cur, reach)
         generated += len(pairs)
         for rid, nxt in pairs:
             size = len(seen)

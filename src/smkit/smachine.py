@@ -52,6 +52,7 @@ shape.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -163,6 +164,7 @@ class Machine:
                 src, dst = _coords(rid)
                 self.rules[rid] = Rule(rid, src, dst, LOCKS[rid.family],
                                        _actions(self.ee, rid))
+        self.distance = self._distances()
         self._by_src = None  # source coordinate -> signed candidates, on first use
         self._part_memo = {}
 
@@ -345,7 +347,7 @@ class Machine:
             words.append(out)
         return Trace(tuple(history), tuple(words), None)
 
-    def applicable_rules(self, W):
+    def applicable_rules(self, W, reach=None):
         """[(rid, W o rid)] for every signed rule rid that applies to W.
 
         The order is canonical: rules in the order of ``self.rules``, each
@@ -353,14 +355,20 @@ class Machine:
         ``applicable`` is None.  Only the rules whose source coordinate is
         W.coord are looked at, the plain and bar shape checks and the lock
         scan run once per W, and each result is built and validated once.
+
+        With ``reach`` set, a rule whose target coordinate is more than
+        ``reach`` steps from (e,1) (or has no path there; see
+        ``distance``) is skipped before any check and never built: the
+        result is the rules of the full list that lead within reach, in
+        the same order.
         """
-        if self._by_src is None:
-            self._by_src = self._index_sources()
         shape_ok = {}
         table = self._table_of(W)
         blocked = self._blocked_kinds(W, table)
         out = []
-        for rid, locks in self._by_src.get(W.coord, ()):
+        for rid, locks, dist in self._candidates(W.coord):
+            if reach is not None and dist > reach:
+                continue
             ok = shape_ok.get(rid.bar)
             if ok is None:
                 ok = shape_ok[rid.bar] = self._shape_error(W, rid.bar, table) is None
@@ -372,13 +380,51 @@ class Machine:
                 pass
         return out
 
+    def beyond(self, coord, reach):
+        """How many signed rules leaving ``coord`` lead to a coordinate more
+        than ``reach`` steps from (e,1): those ``applicable_rules(W, reach)``
+        skips for a word W at ``coord``."""
+        return sum(1 for _, _, dist in self._candidates(coord) if dist > reach)
+
+    def _candidates(self, coord):
+        """(rid, locks, distance of rid's target to (e,1)) for each signed
+        rule leaving ``coord``, in the canonical order."""
+        if self._by_src is None:
+            self._by_src = self._index_sources()
+        return self._by_src.get(coord, ())
+
+    def _distances(self):
+        """Coordinate -> the fewest rule steps from it to (e,1), by a
+        breadth-first search over the rules' src/dst pairs (an undirected
+        graph, since every rule has its inverse).  Coordinates with no path
+        to (e,1), such as (e,2) and (e,3), are left out."""
+        adjacent = {}
+        for rule in self.rules.values():
+            adjacent.setdefault(rule.src, set()).add(rule.dst)
+            adjacent.setdefault(rule.dst, set()).add(rule.src)
+        start = Coord(None, 1)
+        distance = {start: 0}
+        queue = deque([start])
+        while queue:
+            coord = queue.popleft()
+            for nxt in adjacent.get(coord, ()):
+                if nxt not in distance:
+                    distance[nxt] = distance[coord] + 1
+                    queue.append(nxt)
+        return distance
+
     def _index_sources(self):
-        """Signed rules with their locks, grouped by source coordinate, each
-        group in the canonical order of ``applicable_rules``."""
+        """Signed rules with their locks and the distance of their target
+        coordinate to (e,1) (infinite when there is no path), grouped by
+        source coordinate, each group in the canonical order of
+        ``applicable_rules``."""
+        far = float("inf")
         by_src = {}
         for rid, rule in self.rules.items():
-            by_src.setdefault(rule.src, []).append((rid, rule.locks))
-            by_src.setdefault(rule.dst, []).append((rid.inverse, rule.locks))
+            by_src.setdefault(rule.src, []).append(
+                (rid, rule.locks, self.distance.get(rule.dst, far)))
+            by_src.setdefault(rule.dst, []).append(
+                (rid.inverse, rule.locks, self.distance.get(rule.src, far)))
         return by_src
 
     def _shape_error(self, W, bar, table):

@@ -19,11 +19,12 @@ object, so equal symbols are identical and compare by identity.  The
 presentation of the simulating group has tens of thousands of relators over
 a few thousand distinct letters, and a symbol nests others (an X holds a
 Tape holding a BaseLetter, and a RuleId), so without interning every hash,
-comparison and sort key would walk the nesting again.  Each symbol computes
-at construction, once: its hash (that of its field tuple, as for a frozen
-dataclass), its ``symbol_key``, its text tokens (with and without ``^-1``)
-and, for a State, its ``base`` letter.  The pools live as long as the
-process and hold one entry per distinct symbol ever built.
+comparison and sort key would walk the nesting again.  Symbols hash by
+identity (``object.__hash__``), which agrees with their identity equality.
+Each symbol computes at construction, once: its ``symbol_key``, its text
+tokens (with and without ``^-1``) and, for a State, its ``base`` letter.
+The pools live as long as the process and hold one entry per distinct
+symbol ever built.
 
 The text grammar (one token per letter, whitespace separated, optional
 ``^-1`` suffix):
@@ -63,12 +64,12 @@ class _Symbol:
     Each subclass keeps a ``_pool`` from field tuples to symbols; its
     ``__new__`` returns the pooled symbol when there is one and otherwise
     builds it with ``_build`` and pools it.  Equal symbols are therefore
-    identical and compare by identity (``object.__eq__``).  The hash is that
-    of the field tuple, computed once; ``_token`` is the text token (also
-    the repr) and ``_inv_token`` the token of the inverse letter.
+    identical: they compare and hash by identity (``object.__eq__`` and
+    ``object.__hash__``, both in C).  ``_token`` is the text token (also the
+    repr) and ``_inv_token`` the token of the inverse letter.
     """
 
-    __slots__ = ("_hash", "_token", "_inv_token")
+    __slots__ = ("_token", "_inv_token")
     _fields = ()
 
     def __setattr__(self, name, value):
@@ -76,9 +77,6 @@ class _Symbol:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return self._token
@@ -98,7 +96,6 @@ def _build(cls, fields, token, **derived):
         object.__setattr__(self, name, value)
     for name, value in derived.items():
         object.__setattr__(self, name, value)
-    object.__setattr__(self, "_hash", hash(fields))
     object.__setattr__(self, "_token", token)
     object.__setattr__(self, "_inv_token", token + "^-1")
     return self

@@ -145,6 +145,14 @@ class TestAccept:
         assert code == 1 and out == ""
         assert err == "no accepting computation found (exhausted; 11 nodes expanded)\n"
 
+    def test_unreachable_coordinate_stops_at_once(self, capsys):
+        # the t2(e,i) ages grow this word without end, and (e,2) has no path
+        # to (e,1): every rule is pruned at the start, however many steps
+        code, out, err = run_cli(capsys, "accept", "--ee", EE, "--word", "K1(e,2) L1(e,2)",
+                                 "--max-steps", "1000000000")
+        assert code == 1 and out == ""
+        assert err == "no accepting computation found (depth; 1 nodes expanded)\n"
+
     def test_node_budget(self, capsys):
         code, out, err = run_cli(capsys, "accept", "--ee", EE, "--word", "K1(e,1) L1(e,1)",
                                  "--max-steps", "30", "--max-nodes", "200")

@@ -238,9 +238,12 @@ class TestAcceptBFS:
 
     @pytest.mark.parametrize("flavor", ["strict", "mixed"])
     def test_same_trace_as_text_keyed_search(self, hw, rng, request, flavor):
-        # seeded walks of 1-3 steps off Sigma(w)K1, searched with their own
-        # length as budget, plus words at (e,2), which no rule leads out of
-        # to (e,1), searched to exhaustion
+        # the pruned search against the unpruned text-keyed one: seeded
+        # walks of 1-3 steps off Sigma(w)K1, searched with their own length
+        # as budget; walks of fixed family sequences ending at (r,2), (r,3),
+        # (r,4) and (r,5), searched with their length and one step less;
+        # and words at (e,2)..(e,5) with max_steps 0..5 ((e,2) and (e,3)
+        # have no path to (e,1))
         machine = request.getfixturevalue(flavor)
         starts = []
         for steps in (1, 2, 3, 3):
@@ -250,18 +253,30 @@ class TestAcceptBFS:
             for _ in range(steps):
                 W = rng.choice(machine.applicable_rules(W))[1]
             starts.append((W, steps))
-        W = hw.sigma_w(random_positive(rng, hw.ee.mbar, 2), flavor)
-        W = W.with_coord(hw, Coord(None, 2))
-        starts.append((hw.parse_admissible(W.flat(), flavor), 2))
-        found = 0
+        for sequence in ("12 23 3 3 3", "51 5 5 5 5", "1 1 12", "12 23 3 34"):
+            families = sequence.split()
+            for _ in range(2):
+                W = _family_walk(hw, machine, rng, flavor, families)
+                starts += [(W, len(families)), (W, len(families) - 1)]
+        for omega in (2, 3, 4, 5):
+            W = hw.sigma_w(random_positive(rng, hw.ee.mbar, 2), flavor)
+            W = hw.parse_admissible(W.with_coord(hw, Coord(None, omega)).flat(), flavor)
+            starts += [(W, k) for k in range(6)]
+        assert {(W.coord.r is None, W.coord.omega) for W, _ in starts} >= \
+            {(False, 2), (False, 3), (False, 4), (False, 5), (True, 2), (True, 5)}
+        found = pruned = 0
         for W, k in starts:
-            got, want = accept_bfs(machine, W, k), oracles.accept_bfs(machine, W, k)
-            assert (got is None) == (want is None)
+            stats = {}
+            got, want = accept_bfs(machine, W, k, stats), oracles.accept_bfs(machine, W, k)
+            assert (got is None) == (want is None), (W.text(), k)
             if got is not None:
                 found += 1
                 assert (got.history, got.words, got.final) == \
                     (want.history, want.words, want.final)
-        assert found >= 4
+            else:
+                assert stats["seen"] == 1 + stats["generated"] - stats["dedup_hits"]
+            pruned += stats["pruned"]
+        assert found >= 16 and pruned > 0
 
     @pytest.mark.parametrize("flavor", ["strict", "mixed"])
     def test_stats_say_why_the_search_stopped(self, hw, request, flavor):
@@ -292,5 +307,93 @@ class TestAcceptBFS:
     def test_stats_on_a_target(self, hw, strict):
         stats = {}
         assert accept_bfs(strict, hw.sigma_w(()), 3, stats).history == ()
-        assert stats == {"expanded": 0, "generated": 0, "dedup_hits": 0, "seen": 1,
-                         "stop": "accepted"}
+        assert stats == {"expanded": 0, "generated": 0, "dedup_hits": 0, "pruned": 0,
+                         "seen": 1, "stop": "accepted"}
+
+    @pytest.mark.parametrize("flavor", ["strict", "mixed"])
+    def test_unreachable_start_is_pruned_at_once(self, hw, request, flavor):
+        # no rule leads out of {(e,2), (e,3)} to (e,1): the start's
+        # candidates are all pruned and no word is built, however deep the
+        # search may go
+        machine = request.getfixturevalue(flavor)
+        W = hw.parse_admissible(parse_word("K1(e,2) L1(e,2)"), flavor)
+        stats = {}
+        assert accept_bfs(machine, W, 10 ** 9, stats) is None
+        candidates = len(_targets(machine, W.coord))
+        assert stats == {"expanded": 1, "generated": 0, "dedup_hits": 0,
+                         "pruned": candidates, "seen": 1, "stop": "depth"}
+        assert candidates > 0
+        assert machine.applicable_rules(W, 10 ** 9) == []
+        assert machine.applicable_rules(W)
+
+    @pytest.mark.parametrize("flavor", ["strict", "mixed"])
+    def test_reach_skips_exactly_the_far_rules(self, hw, rng, request, flavor):
+        # applicable_rules(W, reach) is the full list less the rules whose
+        # target is out of reach, and beyond counts the signed rules
+        # leaving W.coord that it skips, applicable or not
+        machine = request.getfixturevalue(flavor)
+        far = float("inf")
+        words = [_family_walk(hw, machine, rng, flavor, sequence.split())
+                 for sequence in ("1", "12", "12 23", "12 23 34", "51", "51 45")]
+        W = hw.sigma_w(random_positive(rng, hw.ee.mbar, 2), flavor)
+        words += [hw.parse_admissible(W.with_coord(hw, Coord(None, omega)).flat(), flavor)
+                  for omega in (2, 3, 4, 5)]
+        for W in words:
+            full = machine.applicable_rules(W)
+            leaving = _targets(machine, W.coord)
+            for reach in range(4):
+                near = [(rid, nxt) for rid, nxt in full
+                        if machine.distance.get(nxt.coord, far) <= reach]
+                assert machine.applicable_rules(W, reach) == near
+                assert machine.beyond(W.coord, reach) == \
+                    sum(1 for dst in leaving if machine.distance.get(dst, far) > reach)
+
+    def test_distance_to_the_start_coordinate(self, strict, mixed):
+        want = {Coord(None, 1): 0, Coord(None, 5): 1, Coord(None, 4): 2}
+        for r in (1, 2):
+            want.update({Coord(r, 2): 1, Coord(r, 5): 1, Coord(r, 3): 2, Coord(r, 4): 2})
+        for machine in (strict, mixed):
+            assert machine.distance == want
+            assert Coord(None, 2) not in machine.distance
+            assert Coord(None, 3) not in machine.distance
+            assert machine.distance == _relaxed_distances(machine)
+
+
+def _family_walk(hw, machine, rng, flavor, families):
+    """A freely reduced walk off Sigma(w)K1 taking one rule of each family
+    in turn, retrying w until one exists; returns its last word."""
+    for _ in range(200):
+        w = random_positive(rng, hw.ee.mbar, 2) if flavor == "strict" \
+            else random_reduced(rng, hw.ee.mbar, 2)
+        W, last = hw.sigma_w(w, flavor), None
+        for family in families:
+            cands = [(rid, nxt) for rid, nxt in machine.applicable_rules(W)
+                     if rid.family == family and not (last and rid == last.inverse)]
+            if not cands:
+                break
+            last, W = rng.choice(cands)
+        else:
+            return W
+    raise AssertionError(f"no walk of families {families}")
+
+
+def _targets(machine, coord):
+    """The target coordinate of each signed rule leaving coord."""
+    return [machine.coords_of(signed)[1] for rid in machine.rules
+            for signed in (rid, rid.inverse) if machine.coords_of(signed)[0] == coord]
+
+
+def _relaxed_distances(machine):
+    """Steps to (e,1) by relaxing every signed rule's coords_of until
+    nothing changes."""
+    dist = {Coord(None, 1): 0}
+    changed = True
+    while changed:
+        changed = False
+        for rid in machine.rules:
+            for signed in (rid, rid.inverse):
+                src, dst = machine.coords_of(signed)
+                if dst in dist and dist[dst] + 1 < dist.get(src, float("inf")):
+                    dist[src] = dist[dst] + 1
+                    changed = True
+    return dist

@@ -1,8 +1,10 @@
 """Interned structured symbols: one object per distinct field tuple."""
 
 import copy
+import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 
@@ -10,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import smkit
+from conftest import DATA
 from smkit.smachine import enumerate_rule_ids
 from smkit.words import (
     AGE_FAMILIES, FAMILIES, KINDS, BaseLetter, Coord, RuleId, State, Tape,
@@ -100,10 +104,36 @@ class TestIdentity:
                 assert sym.inverse.inverse is sym
 
 
-class TestPrecomputed:
-    def test_hash_is_that_of_the_field_tuple(self, inventory):
+class TestHash:
+    def test_hash_survives_every_way_back_to_the_symbol(self, inventory):
+        # symbols hash by identity, so what dicts and sets need is that each
+        # road back to a symbol gives one with the same hash
         for sym in inventory[1]:
-            assert hash(sym) == hash(fields(sym))
+            h = hash(sym)
+            assert all(hash(again) == h for again in spellings(sym))
+            assert hash(copy.copy(sym)) == h
+            assert hash(copy.deepcopy(sym)) == h
+            assert hash(pickle.loads(pickle.dumps(sym))) == h
+            assert sym in {type(sym)(*fields(sym))}
+
+    def test_present_is_the_same_in_two_processes(self, tmp_path):
+        # identity hashes differ between processes: no output may depend on
+        # the iteration order of a set or dict of symbols
+        src = os.path.dirname(os.path.dirname(smkit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        outs = []
+        for k in range(2):
+            out = tmp_path / f"p{k}.txt"
+            done = subprocess.run(
+                [sys.executable, "-m", "smkit.cli", "present", "--ee",
+                 os.path.join(DATA, "sample.ee"), "--n", "8", "--out", str(out), "--stats"],
+                env=env, capture_output=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            outs.append((out.read_bytes(), done.stdout, done.stderr))
+        assert outs[0][0] and outs[0] == outs[1]
+
+
+class TestPrecomputed:
 
     def test_symbol_key_matches_unmemoized_reference(self, inventory):
         letters, _ = inventory
