@@ -22,7 +22,7 @@ from itertools import chain
 
 from .hardware import AdmissibleWord
 from .presentation import Presentation, alpha, normalize_relator
-from .smachine import Machine, NotApplicable, is_reduced_history
+from .smachine import Machine, is_reduced_history
 from .words import RuleId, State, Tape, Theta, Word, word_to_text
 
 
@@ -71,9 +71,7 @@ def theta_band(pres: Presentation, machine: Machine, W: AdmissibleWord, rid: Rul
 
 def _band_step(machine, W, rid):
     """(band of rid over W, W o rid), with W o rid built by one step."""
-    out, diag = machine.step(rid, W)
-    if diag is not None:
-        raise NotApplicable(diag)
+    out = machine.apply(rid, W)
     if rid.sign < 0:
         return _positive_band(machine, out, rid.positive).mirror(), out
     return _positive_band(machine, W, rid), out

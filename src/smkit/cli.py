@@ -24,7 +24,7 @@ from .smachine import (
     Machine, NotApplicable, brief_history, is_historical_form, parse_history,
     history_text,
 )
-from .words import CyclicWord, TokenError, parse_rule, parse_word, word_to_text
+from .words import FAMILIES, CyclicWord, TokenError, parse_rule, parse_word, word_to_text
 
 
 def _slurp(value):
@@ -270,7 +270,7 @@ def cmd_stats(args):
     print(f"relators: {len(ee.relators)} (max length {ee.c})")
     print(f"N: {hw.N}, base letters: {len(hw.sigma)}, zones: {len(hw.sigma)}")
     print(f"positive rules: {len(rids)}")
-    for fam in ("1", "12", "2", "23", "3", "34", "4", "45", "5", "51"):
+    for fam in FAMILIES:
         print(f"  t{fam}: {per.get(fam, 0)}")
     return 0
 

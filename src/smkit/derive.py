@@ -21,19 +21,23 @@ from collections import deque
 
 from .hardware import AdmissibleWord, Hardware
 from .smachine import Machine, Trace, inverse_history
-from .words import RuleId, free_reduce
-
-COPY_FAMILIES = ("1", "2", "3", "4", "5")
+from .words import AGE_FAMILIES, EMPTY_RELATOR_FAMILIES, FAMILIES, RuleId, free_reduce
 
 
 class DeriveError(ValueError):
     pass
 
 
-def _check_positive(w):
+def _check_word(hw, w, positive=False):
+    """w as a tuple, once every letter names a generator of hw's
+    presentation (and, with ``positive``, has sign +1)."""
     w = tuple(w)
-    if any(s <= 0 for _, s in w):
-        raise DeriveError("word must be positive")
+    mbar = hw.ee.mbar
+    for i, s in w:
+        if not 1 <= i <= mbar:
+            raise DeriveError(f"a{i} names no generator (mbar = {mbar})")
+        if positive and s <= 0:
+            raise DeriveError("word must be positive")
     return w
 
 
@@ -43,16 +47,36 @@ def copy_history(g, word, r=None, bar=True):
     word is a sequence of (index, sign) pairs; the result applies, letter by
     letter, tau(g, r, i)^sign.  Family 1 forces the empty coordinate.
     """
-    if g not in COPY_FAMILIES:
+    if g not in AGE_FAMILIES:
         raise DeriveError(f"family {g!r} is not a copy family")
-    rc = None if g == "1" else r
+    rc = None if g in EMPTY_RELATOR_FAMILIES else r
     return tuple(RuleId(g, rc, i, bar, s) for i, s in word)
+
+
+def _cycle(r, bar, *ages):
+    """One walk round the ten-phase cycle: the copies (``copy_history``) of
+    the six words ``ages`` in the families 1, 2, 3, 4, 5, 1 of FAMILIES,
+    joined by its five transitions, all at relator r."""
+    h = []
+    for k, word in enumerate(ages):
+        if k:
+            h.append(RuleId(FAMILIES[2 * k - 1], r, None, bar))
+        h += copy_history(FAMILIES[2 * k % len(FAMILIES)], word, r, bar)
+    return tuple(h)
+
+
+def _inv_letters(word):
+    return tuple((i, -s) for i, s in word)
+
+
+def _rev(word):
+    return tuple(reversed(word))
 
 
 def insertion_history(hw: Hardware, w, pos, r, delete=False):
     """History h with Sigma(w)K1 o h = Sigma(w')K1, w' = w with the relator
     r inserted at pos (or deleted from pos, as the formal inverse)."""
-    w = _check_positive(w)
+    w = _check_word(hw, w, positive=True)
     if r is None:
         raise DeriveError("insertion needs a non-empty relator")
     rel = hw.ee.relator(r)
@@ -66,20 +90,8 @@ def insertion_history(hw: Hardware, w, pos, r, delete=False):
     if not 0 <= pos <= len(w):
         raise DeriveError("insertion position out of bounds")
     w1, w2 = w[:pos], w[pos:]
-    w1r = w1 + tuple((a, 1) for a in rel)
-    h = []
-    h += [RuleId("1", None, i, False, 1) for i, _ in w1]
-    h.append(RuleId("12", r, None, False, 1))
-    h += [RuleId("2", r, i, False, 1) for i, _ in w1]
-    h.append(RuleId("23", r, None, False, 1))
-    h += [RuleId("3", r, i, False, 1) for i, _ in reversed(w2)]
-    h.append(RuleId("34", r, None, False, 1))
-    h += [RuleId("4", r, i, False, -1) for i, _ in reversed(w1r)]
-    h.append(RuleId("45", r, None, False, 1))
-    h += [RuleId("5", r, i, False, -1) for i, _ in w2]
-    h.append(RuleId("51", r, None, False, 1))
-    h += [RuleId("1", None, i, False, -1) for i, _ in reversed(w1r)]
-    return tuple(h)
+    back = _inv_letters(_rev(w1 + tuple((a, 1) for a in rel)))
+    return _cycle(r, False, w1, w1, _rev(w2), back, _inv_letters(w2), back)
 
 
 # Measured once from the choreography above: |h| = 4|w1| + 2|w2| + 2|r| + 5,
@@ -94,7 +106,7 @@ def derivation_history(hw: Hardware, w0, steps):
     steps: iterable of (op, pos, r) with op in {"insert", "delete"}.
     Returns (history, final_word).
     """
-    w = _check_positive(w0)
+    w = _check_word(hw, w0, positive=True)
     h = []
     for op, pos, r in steps:
         rel = hw.ee.relator(r)
@@ -109,36 +121,22 @@ def derivation_history(hw: Hardware, w0, steps):
     return tuple(h), w
 
 
-def _inv_letters(word):
-    return tuple((i, -s) for i, s in word)
-
-
-def _rev(word):
-    return tuple(reversed(word))
-
-
 def bar_conjugated_insertion(hw: Hardware, w, u, r):
     """History h over the bar machine with
     barSigma(w)K1 o h = barSigma(w')K1 and w' = reduce(w u r u^-1)."""
     if r is None:
         raise DeriveError("conjugated insertion needs a relator index")
+    w, u = free_reduce(_check_word(hw, w)), free_reduce(_check_word(hw, u))
     rel = tuple((a, 1) for a in hw.ee.relator(r))
-    w, u = free_reduce(w), free_reduce(u)
     p = free_reduce(w + u)           # parked prefix w u
     q = free_reduce(p + rel)         # w u r
-    h = []
-    h += copy_history("1", p)                       # L <- p, P <- u^-1
-    h.append(RuleId("12", r, None, True, 1))
-    h += copy_history("2", p, r)                    # K <- p, L empty
-    h.append(RuleId("23", r, None, True, 1))
-    h += copy_history("3", _inv_letters(u), r)      # P empty, R <- u^-1
-    h.append(RuleId("34", r, None, True, 1))        # K <- p r
-    h += copy_history("4", _inv_letters(_rev(q)), r)  # K empty, L <- q
-    h.append(RuleId("45", r, None, True, 1))
-    h += copy_history("5", _rev(u), r)              # R empty, P <- u^-1
-    h.append(RuleId("51", r, None, True, 1))
-    h += copy_history("1", _inv_letters(_rev(q)))   # L empty, P <- q u^-1
-    return tuple(h)
+    return _cycle(r, True,
+                  p,                          # (1): L <- p, P <- u^-1
+                  p,                          # (12), (2): K <- p, L empty
+                  _inv_letters(u),            # (23), (3): P empty, R <- u^-1
+                  _inv_letters(_rev(q)),      # (34): K <- p r; (4): K empty, L <- q
+                  _rev(u),                    # (45), (5): R empty, P <- u^-1
+                  _inv_letters(_rev(q)))      # (51), (1): L empty, P <- q u^-1
 
 
 # ---------------------------------------------------------------------------

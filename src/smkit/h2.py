@@ -306,9 +306,9 @@ def x_words_conjugate(hw, w1, w2):
     Conjugate iff one is a cyclic permutation of the other, or cyclic shifts
     of the two are related uniform words.  Returns (flag, witness) where the
     witness names the rotation offset or the relating shift.  An empty word,
-    a letter that is not an x-letter, and an x-letter whose index exceeds
-    mbar, whose zone lies beyond N or whose rule names a relator the
-    presentation lacks are ValueErrors."""
+    a letter that is not an x-letter, and an x-letter whose tape or rule
+    index is outside 1..mbar, whose zone block is outside 1..N or whose rule
+    names a relator the presentation lacks are ValueErrors."""
     mbar, nrel = hw.ee.mbar, len(hw.ee.nonempty)
     for w in (w1, w2):
         if len(w) == 0:
@@ -321,11 +321,16 @@ def x_words_conjugate(hw, w1, w2):
             if not isinstance(sym, X):
                 raise ValueError(f"{sym!r} is not an x-letter")
             tape, rule = sym.tape, sym.rule
-            if tape.i > mbar or (rule.i or 0) > mbar:
-                raise ValueError(f"{sym!r}: index exceeds mbar = {mbar}")
+            for i in (tape.i, 1 if rule.i is None else rule.i):
+                if i < 1:
+                    raise ValueError(f"{sym!r}: index {i} is below 1")
+                if i > mbar:
+                    raise ValueError(f"{sym!r}: index exceeds mbar = {mbar}")
+            if tape.zone.j < 1:
+                raise ValueError(f"{sym!r}: zone {tape.zone!r} is below block 1")
             if tape.zone.j > hw.N:
                 raise ValueError(f"{sym!r}: zone {tape.zone!r} is beyond N = {hw.N}")
-            if (rule.r or 0) > nrel:
+            if rule.r is not None and not 1 <= rule.r <= nrel:
                 raise ValueError(f"{sym!r}: no relator r{rule.r}")
     if w1 == w2:
         return True, "cyclic permutation"

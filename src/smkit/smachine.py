@@ -58,45 +58,39 @@ from typing import Optional
 
 from .hardware import AdmissibleError, AdmissibleWord, Hardware, PositivityViolation
 from .words import (
-    AGE_FAMILIES, BaseLetter, Coord, RuleId, EMPTY, TRANSITION_FAMILIES, Word, reduced_word,
+    AGE_FAMILIES, FAMILIES, BaseLetter, Coord, RuleId, EMPTY, TRANSITION_FAMILIES, Word,
+    family_relators, reduced_word,
 )
 
-LOCKS = {
-    "1": frozenset("KR"), "12": frozenset("KR"), "2": frozenset("R"),
-    "23": frozenset("LR"), "3": frozenset("L"), "34": frozenset("LP"),
-    "4": frozenset("P"), "45": frozenset("KP"), "5": frozenset("K"),
-    "51": frozenset("KR"),
+# One row per family, the table of the module docstring: source and target age, the zone
+# kinds it locks, and the letter kind it acts at with the sign of the tape
+# letter it attaches before that letter (the inverse letter goes after);
+# t34 attaches its relator before L instead, and transitions act at none.
+FAMILY_ROWS = {
+    "1": (1, 1, frozenset("KR"), "P", 1),
+    "12": (1, 2, frozenset("KR"), None, None),
+    "2": (2, 2, frozenset("R"), "L", 1),
+    "23": (2, 3, frozenset("LR"), None, None),
+    "3": (3, 3, frozenset("L"), "R", -1),
+    "34": (3, 4, frozenset("LP"), "L", None),
+    "4": (4, 4, frozenset("P"), "L", 1),
+    "45": (4, 5, frozenset("KP"), None, None),
+    "5": (5, 5, frozenset("K"), "R", -1),
+    "51": (5, 1, frozenset("KR"), None, None),
 }
 
-# acting letter kind per family, with (v, u) as words over (index, sign)
-def _actions(ee, rid):
-    i, f = rid.i, rid.family
-    if f == "1":
-        return {"P": (((i, 1),), ((i, -1),))}
-    if f in ("2", "4"):
-        return {"L": (((i, 1),), ((i, -1),))}
-    if f in ("3", "5"):
-        return {"R": (((i, -1),), ((i, 1),))}
-    if f == "34":
-        return {"L": (tuple((a, 1) for a in ee.relator(rid.r)), ())}
-    return {}
 
-
-def _coords(rid):
-    f, r = rid.family, rid.r
-    table = {
-        "1": (Coord(None, 1), Coord(None, 1)),
-        "12": (Coord(None, 1), Coord(r, 2)),
-        "2": (Coord(r, 2), Coord(r, 2)),
-        "23": (Coord(r, 2), Coord(r, 3)),
-        "3": (Coord(r, 3), Coord(r, 3)),
-        "34": (Coord(r, 3), Coord(r, 4)),
-        "4": (Coord(r, 4), Coord(r, 4)),
-        "45": (Coord(r, 4), Coord(r, 5)),
-        "5": (Coord(r, 5), Coord(r, 5)),
-        "51": (Coord(r, 5), Coord(None, 1)),
-    }
-    return table[f]
+def _build_rule(ee, rid):
+    """The positive rule rid from its family's row; age 1 sits at the empty
+    relator."""
+    src, dst, locks, kind, sign = FAMILY_ROWS[rid.family]
+    actions = {}
+    if sign is not None:
+        actions[kind] = (((rid.i, sign),), ((rid.i, -sign),))
+    elif kind is not None:  # t34
+        actions[kind] = (tuple((a, 1) for a in ee.relator(rid.r)), ())
+    return Rule(rid, Coord(None if src == 1 else rid.r, src),
+                Coord(None if dst == 1 else rid.r, dst), locks, actions)
 
 
 @dataclass(frozen=True)
@@ -132,20 +126,10 @@ class Diagnosis:
 
 def enumerate_rule_ids(ee, bar=False):
     """All positive rule names, in the canonical deterministic order."""
-    out = []
-    nr = len(ee.nonempty)
-    every_r = [None] + list(range(1, nr + 1))
-    nonempty_r = list(range(1, nr + 1))
-    for f in ("1", "12", "2", "23", "3", "34", "4", "45", "5", "51"):
-        if f == "1":
-            out += [RuleId(f, None, i, bar) for i in range(1, ee.mbar + 1)]
-        elif f in ("12", "34"):
-            out += [RuleId(f, r, None, bar) for r in nonempty_r]
-        elif f in AGE_FAMILIES:
-            out += [RuleId(f, r, i, bar) for r in every_r for i in range(1, ee.mbar + 1)]
-        else:
-            out += [RuleId(f, r, None, bar) for r in every_r]
-    return out
+    indices = range(1, ee.mbar + 1)
+    return [RuleId(f, r, i, bar) for f in FAMILIES
+            for r in family_relators(f, len(ee.nonempty))
+            for i in (indices if f in AGE_FAMILIES else (None,))]
 
 
 class Machine:
@@ -158,12 +142,8 @@ class Machine:
         self.ee = hardware.ee
         self.flavor = flavor
         bars = {"strict": (False,), "bar": (True,), "mixed": (False, True)}[flavor]
-        self.rules = {}
-        for bar in bars:
-            for rid in enumerate_rule_ids(self.ee, bar):
-                src, dst = _coords(rid)
-                self.rules[rid] = Rule(rid, src, dst, LOCKS[rid.family],
-                                       _actions(self.ee, rid))
+        self.rules = {rid: _build_rule(self.ee, rid)
+                      for bar in bars for rid in enumerate_rule_ids(self.ee, bar)}
         self.distance = self._distances()
         self._by_src = None  # source coordinate -> signed candidates, on first use
         self._part_memo = {}
@@ -591,7 +571,7 @@ def brief_history(history):
 # Automaton for subwords of f0 h1 f1 ... hs fs where the h's are historical
 # periods (12)(2)(23)(3)(34)(4)(45)(5)(51) or inverses with optionally empty
 # ages and the f's are single (1)-ages.
-_PERIOD = ("(12)", "(2)", "(23)", "(3)", "(34)", "(4)", "(45)", "(5)", "(51)")
+_PERIOD = tuple(f"({f})" for f in FAMILIES[1:])
 
 
 def _history_graph():

@@ -49,9 +49,24 @@ from functools import total_ordering
 from itertools import islice
 
 KINDS = "KLPR"
+# The rule families in the order of the machine's cycle: ages (which take a
+# tape index) at even positions, the transitions between them at odd ones.
 FAMILIES = ("1", "12", "2", "23", "3", "34", "4", "45", "5", "51")
-TRANSITION_FAMILIES = frozenset(("12", "23", "34", "45", "51"))
-AGE_FAMILIES = frozenset(("1", "2", "3", "4", "5"))
+AGE_FAMILIES = frozenset(FAMILIES[0::2])
+TRANSITION_FAMILIES = frozenset(FAMILIES[1::2])
+# The relator argument: family 1 takes only the empty one (e), families 12
+# and 34 only a non-empty one (r<k>), every other family either.
+EMPTY_RELATOR_FAMILIES = frozenset(("1",))
+NONEMPTY_RELATOR_FAMILIES = frozenset(("12", "34"))
+
+
+def family_relators(family, nr):
+    """The relator arguments of the rules of ``family`` over nr non-empty
+    relators, in order: None (e) first, then 1..nr."""
+    if family in EMPTY_RELATOR_FAMILIES:
+        return (None,)
+    nonempty = tuple(range(1, nr + 1))
+    return nonempty if family in NONEMPTY_RELATOR_FAMILIES else (None,) + nonempty
 
 
 class TokenError(ValueError):
@@ -659,7 +674,7 @@ _PLAIN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 _ZONE_RE = re.compile(r"([KLPR])(\d+)$")
 _TAPE_RE = re.compile(r"(~?)a(\d+)\(([KLPR]\d+)\)$")
 _STATE_RE = re.compile(r"(~?)([KLPR])(\d+)\((e|r\d+),(\d+)\)$")
-_RULE_RE = re.compile(r"(~?)t(1|12|2|23|3|34|4|45|5|51)\(([^()]*)\)$")
+_RULE_RE = re.compile(r"(~?)t(" + "|".join(FAMILIES) + r")\(([^()]*)\)$")
 
 
 def coord_token(r):
@@ -703,9 +718,9 @@ def parse_rule(tok):
         if len(parts) != 1:
             raise TokenError(f"rule {tok!r}: family {family} needs (coord)")
         r, i = _parse_coord_token(parts[0]), None
-    if family == "1" and r is not None:
-        raise TokenError(f"rule {tok!r}: family 1 carries the empty coordinate")
-    if family in ("12", "34") and r is None:
+    if family in EMPTY_RELATOR_FAMILIES and r is not None:
+        raise TokenError(f"rule {tok!r}: family {family} carries the empty coordinate")
+    if family in NONEMPTY_RELATOR_FAMILIES and r is None:
         raise TokenError(f"rule {tok!r}: family {family} needs a non-empty relator")
     return RuleId(family, r, i, bar, sign)
 

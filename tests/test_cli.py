@@ -110,6 +110,20 @@ class TestDerive:
                                  "--verify")
         assert code == 0 and "final word: a2" in err
 
+    @pytest.mark.parametrize("word", ("a0", "a7"))
+    @pytest.mark.parametrize("argv", (
+        ("chain", "--word", "{w}", "--steps", "insert 0 r1"),
+        ("chain", "--word", "{w}", "--steps", "insert 0 r1", "--verify"),
+        ("insert", "--word", "{w}", "--relator", "r1", "--verify"),
+        ("insert", "--bar", "--word", "{w}", "--relator", "r1", "--verify"),
+        ("insert", "--bar", "--conjugator", "{w}", "--relator", "r1", "--verify")),
+        ids=("chain", "chain-verify", "insert", "insert-bar", "insert-bar-conjugator"))
+    def test_generator_naming_nothing_exit_two(self, capsys, word, argv):
+        code, out, err = run_cli(capsys, "derive", argv[0], "--ee", EE,
+                                 *(a.format(w=word) for a in argv[1:]))
+        assert code == 2 and out == ""
+        assert err == f"error: {word} names no generator (mbar = 2)\n"
+
     def test_bad_relator_exit_two(self, capsys):
         code, _, _ = run_cli(capsys, "derive", "insert", "--ee", EE,
                              "--relator", "q1")
@@ -180,7 +194,9 @@ class TestStatsAndXconj:
         assert code == 0 and "conjugate" in out
 
     @pytest.mark.parametrize("w2", ("x(a9(L2),t2(r1,1))", "x(a1(L12),t2(r1,1))",
-                                    "x(a1(L2),t2(r9,1))"))
+                                    "x(a1(L2),t2(r9,1))", "x(a0(L2),t2(r1,1))",
+                                    "x(a1(L0),t2(r1,1))", "x(a1(L2),t2(r0,1))",
+                                    "x(a1(L2),t2(r1,0))"))
     def test_xconj_letter_naming_nothing_exit_two(self, capsys, w2):
         code, out, err = run_cli(capsys, "xconj", "--ee", EE,
                                  "--w1", "x(a1(L2),t2(r1,1))", "--w2", w2)

@@ -149,6 +149,29 @@ class TestBarConjugatedInsertion:
             assert is_reduced_history(h)
 
 
+class TestGeneratorRange:
+    @pytest.mark.parametrize("word", (((0, 1),), ((7, 1),), ((1, 1), (7, 1))),
+                             ids=("a0", "a7", "a1-a7"))
+    def test_rejected_before_any_rule_is_built(self, hw, word, monkeypatch):
+        import smkit.derive
+
+        def no_rule(*args):
+            raise AssertionError("a rule was built")
+
+        monkeypatch.setattr(smkit.derive, "RuleId", no_rule)
+        bad = word[-1][0]
+        calls = (
+            lambda: insertion_history(hw, word, 0, 1),
+            lambda: insertion_history(hw, word, 0, 1, delete=True),
+            lambda: derivation_history(hw, word, [("insert", 0, 1)]),
+            lambda: bar_conjugated_insertion(hw, word, (), 1),
+            lambda: bar_conjugated_insertion(hw, (), word, 1),
+        )
+        for call in calls:
+            with pytest.raises(DeriveError, match=f"a{bad} names no generator"):
+                call()
+
+
 class TestCopyHistory:
     def test_copy_shape(self):
         h = copy_history("2", ((1, 1), (2, -1)), r=1)

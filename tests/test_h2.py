@@ -334,7 +334,11 @@ class TestConjugacy:
         ("x(a9(L2),t2(r1,1))", "index exceeds mbar = 2"),
         ("x(a1(L2),t2(r1,3))", "index exceeds mbar = 2"),
         ("x(a1(L12),t2(r1,1))", "zone L12 is beyond N = 8"),
-        ("x(a1(L2),t2(r9,1))", "no relator r9")))
+        ("x(a1(L2),t2(r9,1))", "no relator r9"),
+        ("x(a0(L2),t2(r1,1))", "index 0 is below 1"),
+        ("x(a1(L0),t2(r1,1))", "zone L0 is below block 1"),
+        ("x(a1(L2),t2(r0,1))", "no relator r0"),
+        ("x(a1(L2),t2(r1,0))", "index 0 is below 1")))
     def test_rejects_letters_that_name_nothing(self, hw, text, message):
         good = CyclicWord(parse_word("x(a1(L2),t2(r1,1))").letters)
         bad = CyclicWord(parse_word(text).letters)

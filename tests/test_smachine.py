@@ -1,18 +1,48 @@
+import re
+
 import pytest
 
 from genwords import (
     applicable_rules, random_bar_word, random_positive, random_sigma_word,
     random_walk,
 )
+import smkit.smachine
 from smkit.hardware import BaseLetter
 from smkit.smachine import (
     NotApplicable, brief_history, diff, history_text, inverse_history,
     is_historical_form, is_reduced_history, parse_history, prefix,
     reduce_history, s34_count,
 )
-from smkit.words import Coord, Word, parse_rule, parse_word
+from smkit.words import (
+    AGE_FAMILIES, FAMILIES, KINDS, Coord, RuleId, Word, parse_rule, parse_word, rule_token,
+)
 
 B = BaseLetter
+
+
+def docstring_table():
+    """Family -> (source, target, locks, action) read off the table in the
+    smachine module docstring; a coordinate is (relator letter, age) and the
+    action is None (a transition), "relator" or (kind, sign of the letter
+    attached before it)."""
+    row = re.compile(r"\s+t(\d+)\([er](?:,i)?\)\s+(.+?)\s+locks ([KLPR,]+)"
+                     r"\s+\(([er]),(\d)\)\s+->\s+\(([er]),(\d)\)$")
+    table = {}
+    for line in smkit.smachine.__doc__.splitlines():
+        m = row.match(line)
+        if m is None:
+            continue
+        family, action, locks, sr, sa, dr, da = m.groups()
+        if action == "transition":
+            act = None
+        elif action.startswith("L -> r L"):
+            act = "relator"
+        else:
+            kind, rest = action.split(" -> ")
+            act = (kind, 1 if rest == f"a_i {kind} a_i^-1" else -1)
+            assert rest in (f"a_i {kind} a_i^-1", f"a_i^-1 {kind} a_i"), line
+        table[family] = ((sr, int(sa)), (dr, int(da)), frozenset(locks.split(",")), act)
+    return table
 
 
 class TestBuild:
@@ -32,6 +62,37 @@ class TestBuild:
         rule34 = strict.rule(parse_rule("t34(r2)"))
         assert rule34.v_spec("L") == ((2, 1), (1, 1))  # r2 = a2 a1
         assert rule34.locks == frozenset("LP")
+
+    def test_docstring_table_names_every_family(self):
+        assert tuple(docstring_table()) == FAMILIES
+
+    @pytest.mark.parametrize("bar", (False, True), ids=("plain", "bar"))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rule_matches_docstring_table(self, ee, mixed, family, bar):
+        src, dst, locks, act = docstring_table()[family]
+        rid = RuleId(family, None if family == "1" else 2,
+                     2 if family in AGE_FAMILIES else None, bar)
+
+        def coord(rel, age):
+            return Coord(None if rel == "e" else rid.r, age)
+
+        assert mixed.coords_of(rid) == (coord(*src), coord(*dst))
+        assert mixed.coords_of(rid.inverse) == (coord(*dst), coord(*src))
+        rule = mixed.rule(rid)
+        assert rule.locks == locks
+        for kind in KINDS:
+            if act == "relator" and kind == "L":
+                want = (tuple((a, 1) for a in ee.relator(rid.r)), ())
+            elif act is not None and kind == act[0]:
+                want = (((rid.i, act[1]),), ((rid.i, -act[1]),))
+            else:
+                want = ((), ())
+            assert (rule.v_spec(kind), rule.u_spec(kind)) == want, kind
+
+    def test_rule_tokens_round_trip(self, mixed):
+        for rid in mixed.rule_ids():
+            for signed in (rid, rid.inverse):
+                assert parse_rule(rule_token(signed)) is signed
 
     def test_inverses_available(self, strict):
         for rid in strict.rule_ids():

@@ -156,10 +156,16 @@ class TestTokens:
             assert rule_token(parse_rule(text)) == text
 
     def test_rejects(self):
-        for bad in ["t1(r1,3)", "t12(e)", "a(L2)", "x(~a1(L2),t2(r1,1))",
-                    "x(a1(P2),t2(r1,1))", "K1(e)", "th(t2(r1,1)^-1,L3)"]:
+        for bad in ["a(L2)", "x(~a1(L2),t2(r1,1))", "x(a1(P2),t2(r1,1))", "K1(e)",
+                    "th(t2(r1,1)^-1,L3)"]:
             with pytest.raises(TokenError):
-                parse_symbol(bad) if "(" in bad else parse_rule(bad)
+                parse_symbol(bad)
+        for bad, message in [("t1(r1,3)", "family 1 carries the empty coordinate"),
+                             ("t12(e)", "family 12 needs a non-empty relator"),
+                             ("t34(e)", "family 34 needs a non-empty relator"),
+                             ("t1(e)", r"family 1 needs \(coord,i\)")]:
+            with pytest.raises(TokenError, match=message):
+                parse_rule(bad)
 
 
 def brute_matchings(w):
