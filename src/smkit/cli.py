@@ -116,6 +116,15 @@ def cmd_run(args):
 
 
 def cmd_derive_insert(args):
+    """A bar history appends the conjugate u r u^-1 to the word, so --delete
+    and --pos apply only to plain histories and --conjugator only to bar
+    ones; an option that does not apply is a usage error."""
+    if args.bar and args.delete:
+        raise ValueError("--delete does not apply with --bar")
+    if args.bar and args.pos is not None:
+        raise ValueError("--pos does not apply with --bar")
+    if not args.bar and args.conjugator is not None:
+        raise ValueError("--conjugator applies only with --bar")
     hw = _load_hw(args)
     w = _gen_word(_slurp(args.word) or "")
     r = _relator_index(args.relator)
@@ -125,7 +134,7 @@ def cmd_derive_insert(args):
         machine = Machine(hw, "bar")
         W0 = hw.sigma_w(w, flavor="bar")
     else:
-        h = insertion_history(hw, w, args.pos, r, delete=args.delete)
+        h = insertion_history(hw, w, args.pos or 0, r, delete=args.delete)
         machine = Machine(hw, "strict")
         W0 = hw.sigma_w(w)
     print(history_text(h))
@@ -302,11 +311,11 @@ def build_parser():
     sp = dsub.add_parser("insert", help="relator insertion/deletion history")
     common(sp)
     sp.add_argument("--word", default="")
-    sp.add_argument("--pos", type=int, default=0)
+    sp.add_argument("--pos", type=int, help="position in the word (default 0; not with --bar)")
     sp.add_argument("--relator", required=True)
-    sp.add_argument("--delete", action="store_true")
+    sp.add_argument("--delete", action="store_true", help="delete the relator (not with --bar)")
     sp.add_argument("--bar", action="store_true")
-    sp.add_argument("--conjugator", default="")
+    sp.add_argument("--conjugator", help="bar insertion's conjugating word (only with --bar)")
     sp.add_argument("--verify", action="store_true")
     sp.set_defaults(fn=cmd_derive_insert)
     sp = dsub.add_parser("chain", help="history for a sequence of steps")

@@ -22,8 +22,12 @@ with b' the brother of b in the zone before z (exponent 4 at L-letters).
 Bar rules contribute the same main/theta_a families with barred letters,
 all x-letters erased and the j=1 zone letters dropped; finally there is the
 single hub relator.  Relators for negative rules are consequences and are
-not emitted; every relator is normalized to the lexicographically least of
-the cyclic rotations of itself and its inverse before deduplication.
+not emitted.  Every relator is stored in its canonical form, the
+lexicographically least of the cyclic rotations of itself and its inverse,
+before deduplication.  Main, bar_main and hub relators vary with the rule
+and go through ``normalize_relator``; the fixed-shape kinds (theta_a,
+bar_theta_a, a_x, k_x) are spelled in their canonical form directly, as
+``rule_relations`` explains.
 """
 
 from __future__ import annotations
@@ -262,20 +266,26 @@ def rule_relations(machine: Machine, rid: RuleId):
     ``emit`` lists them: main, then theta_a, then (plain rules only) a_x and
     k_x, or their bar kinds for a bar rule.
 
-    Each relator is spelled once as a tuple of letters and freely reduced
-    once, by the Word that ``normalize_relator`` receives."""
+    Main relators carry the rule's tape words v and u, so each is spelled
+    as a tuple of letters and goes through ``normalize_relator``.  Every
+    other relator has a fixed shape, and is spelled in its canonical form
+    directly.  ``symbol_key`` ranks tape < state < theta < x letters, and a
+    positive letter before its inverse.  Each such relator has exactly one
+    least letter: its positive tape letter, or for k_x its positive state
+    letter.  Only the rotation read from that letter can be least, and the
+    inverse's one candidate starts at the same letter.  The comments below
+    name the first letter where the two differ."""
     hw = machine.hw
     rule = machine.rules[rid]
     bar = rid.bar
     rels = []
-
-    def add(kind, letters):
-        rels.append(Relation(kind, normalize_relator(Word(letters))))
+    add = rels.append
 
     indices = range(1, hw.ee.mbar + 1)
     zones = [hw.zone_after((bl, s)) for bl, s in hw.sigma]
     theta = {z: Theta(rid, z) for z in zones}
     # main relations, one per unsigned basic letter
+    kind = "bar_main" if bar else "main"
     for bl, _ in hw.sigma:
         zb, za = hw.zones_of(bl)
         src = hw.state(bl.kind, bl.j, rule.src, bar)
@@ -284,33 +294,49 @@ def rule_relations(machine: Machine, rid: RuleId):
         if not bar:
             v, u = _alpha_letters(rid.inverse, v), _alpha_letters(rid.inverse, u)
         # th(zb)^-1 src th(za) (v dst u)^-1
-        add("bar_main" if bar else "main",
+        add(Relation(kind, normalize_relator(Word(
             ((theta[zb], -1), (src, 1), (theta[za], 1), *_inverse(u),
-             (dst, -1), *_inverse(v)))
-    # theta-tape commutations at unlocked zones
+             (dst, -1), *_inverse(v))))))
+    # theta-tape commutations at unlocked zones:
+    # th^-1 alpha_tau(a) th alpha_tau^-1(a)^-1, read from a
+    kind = "bar_theta_a" if bar else "theta_a"
     for zone in zones:
         if zone.kind in rule.locks or (bar and zone.j == 1):
             continue
         th = theta[zone]
         for i in indices:
-            a = ((hw.tape(i, zone, bar), 1),)
-            top, bot = (a, a) if bar else \
-                (_alpha_letters(rid, a), _alpha_letters(rid.inverse, a))
-            add("bar_theta_a" if bar else "theta_a",
-                ((th, -1), *top, (th, 1), *_inverse(bot)))
+            a = hw.tape(i, zone, bar)
+            if bar or zone.kind == "P":
+                # alpha fixes a: a th a^-1 th^-1; the inverse reads a th^-1
+                letters = ((a, 1), (th, 1), (a, -1), (th, -1))
+            elif zone.kind == "R":
+                # alpha_tau(a) = a x: a x th x a^-1 th^-1; the inverse reads a x^-1
+                x = X(a, rid)
+                letters = ((a, 1), (x, 1), (th, 1), (x, 1), (a, -1), (th, -1))
+            else:
+                # alpha_tau(a) = x a: a th a^-1 x th^-1 x; the inverse reads a x^-1
+                x = X(a, rid)
+                letters = ((a, 1), (th, 1), (a, -1), (x, 1), (th, -1), (x, 1))
+            add(Relation(kind, CyclicWord._rotated(letters)))
     if bar:
         return rels
     tapes = {z: [hw.tape(i, z) for i in indices] for z in zones}
     xs = {z: [X(t, rid) for t in tapes[z]] for z in zones}
-    # tape-x conjugation relations over K/L/R zones
+    # tape-x conjugation relations over K/L/R zones:
+    # a x a^-1 x^-4 (K, L) and a x^4 a^-1 x^-1 (R, the inverse of
+    # a^-1 x a x^-4 read from a); each inverse reads a x^-1
     for zone in zones:
         if zone.kind == "P":
             continue
-        ax = 1 if zone.kind in "KL" else -1
         for a in tapes[zone]:
             for x in xs[zone]:
-                add("a_x", ((a, ax), (x, 1), (a, -ax)) + ((x, -1),) * 4)
-    # state-x crossing relations at K and L letters
+                if zone.kind == "R":
+                    letters = ((a, 1),) + ((x, 1),) * 4 + ((a, -1), (x, -1))
+                else:
+                    letters = ((a, 1), (x, 1), (a, -1)) + ((x, -1),) * 4
+                add(Relation("a_x", CyclicWord._rotated(letters)))
+    # state-x crossing relations at K and L letters:
+    # z x z^-1 x'^-exp, read from z; the inverse reads z x^-1
     for bl, _ in hw.sigma:
         if bl.kind not in "KL":
             continue
@@ -319,7 +345,8 @@ def rule_relations(machine: Machine, rid: RuleId):
         for coord in hw.ee.coords():
             z = State(bl.kind, bl.j, coord)
             for x, x2 in zip(xs[za], xs[zb]):
-                add("k_x", ((z, 1), (x, 1), (z, -1)) + ((x2, -1),) * exp)
+                add(Relation("k_x", CyclicWord._rotated(
+                    ((z, 1), (x, 1), (z, -1)) + ((x2, -1),) * exp)))
     return rels
 
 

@@ -4,7 +4,8 @@ Nothing here shares code paths with the library algorithms it checks:
 matchings are enumerated over all position pairings and filtered, the
 x-word conjugacy oracle is a plain breadth-first closure over the
 elementary conjugation moves, relator canonicalization strips and
-rotates letter by letter, trying every rotation, admissibility is checked
+rotates letter by letter, trying every rotation, the fixed-shape relators
+are spelled as the paper writes each relation, admissibility is checked
 letter by letter with no sector table, rule application checks a rule,
 then builds and validates its result twice with unmemoized tape parts and
 no step plan, pair nesting compares every arc with every other, the minus
@@ -24,8 +25,8 @@ from smkit.hardware import (
 from smkit.presentation import PresentationError
 from smkit.smachine import Diagnosis
 from smkit.words import (
-    EMPTY, FAMILIES, KINDS, CyclicWord, DyckPairing, State, Tape, Theta, X, is_dyck,
-    letter_key,
+    EMPTY, FAMILIES, KINDS, CyclicWord, DyckPairing, State, Tape, Theta, Word, X,
+    is_dyck, letter_key,
 )
 
 
@@ -201,6 +202,62 @@ def normalize_relator(w):
     ka = [letter_key(l) for l in a]
     kb = [letter_key(l) for l in b]
     return a if ka <= kb else b
+
+
+def fixed_shape_relators(machine, rid):
+    """(kind, letters) of the theta_a or bar_theta_a, a_x and k_x relators
+    of the positive rule rid, in emission order: each relation spelled as
+    the paper writes it, then put in canonical form by ``normalize_relator``
+    above."""
+    hw, bar = machine.hw, rid.bar
+    rule = machine.rules[rid]
+    zones = [hw.zone_after(y) for y in hw.sigma]
+    indices = range(1, hw.ee.mbar + 1)
+
+    def alpha(a, sign):
+        """alpha of the rule tau^sign at the tape letter a."""
+        if bar or a.zone.kind == "P":
+            return [(a, 1)]
+        x = (X(a, rid), sign)
+        return [(a, 1), x] if a.zone.kind == "R" else [x, (a, 1)]
+
+    def relator(kind, letters):
+        return kind, normalize_relator(Word(letters))
+
+    out = []
+    for zone in zones:
+        if zone.kind in rule.locks or (bar and zone.j == 1):
+            continue
+        th = Theta(rid, zone)
+        for i in indices:
+            a = hw.tape(i, zone, bar)
+            # th^-1 alpha_tau(a) th = alpha_tau^-1(a)
+            bottom = [(y, -s) for y, s in reversed(alpha(a, -1))]
+            out.append(relator("bar_theta_a" if bar else "theta_a",
+                               [(th, -1)] + alpha(a, 1) + [(th, 1)] + bottom))
+    if bar:
+        return out
+    for zone in zones:
+        if zone.kind == "P":
+            continue
+        s = -1 if zone.kind == "R" else 1
+        for i in indices:
+            for k in indices:
+                a, x = hw.tape(i, zone), X(hw.tape(k, zone), rid)
+                # a x a^-1 = x^4 (K, L) or a^-1 x a = x^4 (R)
+                out.append(relator("a_x", [(a, s), (x, 1), (a, -s)] + [(x, -1)] * 4))
+    for bl, _ in hw.sigma:
+        if bl.kind not in "KL":
+            continue
+        before, after = hw.zones_of(bl)
+        for coord in hw.ee.coords():
+            z = State(bl.kind, bl.j, coord)
+            for i in indices:
+                x, brother = X(hw.tape(i, after), rid), X(hw.tape(i, before), rid)
+                # z x z^-1 = x'^1 (K) or x'^4 (L)
+                e = 1 if bl.kind == "K" else 4
+                out.append(relator("k_x", [(z, 1), (x, 1), (z, -1)] + [(brother, -1)] * e))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,21 @@
 """Relator canonicalization: ``normalize_relator`` and ``cyclic_reduce``
 against the letter-by-letter references in ``oracles``, plus their laws."""
 
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import DATA
 from genwords import random_bar_word, random_sigma_word, random_walk
 from smkit.bands import Band, Cell, theta_band, trapezium, verify_band
 from smkit.cli import _rules_presentation
-from smkit.hardware import BaseLetter
-from smkit.presentation import PresentationError, normalize_relator
+from smkit.hardware import BaseLetter, Hardware, load_ee_file
+from smkit.presentation import (
+    PresentationError, emit, normalize_relator, rule_relations,
+)
+from smkit.smachine import Machine, enumerate_rule_ids
 from smkit.words import (
     Coord, CyclicWord, RuleId, State, Tape, Theta, Word, X, cyclic_reduce,
     wletter,
@@ -24,6 +30,9 @@ STRUCTURED = (
     X(Tape(1, B("K", 3)), RuleId("12", 1, None)),
 )
 PLAIN = ("a", "b", "c")
+
+FIXED_SHAPE = ("theta_a", "bar_theta_a", "a_x", "k_x")
+FOUR_EE = os.path.join(os.path.dirname(DATA), os.pardir, "perfbench", "data", "four.ee")
 
 
 def letters_of(symbols):
@@ -116,6 +125,35 @@ class TestDifferential:
     def test_cyclic_word_least_rotation(self, letters):
         k = oracles.least_rotation_index(letters)
         assert CyclicWord(letters).letters == tuple(letters[k:] + letters[:k])
+
+
+class TestSpelledRelators:
+    """``rule_relations`` spells theta_a, bar_theta_a, a_x and k_x relators
+    in canonical form without normalizing them.  Spelling R-zone a_x as the
+    paper writes it, a^-1 x a x^-4 unrotated, fails both tests."""
+
+    @pytest.fixture(scope="class", params=[
+        ("sample.ee", 8), pytest.param(("sample.ee", 10), marks=pytest.mark.slow),
+        pytest.param(("sample.ee", 12), marks=pytest.mark.slow), (FOUR_EE, 8)],
+        ids=["sample-N8", "sample-N10", "sample-N12", "four-N8"])
+    def machine(self, request):
+        path, n = request.param
+        return Machine(Hardware(load_ee_file(os.path.join(DATA, path)), n), "mixed")
+
+    def test_every_relator_is_canonical(self, machine):
+        pres = emit(machine.hw)
+        assert {rel.kind for rel in pres.relations} >= set(FIXED_SHAPE)
+        for rel in pres.relations:
+            w = rel.relator.word()
+            assert normalize_relator(w) == rel.relator, rel
+            assert oracles.normalize_relator(w) == rel.relator.letters, rel
+
+    def test_relators_are_the_papers(self, machine):
+        for bar in (False, True):
+            for rid in enumerate_rule_ids(machine.hw.ee, bar):
+                got = [(rel.kind, rel.relator.letters)
+                       for rel in rule_relations(machine, rid) if rel.kind in FIXED_SHAPE]
+                assert got == oracles.fixed_shape_relators(machine, rid), rid
 
 
 class TestLaws:

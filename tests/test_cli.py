@@ -129,6 +129,30 @@ class TestDerive:
                              "--relator", "q1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", (
+        (("--bar", "--delete"), "--delete does not apply with --bar"),
+        (("--bar", "--pos", "5"), "--pos does not apply with --bar"),
+        (("--bar", "--pos", "0"), "--pos does not apply with --bar"),
+        (("--bar", "--conjugator", "a2", "--delete", "--pos", "5"),
+         "--delete does not apply with --bar"),
+        (("--conjugator", "a2"), "--conjugator applies only with --bar"),
+        (("--conjugator", "a2", "--delete"), "--conjugator applies only with --bar"),
+        (("--conjugator", ""), "--conjugator applies only with --bar")),
+        ids=("bar-delete", "bar-pos", "bar-pos-zero", "bar-all", "conjugator",
+             "conjugator-delete", "conjugator-empty"))
+    def test_option_outside_its_mode_exit_two(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "derive", "insert", "--ee", EE,
+                                 "--relator", "r1", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_plain_delete_at_pos(self, capsys, hw):
+        from smkit.derive import insertion_history
+        from smkit.smachine import history_text
+        code, out, _ = run_cli(capsys, "derive", "insert", "--ee", EE, "--word", "a1 a1 a2",
+                               "--pos", "1", "--relator", "r1", "--delete", "--verify")
+        h = insertion_history(hw, ((1, 1), (1, 1), (2, 1)), 1, 1, delete=True)
+        assert (code, out) == (0, history_text(h) + "\n")
+
 
 class TestAccept:
     def test_depth_zero_target(self, capsys, tmp_path, hw):

@@ -16,7 +16,7 @@ from smkit.presentation import (
 from smkit.smachine import Machine, enumerate_rule_ids
 from smkit.words import (
     Coord, RuleId, State, Tape, Theta, Word, X, cyclic_reduce, parse_rule,
-    parse_word,
+    parse_word, word_to_text,
 )
 
 B = BaseLetter
@@ -255,6 +255,20 @@ class TestRoundTrip:
             back = read_presentation(f)
         assert back == pres
         assert provenance(back) == provenance(pres)
+
+    def test_reader_normalizes_any_spelling(self, pres):
+        """The N=8 presentation (``pres`` is emit(hw)) with each relator
+        rotated by one letter and every other one inverted: the reader puts
+        each back in canonical form, also the kinds ``emit`` spells in that
+        form directly."""
+        lines = [f"n: {pres.n}", "ee-file: -"]
+        for k, rel in enumerate(pres.relations):
+            letters = rel.relator.letters[1:] + rel.relator.letters[:1]
+            w = Word(letters, reduce=False)
+            spelled = w.inverse() if k % 2 else w
+            assert spelled.letters != rel.relator.letters
+            lines.append(f"relator {rel.kind}: {word_to_text(spelled)}")
+        assert read_presentation(io.StringIO("\n".join(lines) + "\n")) == pres
 
     def test_empty_presentation(self, tmp_path):
         p = Presentation(8, "x", ())
