@@ -250,12 +250,12 @@ def fixed_shape_relators(machine, rid):
         if bl.kind not in "KL":
             continue
         before, after = hw.zones_of(bl)
+        e = 1 if bl.kind == "K" else 4
         for coord in hw.ee.coords():
             z = State(bl.kind, bl.j, coord)
             for i in indices:
                 x, brother = X(hw.tape(i, after), rid), X(hw.tape(i, before), rid)
-                # z x z^-1 = x'^1 (K) or x'^4 (L)
-                e = 1 if bl.kind == "K" else 4
+                # z x z^-1 = x'^e, e = 1 (K) or 4 (L)
                 out.append(relator("k_x", [(z, 1), (x, 1), (z, -1)] + [(brother, -1)] * e))
     return out
 
