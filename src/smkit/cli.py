@@ -83,7 +83,7 @@ def _known_rules(machine, history):
 
 def _machine_word(hw, args, flavor):
     text = _slurp(args.word)
-    return hw.parse_admissible(parse_word(text), flavor)
+    return hw.parse_admissible(parse_word(text, reduce=False), flavor)
 
 
 def cmd_present(args):
@@ -152,12 +152,17 @@ def cmd_derive_chain(args):
     hw = _load_hw(args)
     w = _gen_word(_slurp(args.word) or "")
     steps = []
-    for line in _slurp(args.steps).splitlines():
+    for lineno, line in enumerate(_slurp(args.steps).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        op, pos, r = line.split()
-        steps.append((op, int(pos), _relator_index(r)))
+        try:
+            op, pos, r = line.split()
+            pos = int(pos)
+        except ValueError:
+            raise ValueError(f"steps line {lineno}: expected 'insert|delete <pos> "
+                             f"<relator>', got {line!r}") from None
+        steps.append((op, pos, _relator_index(r)))
     h, final = derivation_history(hw, w, steps)
     print(history_text(h))
     if args.verify:
@@ -288,10 +293,9 @@ def build_parser():
     p = argparse.ArgumentParser(prog="smkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, n=True):
+    def common(sp):
         sp.add_argument("--ee", required=True, help="presentation file")
-        if n:
-            sp.add_argument("--n", type=int, default=8, help="block count (even, >= 8)")
+        sp.add_argument("--n", type=int, default=8, help="block count (even, >= 8)")
 
     sp = sub.add_parser("present", help="compile the machine into relators")
     common(sp)

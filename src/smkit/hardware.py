@@ -17,6 +17,14 @@ basic letters so that for every j the four sectors of the j-th block carry
 This is the unique naming under which rule insertions, W <-> W^-1 symmetry
 and theta-band gluing all agree; note that next to the letter K_j for even j
 sit the zones R_j (before) and R_{j-1} (after), not the zone K_j.
+``Hardware.zones`` lists the zone of the gap after each letter of the base
+word.
+
+The standard words are one walk over the base word and its zones: each
+state letter is followed by the tape word of the gap after it, inverted
+where the base word reads the gap backward (``sigma_four``).  The hub is
+the walk with no tape words, and the bar copy has no tape letters over the
+j=1 zones (``tape_word``).
 
 An admissible word is y_1 u_1 y_2 ... y_t u_t y_{t+1} where the y_i are
 signed state letters with equal coordinates, y_{i+1} is succ(y_i) or
@@ -64,7 +72,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .words import (
-    BaseLetter, Coord, State, Tape, Word, is_reduced, word_to_text,
+    EMPTY, BaseLetter, Coord, State, Tape, Word, is_reduced, word_to_text,
 )
 
 COORD_E1 = Coord(None, 1)
@@ -75,31 +83,27 @@ class EEError(ValueError):
 
 
 class AdmissibleError(ValueError):
-    def __init__(self, clause, detail=""):
-        self.clause = clause
+    """A failed clause of admissibility; ``clause`` is the subclass's name."""
+
+    def __init__(self, detail=""):
+        self.clause = type(self).__name__
         self.detail = detail
-        super().__init__(f"{clause}: {detail}" if detail else clause)
+        super().__init__(f"{self.clause}: {detail}" if detail else self.clause)
 
 
 class NotReduced(AdmissibleError):
-    def __init__(self, detail=""):
-        super().__init__("NotReduced", detail)
+    pass
 
 
 class BadBasePattern(AdmissibleError):
-    def __init__(self, detail=""):
-        super().__init__("BadBasePattern", detail)
+    pass
 
 
 class MixedCoordinates(AdmissibleError):
-    def __init__(self, detail=""):
-        super().__init__("MixedCoordinates", detail)
+    pass
 
 
 class PositivityViolation(AdmissibleError):
-    def __init__(self, detail=""):
-        super().__init__("PositivityViolation", detail)
-
     @classmethod
     def at(cls, states, k):
         """The violation in sector k of a strict word with these states."""
@@ -107,13 +111,11 @@ class PositivityViolation(AdmissibleError):
 
 
 class BarSectorNotEmpty(AdmissibleError):
-    def __init__(self, detail=""):
-        super().__init__("BarSectorNotEmpty", detail)
+    pass
 
 
 class BadInnerAlphabet(AdmissibleError):
-    def __init__(self, detail=""):
-        super().__init__("BadInnerAlphabet", detail)
+    pass
 
 
 @dataclass(frozen=True)
@@ -277,21 +279,16 @@ class Hardware:
                 sigma += [(BaseLetter(k, j), -1) for k in "KRPL"]
                 zones += [BaseLetter(k, j) for k in "RPLK"]
         self.sigma = tuple(sigma)  # the cyclic base word, 4N signed letters
-        self._zone_after_pos = tuple(zones)  # zone of the gap after position p
+        self.zones = tuple(zones)  # zones[p]: the zone of the gap after sigma[p]
         self._pos = {bl: p for p, (bl, _) in enumerate(sigma)}
         self._orient = {bl: s for bl, s in sigma}
         self._zone_after = {}  # signed letter -> zone, filled by zone_after
         self._zone_components = None  # filled by h2.zone_components
         self._sector_tables = {}  # states tuple -> SectorTable, by sector_table
-        self._flanks = {}
-        for j in range(1, N + 1):
-            L, P, R = (BaseLetter(k, j) for k in "LPR")
-            lL = self.pred((L, 1))
-            rR = self.succ((R, 1))
-            self._flanks[BaseLetter("K", j)] = (lL, (L, 1))
-            self._flanks[L] = ((L, 1), (P, 1))
-            self._flanks[P] = ((P, 1), (R, 1))
-            self._flanks[R] = ((R, 1), rR)
+        # the letters on either side of each gap, in its zone's canonical
+        # direction: forward in odd blocks, backward in even ones
+        self._flanks = {zone: (y, y2) if y[1] > 0 else ((y2[0], -y2[1]), (y[0], -y[1]))
+                        for y, zone, y2 in zip(sigma, zones, sigma[1:] + sigma[:1])}
 
     # -- signed-letter geometry ------------------------------------------
 
@@ -305,13 +302,8 @@ class Hardware:
         return (nb, -ns)
 
     def pred(self, y):
-        bl, s = y
-        p = self._pos[bl]
-        if s == self._orient[bl]:
-            nb, ns = self.sigma[(p - 1) % len(self.sigma)]
-            return (nb, ns)
-        nb, ns = self.sigma[(p + 1) % len(self.sigma)]
-        return (nb, -ns)
+        bl, s = self.succ((y[0], -y[1]))
+        return (bl, -s)
 
     def zone_after(self, y):
         """Zone of the sector that starts at the signed letter y (looked up
@@ -322,15 +314,12 @@ class Hardware:
             p = self._pos[bl]
             if s != self._orient[bl]:
                 p -= 1
-            zone = self._zone_after[y] = self._zone_after_pos[p % len(self.sigma)]
+            zone = self._zone_after[y] = self.zones[p % len(self.sigma)]
         return zone
-
-    def zone_before(self, y):
-        return self.zone_after((y[0], -y[1]))
 
     def zones_of(self, z: BaseLetter):
         """(zone before z, zone after z) along z's positive direction."""
-        return self.zone_before((z, 1)), self.zone_after((z, 1))
+        return self.zone_after((z, -1)), self.zone_after((z, 1))
 
     def zone_flanks(self, zone: BaseLetter):
         """(left, right) signed letters of the zone in canonical direction."""
@@ -354,7 +343,11 @@ class Hardware:
         return State(kind, j, coord, bar)
 
     def tape_word(self, w, zone, bar=False, invert=False):
-        """Copy of w (a sequence of (index, sign) pairs) in the zone alphabet."""
+        """Copy of w (a sequence of (index, sign) pairs) in the zone alphabet,
+        inverted when ``invert`` is set.  The bar copy has no tape letters
+        over the j=1 zones, so there it is the empty word whatever w is."""
+        if bar and zone.j == 1:
+            return EMPTY
         seq = [(self.tape(i, zone, bar), s) for i, s in w]
         if invert:
             seq = [(t, -s) for t, s in reversed(seq)]
@@ -376,32 +369,24 @@ class Hardware:
 
     def hub(self):
         """The hub: the base word decorated with coordinates (e,1)."""
-        return Word(((State(bl.kind, bl.j, COORD_E1), s) for bl, s in self.sigma),
-                    reduce=False)
+        return self.sigma_four((), (), (), ())
 
     def sigma_four(self, w1, w2, w3, w4, r=None, i=1, bar=False):
-        """The block word family of the four-slot standard words.
+        """The block word family of the four-slot standard words: one walk
+        over the base word, each state letter at coordinate (r, i) followed
+        by the tape word of the gap after it.
 
-        Block j carries w1 in its K_j-zone, w2 in L_j, w3 in P_j, w4 in R_j;
-        even blocks appear inverted.  The bar variant empties block 1 and
-        bars the letters.  Returns a plain Word (no trailing state letter).
+        The K_j-zone carries w1, L_j w2, P_j w3 and R_j w4, inverted where
+        the base word reads the gap backward (the even blocks).  The bar
+        variant bars the letters, and its j=1 zones carry none (see
+        ``tape_word``).  Returns a plain Word (no trailing state letter).
         """
         coord = Coord(r, i)
+        slots = {"K": w1, "L": w2, "P": w3, "R": w4}
         letters = []
-        for j in range(1, self.N + 1):
-            wpart = []
-            for kind, w in (("L", w1), ("P", w2), ("R", w3)):
-                zone = self.zone_before((BaseLetter(kind, j), 1))
-                if not (bar and zone.j == 1):
-                    wpart += list(self.tape_word(w, zone, bar).letters)
-                wpart.append((self.state(kind, j, coord, bar), 1))
-            zone = self.zone_after((BaseLetter("R", j), 1))
-            if not (bar and zone.j == 1):
-                wpart += list(self.tape_word(w4, zone, bar).letters)
-            ksign = 1 if j % 2 else -1
-            if j % 2 == 0:
-                wpart = [(sym, -s) for sym, s in reversed(wpart)]
-            letters += [(self.state("K", j, coord, bar), ksign)] + wpart
+        for (bl, s), zone in zip(self.sigma, self.zones):
+            letters.append((self.state(bl.kind, bl.j, coord, bar), s))
+            letters += self.tape_word(slots[zone.kind], zone, bar, s < 0).letters
         return Word(letters)
 
     def sigma_w(self, w, flavor="strict"):

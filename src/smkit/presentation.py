@@ -282,7 +282,7 @@ def rule_relations(machine: Machine, rid: RuleId):
     add = rels.append
 
     indices = range(1, hw.ee.mbar + 1)
-    zones = [hw.zone_after((bl, s)) for bl, s in hw.sigma]
+    zones = hw.zones
     theta = {z: Theta(rid, z) for z in zones}
     # main relations, one per unsigned basic letter
     kind = "bar_main" if bar else "main"

@@ -20,7 +20,8 @@ The ten positive families (i ranges over tape indices, r over relators):
 
 Negative rules are computed views (v, u inverted, coordinates swapped).
 The bar machine has the same table with barred letters, except that letters
-of the j=1 zones are dropped from every v and u.
+of the j=1 zones are dropped from every v and u (``Hardware.tape_word``
+builds no bar letters there).
 
 A rule never changes a word's base, so what it does to a word W is fixed by
 the rule and W's state letters; only the inner words vary.  ``_apply``
@@ -39,15 +40,15 @@ the table without hashing the states tuple, and its result costs what the
 rule attaches: in each changed sector only the two junctions with the
 attached words can cancel, and only the attached letters that survive can
 break admissibility.  The zone, index and plain/bar letter clauses hold by
-construction of the tape parts, and the plan knows whether the result's
-states have the shape of W's flavor.  What is left is the sign of the
-surviving attached letters in a strict sector that needs one: the first
-sector where one has another sign is the PositivityViolation the full
-``Hardware.validate`` would raise first, and is raised as such.  A result
-that passes carries its table and is trusted in turn.  When W is not
-trusted, the changed sectors are freely reduced in full and the full
-``validate`` runs, as it does when the result's states have the other
-shape.
+construction of the tape parts, and the result's states have the rule's
+plain or bar shape.  What is left is the sign of the surviving attached
+letters in a strict sector that needs one: the first sector where one has
+another sign is the PositivityViolation the full ``Hardware.validate``
+would raise first, and is raised as such.  A result that passes carries
+its table and is trusted in turn.  When W is not trusted, the changed
+sectors are freely reduced in full and the full ``validate`` runs, as it
+does when W's flavor asks for the other shape (a strict W under a bar
+rule, a bar W under a plain rule).
 """
 
 from __future__ import annotations
@@ -179,16 +180,10 @@ class Machine:
         if rid.sign < 0:
             v = tuple((i, -e) for i, e in reversed(v))
             u = tuple((i, -e) for i, e in reversed(u))
-
-        def mat(spec, zone, invert):
-            if rid.bar and zone.j == 1:
-                return EMPTY
-            return hw.tape_word(spec, zone, rid.bar, invert)
-
         if s > 0:
-            hit = mat(v, zb, False), mat(u, za, False)
+            hit = hw.tape_word(v, zb, rid.bar), hw.tape_word(u, za, rid.bar)
         else:
-            hit = mat(u, za, True), mat(v, zb, True)
+            hit = hw.tape_word(u, za, rid.bar, True), hw.tape_word(v, zb, rid.bar, True)
         self._part_memo[key] = hit
         return hit
 
@@ -247,9 +242,10 @@ class Machine:
         ``table`` is the SectorTable of W's states when the caller has it.
 
         On a trusted W each changed sector is joined at its two junctions
-        (``_attach``).  When W's flavor is among the plan's flavors (the
-        result's states have the plain or bar shape that flavor needs), the
-        only clause the result can fail is the sign of a surviving attached
+        (``_attach``).  The result's states are plain for a plain rule and
+        bar for a bar rule, so unless W's flavor asks for the other shape (a
+        strict W under a bar rule, a bar W under a plain rule), the only
+        clause the result can fail is the sign of a surviving attached
         letter in a strict sector; the first such sector is the first error
         ``validate`` would raise, and a result without one is trusted.
         Every other case runs the full ``validate``."""
@@ -258,9 +254,9 @@ class Machine:
         plan = table.plans.get(rid)
         if plan is None:
             plan = table.plans[rid] = self._plan(rid, W.states)
-        states, changes, out_table, flavors = plan
+        states, changes, out_table = plan
         trusted = W._table is table
-        fast = trusted and W.flavor in flavors
+        fast = trusted and W.flavor != ("strict" if rid.bar else "bar")
         strict = fast and W.flavor == "strict"
         inners = W.inners
         if changes:
@@ -288,10 +284,8 @@ class Machine:
         inner word becomes right + inner + left, freely reduced (the sectors
         not listed keep their inner words), where need is the sign the
         surviving letters of right and left must have in a strict word, or
-        None when every one of them has it or the sector needs none; the
-        result's SectorTable; and the flavors of a trusted word whose result
-        needs no check beyond those signs (the result's states have the
-        rule's plain or bar shape)."""
+        None when every one of them has it or the sector needs none; and
+        the result's SectorTable."""
         rule = self.rules[rid.positive]
         dst = rule.dst if rid.sign > 0 else rule.src
         state, parts = self.hw.state, self._parts
@@ -305,11 +299,7 @@ class Machine:
                 if need is not None and all(e == need for _, e in right + left):
                     need = None
                 changes.append((k, right, left, need))
-        if rid.bar:
-            flavors = ("bar", "mixed") if out_table.not_bar is None else ()
-        else:
-            flavors = ("strict", "mixed") if out_table.not_plain is None else ()
-        return out, tuple(changes), out_table, flavors
+        return out, tuple(changes), out_table
 
     def apply(self, rid: RuleId, W: AdmissibleWord):
         out, diag = self.step(rid, W)

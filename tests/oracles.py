@@ -10,10 +10,13 @@ letter by letter with no sector table, rule application checks a rule,
 then builds and validates its result twice with unmemoized tape parts and
 no step plan, pair nesting compares every arc with every other, the minus
 pairing is searched for over every non-crossing matching, the symbol order
-is recomputed from the fields, zone components are grown by search, and
-the acceptance search keys its words on their text.
+is recomputed from the fields, zone components are grown by search, the
+base-word geometry is read off hw.sigma and the zone-naming rule, the
+standard words are built block by block, and the acceptance search keys
+its words on their text.
 """
 
+import functools
 import itertools
 from collections import deque
 
@@ -25,8 +28,8 @@ from smkit.hardware import (
 from smkit.presentation import PresentationError
 from smkit.smachine import Diagnosis
 from smkit.words import (
-    EMPTY, FAMILIES, KINDS, CyclicWord, DyckPairing, State, Tape, Theta, Word, X,
-    is_dyck, letter_key,
+    EMPTY, FAMILIES, KINDS, BaseLetter, Coord, CyclicWord, DyckPairing, State, Tape, Theta,
+    Word, X, is_dyck, letter_key,
 )
 
 
@@ -114,7 +117,7 @@ def _zone_moves(hw):
     moves = []
     for bl, _ in hw.sigma:
         if bl.kind in "KL":
-            zb, za = hw.zones_of(bl)
+            zb, za = zones_of(hw, bl)
             moves.append((za, zb))
             moves.append((zb, za))
     return moves
@@ -261,18 +264,99 @@ def fixed_shape_relators(machine, rid):
 
 
 # ---------------------------------------------------------------------------
-# rule application: check, then build the result (and build it again)
+# base-word geometry, from hw.sigma and the zone-naming rule alone
 # ---------------------------------------------------------------------------
 
-def zone_after(hw, y):
-    """Zone of the sector starting at the signed letter y, from the base
-    word's positions."""
-    bl, s = y
-    p = hw._pos[bl]
-    if s == hw._orient[bl]:
-        return hw._zone_after_pos[p]
-    return hw._zone_after_pos[(p - 1) % len(hw.sigma)]
+# The zone of a gap by the unordered kinds of its two letters: (lL_j, L_j)
+# is the K_j-zone, (L_j, P_j) the L_j-zone, (P_j, R_j) the P_j-zone and
+# (R_j, rR_j) the R_j-zone, where lL_j and rR_j are K-type letters.
+_GAP_KIND = {frozenset("KL"): "K", frozenset("LP"): "L", frozenset("PR"): "P",
+             frozenset("KR"): "R"}
 
+
+def gap_zone(a, b):
+    """The zone of the gap between the adjacent base letters a and b, in
+    either order: j is that of the letter that is not of kind K."""
+    return BaseLetter(_GAP_KIND[frozenset((a.kind, b.kind))], (b if a.kind == "K" else a).j)
+
+
+def gap_zones(hw):
+    """The zone of the gap after each position of the base word."""
+    sigma = hw.sigma
+    return [gap_zone(sigma[p][0], sigma[(p + 1) % len(sigma)][0]) for p in range(len(sigma))]
+
+
+def _readings(hw):
+    """The cyclic base word read forward and backward (its inverse)."""
+    return hw.sigma, tuple((bl, -s) for bl, s in reversed(hw.sigma))
+
+
+@functools.cache
+def _neighbours(hw):
+    """Signed letter -> (the letter before it, the letter after it) in the
+    reading of the base word that contains it."""
+    out = {}
+    for word in _readings(hw):
+        for p, y in enumerate(word):
+            out[y] = (word[p - 1], word[(p + 1) % len(word)])
+    return out
+
+
+def succ(hw, y):
+    return _neighbours(hw)[y][1]
+
+
+def pred(hw, y):
+    return _neighbours(hw)[y][0]
+
+
+def zone_after(hw, y):
+    """Zone of the sector starting at the signed letter y."""
+    return gap_zone(y[0], succ(hw, y)[0])
+
+
+def zones_of(hw, z):
+    return gap_zone(pred(hw, (z, 1))[0], z), zone_after(hw, (z, 1))
+
+
+def zone_flanks(hw, zone):
+    """The letters on either side of the zone, read in the direction in
+    which its L, P and R letters are positive."""
+    for word in _readings(hw):
+        for y, y2 in zip(word, word[1:] + word[:1]):
+            if gap_zone(y[0], y2[0]) == zone and all(
+                    s > 0 for bl, s in (y, y2) if bl.kind != "K"):
+                return y, y2
+    raise KeyError(zone)
+
+
+def sigma_four(hw, w1, w2, w3, w4, r=None, i=1, bar=False):
+    """The four-slot standard word block by block: block j is K_j followed
+    by w1 L_j w2 P_j w3 R_j w4 over its zones, and an even block is that
+    word inverted (K_j^-1 first); the bar variant drops the letters of the
+    j=1 zones."""
+    coord = Coord(r, i)
+    letters = []
+    for j in range(1, hw.N + 1):
+        wpart = []
+        for kind, w in (("L", w1), ("P", w2), ("R", w3)):
+            zone = zones_of(hw, BaseLetter(kind, j))[0]
+            if not (bar and zone.j == 1):
+                wpart += [(hw.tape(a, zone, bar), e) for a, e in w]
+            wpart.append((hw.state(kind, j, coord, bar), 1))
+        zone = zones_of(hw, BaseLetter("R", j))[1]
+        if not (bar and zone.j == 1):
+            wpart += [(hw.tape(a, zone, bar), e) for a, e in w4]
+        ksign = 1 if j % 2 else -1
+        if j % 2 == 0:
+            wpart = [(sym, -s) for sym, s in reversed(wpart)]
+        letters += [(hw.state("K", j, coord, bar), ksign)] + wpart
+    return Word(letters)
+
+
+# ---------------------------------------------------------------------------
+# rule application: check, then build the result (and build it again)
+# ---------------------------------------------------------------------------
 
 # Hardware.validate and its shape checks as they were before the sector
 # table: every structural fact is looked up again on every call.
@@ -530,12 +614,13 @@ def zone_components(hw):
     """Zone -> component representative under the K/L crossing moves: each
     zone's component is grown by search, and its least zone (in base-word
     order) represents it."""
-    order = {z: p for p, z in enumerate(hw._zone_after_pos)}
+    zones = gap_zones(hw)
+    order = {z: p for p, z in enumerate(zones)}
     moves = {}
     for za, zb in _zone_moves(hw):
         moves.setdefault(za, set()).add(zb)
     out = {}
-    for z in hw._zone_after_pos:
+    for z in zones:
         if z in out:
             continue
         comp, todo = {z}, [z]

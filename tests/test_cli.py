@@ -124,6 +124,14 @@ class TestDerive:
         assert code == 2 and out == ""
         assert err == f"error: {word} names no generator (mbar = 2)\n"
 
+    @pytest.mark.parametrize("steps", ("insert 0", "insert x r1"))
+    def test_malformed_steps_line_exit_two(self, capsys, steps):
+        code, out, err = run_cli(capsys, "derive", "chain", "--ee", EE, "--word", "a1",
+                                 "--steps", "# a comment line\n" + steps)
+        assert (code, out) == (2, "")
+        assert err == (f"error: steps line 2: expected 'insert|delete <pos> <relator>', "
+                       f"got '{steps}'\n")
+
     def test_bad_relator_exit_two(self, capsys):
         code, _, _ = run_cli(capsys, "derive", "insert", "--ee", EE,
                              "--relator", "q1")
@@ -295,6 +303,22 @@ class TestPresent:
         with open(out_path) as f:
             pres = read_presentation(f)
         assert pres.stats()["main"] == 1248
+
+
+class TestUnreducedWord:
+    """A --word that is not freely reduced is not admissible (exit 2); it is
+    not reduced before the check."""
+
+    @pytest.mark.parametrize("word", ("K1(e,1) a1(K1) a1(K1)^-1 L1(e,1)",
+                                      "K1(e,1)^-1 K1(e,1)"))
+    @pytest.mark.parametrize("command", (
+        ("run", "--history", "t1(e,1)"),
+        ("accept", "--max-steps", "1"),
+        ("band", "--rule", "t1(e,1)"),
+        ("trapezium", "--history", "t1(e,1)")), ids=lambda c: c[0])
+    def test_exit_two(self, capsys, command, word):
+        code, out, err = run_cli(capsys, command[0], "--ee", EE, "--word", word, *command[1:])
+        assert (code, out, err) == (2, "", f"error: NotReduced: {word}\n")
 
 
 class TestUnknownRules:

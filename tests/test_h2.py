@@ -203,7 +203,7 @@ class TestUniformRelated:
         comp = zone_components(hw)
         assert zone_components(hw) is comp
         assert blocks(comp) == blocks(oracles.zone_components(hw))
-        assert set(comp) == set(hw._zone_after_pos)
+        assert set(comp) == set(oracles.gap_zones(hw))
         with pytest.raises(TypeError):
             comp[B("P", 1)] = B("P", 1)
 

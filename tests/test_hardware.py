@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from smkit.hardware import (
     BadBasePattern, BadInnerAlphabet, BarSectorNotEmpty, EEError,
     EEPresentation, Hardware, MixedCoordinates, NotReduced, PositivityViolation,
@@ -85,6 +86,34 @@ class TestGeometry:
     def test_even_K_letter_sits_between_R_zones(self, hw):
         assert hw.zones_of(B("K", 2)) == (B("R", 2), B("R", 1))
         assert hw.zones_of(B("K", 3)) == (B("K", 2), B("K", 3))
+
+
+class TestBaseWordWalk:
+    """The geometry and the standard words against ``oracles``, which reads
+    each gap's zone off the base word and the zone-naming rule and builds
+    the standard words block by block."""
+
+    @pytest.mark.parametrize("n", (8, 10, 12))
+    def test_walk_matches_block_by_block_reference(self, ee, rng, n):
+        hw = Hardware(ee, n)
+        assert list(hw.zones) == oracles.gap_zones(hw)
+        for bl, _ in hw.sigma:
+            assert hw.zones_of(bl) == oracles.zones_of(hw, bl)
+            assert hw.zone_flanks(bl) == oracles.zone_flanks(hw, bl)
+            for y in ((bl, 1), (bl, -1)):
+                assert hw.succ(y) == oracles.succ(hw, y)
+                assert hw.pred(y) == oracles.pred(hw, y)
+                assert hw.zone_after(y) == oracles.zone_after(hw, y)
+        for zone in hw.zones:
+            assert hw.tape_word(((1, 1),), zone, True).is_empty() == (zone.j == 1)
+            assert not hw.tape_word(((1, 1),), zone).is_empty()
+        for coord in ee.coords():
+            for _ in range(4):
+                slots = [tuple((rng.randint(1, ee.mbar), rng.choice((1, -1)))
+                               for _ in range(rng.randrange(4))) for _ in range(4)]
+                for bar in (False, True):
+                    assert hw.sigma_four(*slots, r=coord.r, i=coord.omega, bar=bar) == \
+                        oracles.sigma_four(hw, *slots, r=coord.r, i=coord.omega, bar=bar)
 
 
 class TestHub:

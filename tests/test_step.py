@@ -346,6 +346,27 @@ class TestJunctions:
         assert strict.step(RuleId("34", 1, None, False, -1), out) == (W, None)
 
 
+class TestFlavorOtherThanTheRuleShape:
+    def test_strict_word_with_the_bar_shape_under_bar_rules(self, monkeypatch, hw, mixed):
+        # K1(e,1) L1(e,1) is strict, and has the bar shape too: its states
+        # at (e,1) are shared and its one sector, in the K1-zone, is empty.
+        # A bar rule's result has bar states, so every result takes the full
+        # validate, and the ones that leave (e,1) are not strict.
+        W = hw.parse_admissible(Word(((hw.state("K", 1, COORD_E1), 1),
+                                      (hw.state("L", 1, COORD_E1), 1))), "strict")
+        assert hw.trusts(W)
+        calls = counting_validate(monkeypatch, hw)
+        built = codes = 0
+        for rid in signed_rules(mixed):
+            if not rid.bar:
+                continue
+            got = mixed.step(rid, W)
+            assert got == oracles.step(mixed, rid, W), rid
+            built += got[1] is None or got[1].code == "ResultNotAdmissible"
+            codes += got[1] is not None and got[1].code == "ResultNotAdmissible"
+        assert len(calls) == built and codes and built > codes
+
+
 class TestUntrustedWords:
     """Words no Hardware validated, or another one did, take the full path
     and give the reference's answers; a word validated once is trusted."""
