@@ -2,8 +2,10 @@
 
 Exit codes: 0 = success / positive answer, 1 = negative answer (rule not
 applicable, no pairing, not conjugate, search exhausted or over its node
-budget), 2 = input or usage error.  Word/history arguments accept either
-inline tokens or a path to a file holding them.
+budget), 2 = input or usage error, 141 = stdout closed by its reader
+(``smkit present ... | head``), with nothing printed, as for a writer that
+SIGPIPE killed.  Word/history arguments accept either inline tokens or a
+path to a file holding them.
 """
 
 from __future__ import annotations
@@ -384,6 +386,14 @@ def main(argv=None):
     except NotApplicable as e:
         print(f"not applicable: {e}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader of stdout has gone (`smkit present ... | head`).  Send
+        # what is still buffered to the null device, so the interpreter's
+        # last flush is silent, and exit as SIGPIPE would have.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (TokenError, DeriveError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -27,11 +27,19 @@ lexicographically least of the cyclic rotations of itself and its inverse,
 before deduplication.  Main, bar_main and hub relators vary with the rule
 and go through ``normalize_relator``; the fixed-shape kinds (theta_a,
 bar_theta_a, a_x, k_x) are spelled in their canonical form directly, as
-``rule_relations`` explains.
+``rule_relations`` explains, each as one tuple of the (letter, sign) pairs
+its rule shares among all its relators.
+
+``emit`` and ``read_presentation`` build a whole presentation: hundreds of
+thousands of tuples, words and relations, and no reference cycles.  So
+they run with the cyclic garbage collector paused, whose full passes over
+that heap would free nothing; reference counting frees it as before.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Optional
@@ -253,12 +261,28 @@ def emit(hw: Hardware, label=""):
     names the input in the text format's ``ee-file:`` line.
 
     The relations of every positive rule, plain rules first and then bar
-    rules, each in ``enumerate_rule_ids`` order, followed by the hub."""
-    machine = Machine(hw, "mixed")
-    rels = [rel for bar in (False, True) for rid in enumerate_rule_ids(hw.ee, bar)
-            for rel in rule_relations(machine, rid)]
-    rels.append(Relation("hub", normalize_relator(hw.hub())))
-    return Presentation(hw.N, label, tuple(rels))
+    rules, each in ``enumerate_rule_ids`` order, followed by the hub.  The
+    build creates no reference cycles, so it runs with the cyclic collector
+    paused; fixed-shape relators share their letter pairs within a rule."""
+    with _collector_paused():
+        machine = Machine(hw, "mixed")
+        rels = [rel for bar in (False, True) for rid in enumerate_rule_ids(hw.ee, bar)
+                for rel in rule_relations(machine, rid)]
+        rels.append(Relation("hub", normalize_relator(hw.hub())))
+        return Presentation(hw.N, label, tuple(rels))
+
+
+@contextmanager
+def _collector_paused():
+    """Disable the cyclic garbage collector for the block, and re-enable it
+    afterwards only if it was enabled before (see the module docstring)."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def rule_relations(machine: Machine, rid: RuleId):
@@ -274,7 +298,9 @@ def rule_relations(machine: Machine, rid: RuleId):
     least letter: its positive tape letter, or for k_x its positive state
     letter.  Only the rotation read from that letter can be least, and the
     inverse's one candidate starts at the same letter.  The comments below
-    name the first letter where the two differ."""
+    name the first letter where the two differ.  Each letter's (sym, 1) and
+    (sym, -1) pair is built once per rule, and a fixed-shape relator is one
+    flat tuple of those pairs."""
     hw = machine.hw
     rule = machine.rules[rid]
     bar = rid.bar
@@ -283,7 +309,7 @@ def rule_relations(machine: Machine, rid: RuleId):
 
     indices = range(1, hw.ee.mbar + 1)
     zones = hw.zones
-    theta = {z: Theta(rid, z) for z in zones}
+    theta = {z: _pair(Theta(rid, z)) for z in zones}
     # main relations, one per unsigned basic letter
     kind = "bar_main" if bar else "main"
     for bl, _ in hw.sigma:
@@ -295,59 +321,68 @@ def rule_relations(machine: Machine, rid: RuleId):
             v, u = _alpha_letters(rid.inverse, v), _alpha_letters(rid.inverse, u)
         # th(zb)^-1 src th(za) (v dst u)^-1
         add(Relation(kind, normalize_relator(Word(
-            ((theta[zb], -1), (src, 1), (theta[za], 1), *_inverse(u),
+            (theta[zb][1], (src, 1), theta[za][0], *_inverse(u),
              (dst, -1), *_inverse(v))))))
+    # the (a, 1), (a, -1) pairs of the tape letters over each zone (none
+    # over a bar j=1 zone), and for a plain rule those of x(a, tau)
+    tapes = {z: [_pair(hw.tape(i, z, bar)) for i in indices]
+             for z in zones if not (bar and z.j == 1)}
+    xs = {} if bar else {z: [_pair(X(ap[0], rid)) for ap, _ in tapes[z]] for z in zones}
     # theta-tape commutations at unlocked zones:
     # th^-1 alpha_tau(a) th alpha_tau^-1(a)^-1, read from a
     kind = "bar_theta_a" if bar else "theta_a"
     for zone in zones:
         if zone.kind in rule.locks or (bar and zone.j == 1):
             continue
-        th = theta[zone]
-        for i in indices:
-            a = hw.tape(i, zone, bar)
-            if bar or zone.kind == "P":
-                # alpha fixes a: a th a^-1 th^-1; the inverse reads a th^-1
-                letters = ((a, 1), (th, 1), (a, -1), (th, -1))
-            elif zone.kind == "R":
-                # alpha_tau(a) = a x: a x th x a^-1 th^-1; the inverse reads a x^-1
-                x = X(a, rid)
-                letters = ((a, 1), (x, 1), (th, 1), (x, 1), (a, -1), (th, -1))
-            else:
-                # alpha_tau(a) = x a: a th a^-1 x th^-1 x; the inverse reads a x^-1
-                x = X(a, rid)
-                letters = ((a, 1), (th, 1), (a, -1), (x, 1), (th, -1), (x, 1))
-            add(Relation(kind, CyclicWord._rotated(letters)))
+        thp, thn = theta[zone]
+        if bar or zone.kind == "P":
+            # alpha fixes a: a th a^-1 th^-1; the inverse reads a th^-1
+            for ap, an in tapes[zone]:
+                add(Relation(kind, CyclicWord._rotated((ap, thp, an, thn))))
+        elif zone.kind == "R":
+            # alpha_tau(a) = a x: a x th x a^-1 th^-1; the inverse reads a x^-1
+            for (ap, an), (xp, _) in zip(tapes[zone], xs[zone]):
+                add(Relation(kind, CyclicWord._rotated((ap, xp, thp, xp, an, thn))))
+        else:
+            # alpha_tau(a) = x a: a th a^-1 x th^-1 x; the inverse reads a x^-1
+            for (ap, an), (xp, _) in zip(tapes[zone], xs[zone]):
+                add(Relation(kind, CyclicWord._rotated((ap, thp, an, xp, thn, xp))))
     if bar:
         return rels
-    tapes = {z: [hw.tape(i, z) for i in indices] for z in zones}
-    xs = {z: [X(t, rid) for t in tapes[z]] for z in zones}
     # tape-x conjugation relations over K/L/R zones:
     # a x a^-1 x^-4 (K, L) and a x^4 a^-1 x^-1 (R, the inverse of
     # a^-1 x a x^-4 read from a); each inverse reads a x^-1
     for zone in zones:
         if zone.kind == "P":
             continue
-        for a in tapes[zone]:
-            for x in xs[zone]:
+        for ap, an in tapes[zone]:
+            for xp, xn in xs[zone]:
                 if zone.kind == "R":
-                    letters = ((a, 1),) + ((x, 1),) * 4 + ((a, -1), (x, -1))
+                    letters = (ap, xp, xp, xp, xp, an, xn)
                 else:
-                    letters = ((a, 1), (x, 1), (a, -1)) + ((x, -1),) * 4
+                    letters = (ap, xp, an, xn, xn, xn, xn)
                 add(Relation("a_x", CyclicWord._rotated(letters)))
     # state-x crossing relations at K and L letters:
-    # z x z^-1 x'^-exp, read from z; the inverse reads z x^-1
+    # z x z^-1 x'^-1 (K) or z x z^-1 x'^-4 (L), read from z; the inverse
+    # reads z x^-1
     for bl, _ in hw.sigma:
         if bl.kind not in "KL":
             continue
         zb, za = hw.zones_of(bl)
-        exp = 1 if bl.kind == "K" else 4
         for coord in hw.ee.coords():
-            z = State(bl.kind, bl.j, coord)
-            for x, x2 in zip(xs[za], xs[zb]):
-                add(Relation("k_x", CyclicWord._rotated(
-                    ((z, 1), (x, 1), (z, -1)) + ((x2, -1),) * exp)))
+            zp, zn = _pair(State(bl.kind, bl.j, coord))
+            for (xp, _), (_, x2n) in zip(xs[za], xs[zb]):
+                if bl.kind == "K":
+                    letters = (zp, xp, zn, x2n)
+                else:
+                    letters = (zp, xp, zn, x2n, x2n, x2n, x2n)
+                add(Relation("k_x", CyclicWord._rotated(letters)))
     return rels
+
+
+def _pair(sym):
+    """The letters sym and sym^-1."""
+    return (sym, 1), (sym, -1)
 
 
 def _inverse(letters):
@@ -368,37 +403,39 @@ def write_presentation(p: Presentation, fh):
 def read_presentation(fh):
     """The Presentation written by ``write_presentation``.  Each distinct
     token is parsed once per call; a relator repeats the few thousand letters
-    of the presentation many times over."""
-    n = None
-    label = ""
-    rels = []
-    letters = {}  # token -> (symbol, sign)
+    of the presentation many times over.  Like ``emit``, the build creates
+    no reference cycles and runs with the cyclic collector paused."""
+    with _collector_paused():
+        n = None
+        label = ""
+        rels = []
+        letters = {}  # token -> (symbol, sign)
 
-    def letter(tok):
-        got = letters.get(tok)
-        if got is None:
-            got = letters[tok] = parse_symbol(tok)
-        return got
+        def letter(tok):
+            got = letters.get(tok)
+            if got is None:
+                got = letters[tok] = parse_symbol(tok)
+            return got
 
-    for lineno, raw in enumerate(fh, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("n:"):
-            n = int(line[2:].strip())
-        elif line.startswith("ee-file:"):
-            label = line[len("ee-file:"):].strip()
-            label = "" if label == "-" else label
-        elif line.startswith("relator "):
-            head, _, body = line.partition(":")
-            kind = head.split()[1]
-            try:
-                w = Word([letter(tok) for tok in body.split()])
-            except Exception as e:
-                raise PresentationError(f"line {lineno}: {e}") from None
-            rels.append(Relation(kind, normalize_relator(w)))
-        else:
-            raise PresentationError(f"line {lineno}: unrecognized line {line!r}")
-    if n is None:
-        raise PresentationError("missing n: header")
-    return Presentation(n, label, tuple(rels))
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("n:"):
+                n = int(line[2:].strip())
+            elif line.startswith("ee-file:"):
+                label = line[len("ee-file:"):].strip()
+                label = "" if label == "-" else label
+            elif line.startswith("relator "):
+                head, _, body = line.partition(":")
+                kind = head.split()[1]
+                try:
+                    w = Word([letter(tok) for tok in body.split()])
+                except Exception as e:
+                    raise PresentationError(f"line {lineno}: {e}") from None
+                rels.append(Relation(kind, normalize_relator(w)))
+            else:
+                raise PresentationError(f"line {lineno}: unrecognized line {line!r}")
+        if n is None:
+            raise PresentationError("missing n: header")
+        return Presentation(n, label, tuple(rels))

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -303,6 +305,21 @@ class TestPresent:
         with open(out_path) as f:
             pres = read_presentation(f)
         assert pres.stats()["main"] == 1248
+
+    def test_closed_stdout_exits_141_silently(self):
+        """A reader that closes stdout early (``| head -1``) is not an input
+        error: exit 141, as SIGPIPE would, with nothing on stderr."""
+        # the directory that holds the smkit package under test
+        src = os.path.dirname(os.path.dirname(os.path.abspath(words.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "smkit.cli", "present", "--ee", EE, "--n", "8"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"n: 8\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err == b""
 
 
 class TestUnreducedWord:

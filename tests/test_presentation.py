@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -329,6 +330,56 @@ class TestIndex:
         assert dict(rebuilt.index()) == dict(pres.index())
         for rel in rebuilt.relations:
             assert rebuilt.index()[rel.relator] is rel
+
+
+
+class TestCollectorPause:
+    """emit and read_presentation build only acyclic objects, so they run
+    with the cyclic collector paused and leave it as they found it."""
+
+    @pytest.fixture
+    def collector(self):
+        """Restores the collector's state when the test ends."""
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_builds_make_no_cyclic_garbage(self, hw, collector):
+        gc.disable()
+        gc.collect()
+        p = emit(hw)
+        assert gc.collect() == 0
+        buf = io.StringIO()
+        write_presentation(p, buf)
+        text = buf.getvalue()
+        gc.collect()
+        back = read_presentation(io.StringIO(text))
+        assert gc.collect() == 0
+        assert back == p
+
+    def test_enabled_collector_is_enabled_after_emit(self, hw, collector):
+        gc.enable()
+        emit(hw)
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, hw, collector):
+        gc.disable()
+        p = emit(hw)
+        assert not gc.isenabled()
+        buf = io.StringIO()
+        write_presentation(p, buf)
+        read_presentation(io.StringIO(buf.getvalue()))
+        assert not gc.isenabled()
+
+    def test_enabled_again_after_read_raises(self, pres, collector):
+        gc.enable()
+        line = f"relator {pres.relations[0].kind}: {word_to_text(pres.relations[0].relator)}\n"
+        with pytest.raises(PresentationError, match="duplicate relator"):
+            read_presentation(io.StringIO("n: 8\n" + line + line))
+        assert gc.isenabled()
 
 
 class TestShiftIndex:
