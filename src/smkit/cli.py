@@ -26,7 +26,10 @@ from .smachine import (
     Machine, NotApplicable, brief_history, is_historical_form, parse_history,
     history_text,
 )
-from .words import FAMILIES, CyclicWord, TokenError, parse_rule, parse_word, word_to_text
+from .words import (
+    FAMILIES, CyclicWord, TokenError, content_lines, parse_generators, parse_relator_name,
+    parse_rule, parse_word, word_to_text,
+)
 
 
 def _slurp(value):
@@ -51,27 +54,6 @@ def _int_at_least(low):
 def _load_hw(args):
     ee = hardware.load_ee_file(args.ee)
     return hardware.Hardware(ee, args.n)
-
-
-def _gen_word(text):
-    """Parse a word over the presentation generators: a<i> tokens."""
-    out = []
-    for tok in text.split():
-        sign = 1
-        if tok.endswith("^-1"):
-            sign, tok = -1, tok[:-3]
-        if not tok.startswith("a") or not tok[1:].isdigit():
-            raise TokenError(f"bad generator token {tok!r}")
-        out.append((int(tok[1:]), sign))
-    return tuple(out)
-
-
-def _relator_index(tok):
-    if tok == "e":
-        return None
-    if tok.startswith("r") and tok[1:].isdigit():
-        return int(tok[1:])
-    raise TokenError(f"bad relator token {tok!r} (want e or r<k>)")
 
 
 def _known_rules(machine, history):
@@ -128,10 +110,10 @@ def cmd_derive_insert(args):
     if not args.bar and args.conjugator is not None:
         raise ValueError("--conjugator applies only with --bar")
     hw = _load_hw(args)
-    w = _gen_word(_slurp(args.word) or "")
-    r = _relator_index(args.relator)
+    w = parse_generators(_slurp(args.word) or "")
+    r = parse_relator_name(args.relator)
     if args.bar:
-        u = _gen_word(_slurp(args.conjugator) or "")
+        u = parse_generators(_slurp(args.conjugator) or "")
         h = bar_conjugated_insertion(hw, w, u, r)
         machine = Machine(hw, "bar")
         W0 = hw.sigma_w(w, flavor="bar")
@@ -152,19 +134,19 @@ def cmd_derive_insert(args):
 
 def cmd_derive_chain(args):
     hw = _load_hw(args)
-    w = _gen_word(_slurp(args.word) or "")
+    w = parse_generators(_slurp(args.word) or "")
     steps = []
-    for lineno, line in enumerate(_slurp(args.steps).splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(_slurp(args.steps).splitlines()):
         try:
             op, pos, r = line.split()
-            pos = int(pos)
+            if op not in ("insert", "delete"):
+                raise ValueError
+            steps.append((op, int(pos), parse_relator_name(r)))
+        except TokenError as e:
+            raise TokenError(f"steps line {lineno}: {e}") from None
         except ValueError:
             raise ValueError(f"steps line {lineno}: expected 'insert|delete <pos> "
                              f"<relator>', got {line!r}") from None
-        steps.append((op, pos, _relator_index(r)))
     h, final = derivation_history(hw, w, steps)
     print(history_text(h))
     if args.verify:

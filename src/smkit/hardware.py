@@ -72,7 +72,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .words import (
-    EMPTY, BaseLetter, Coord, State, Tape, Word, is_reduced, word_to_text,
+    EMPTY, BaseLetter, Coord, State, Tape, Word, content_lines, is_reduced,
+    parse_generators, word_to_text,
 )
 
 COORD_E1 = Coord(None, 1)
@@ -185,39 +186,44 @@ class EEPresentation:
 
 
 def load_ee(text):
-    """Parse the EE file format (see README); '#' starts a comment."""
+    """Parse the EE file format (see README): ``key: value`` lines."""
     gens = None
     m = None
     pairs = {}
     relators = []
-    saw_relator_line = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise EEError(f"line {lineno}: expected 'key: value'")
-        key, _, value = line.partition(":")
+    for lineno, line in content_lines(text.splitlines()):
+        key, colon, value = line.partition(":")
         key, value = key.strip(), value.strip()
-        if key == "generators":
-            gens = [_gen_index(tok, lineno) for tok in value.split()]
-            if gens != list(range(1, len(gens) + 1)):
-                raise EEError(f"line {lineno}: generators must be a1..a<mbar> in order")
-        elif key == "involution":
-            toks = value.split()
-            if len(toks) != 2:
-                raise EEError(f"line {lineno}: involution takes two generators")
-            a, b = (_gen_index(t, lineno) for t in toks)
-            pairs[a] = b
-            pairs[b] = a
-        elif key == "m":
-            m = int(value)
-        elif key == "relator":
-            saw_relator_line = True
-            relators.append(tuple(_gen_index(t, lineno) for t in value.split()))
-        else:
-            raise EEError(f"line {lineno}: unknown key {key!r}")
-    if gens is None or m is None or not saw_relator_line:
+        try:
+            if not colon:
+                raise EEError("expected 'key: value'")
+            if key == "m":
+                try:
+                    m = int(value)
+                except ValueError:
+                    raise EEError(f"m must be an integer, got {value!r}") from None
+                continue
+            if key not in ("generators", "involution", "relator"):
+                raise EEError(f"unknown key {key!r}")
+            word = parse_generators(value)
+            letters = [i for i, sign in word if sign > 0]
+            if len(letters) < len(word):
+                raise EEError(f"inverse generator in {value!r}")
+            if key == "generators":
+                if letters != list(range(1, len(letters) + 1)):
+                    raise EEError("generators must be a1..a<mbar> in order")
+                gens = letters
+            elif key == "involution":
+                if len(letters) != 2:
+                    raise EEError("involution takes two generators")
+                a, b = letters
+                pairs[a] = b
+                pairs[b] = a
+            else:
+                relators.append(tuple(letters))
+        except ValueError as e:
+            raise EEError(f"line {lineno}: {e}") from None
+    if gens is None or m is None or not relators:
         raise EEError("file needs generators:, m:, and relator: lines")
     mbar = len(gens)
     try:
@@ -225,12 +231,6 @@ def load_ee(text):
     except KeyError as e:
         raise EEError(f"generator a{e.args[0]} missing from involution") from None
     return EEPresentation(m=m, mbar=mbar, involution=involution, relators=tuple(relators))
-
-
-def _gen_index(tok, lineno):
-    if not tok.startswith("a") or not tok[1:].isdigit():
-        raise EEError(f"line {lineno}: bad generator token {tok!r}")
-    return int(tok[1:])
 
 
 def load_ee_file(path):

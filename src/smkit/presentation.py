@@ -48,7 +48,8 @@ from .hardware import Hardware
 from .smachine import Machine, enumerate_rule_ids
 from .words import (
     BaseLetter, CyclicWord, RuleId, State, Tape, Theta, Word, X,
-    conjugator_length, least_rotation, letter_keys, parse_symbol, word_to_text,
+    conjugator_length, content_lines, least_rotation, letter_keys, parse_symbol,
+    word_to_text,
 )
 
 KINDS = ("main", "theta_a", "a_x", "k_x", "bar_main", "bar_theta_a", "hub")
@@ -417,25 +418,25 @@ def read_presentation(fh):
                 got = letters[tok] = parse_symbol(tok)
             return got
 
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("n:"):
-                n = int(line[2:].strip())
-            elif line.startswith("ee-file:"):
-                label = line[len("ee-file:"):].strip()
-                label = "" if label == "-" else label
-            elif line.startswith("relator "):
-                head, _, body = line.partition(":")
-                kind = head.split()[1]
-                try:
+        for lineno, line in content_lines(fh):
+            try:
+                if line.startswith("n:"):
+                    try:
+                        n = int(line[2:])
+                    except ValueError:
+                        raise PresentationError(
+                            f"n must be an integer, got {line[2:].strip()!r}") from None
+                elif line.startswith("ee-file:"):
+                    label = line[len("ee-file:"):].strip()
+                    label = "" if label == "-" else label
+                elif line.startswith("relator ") and ":" in line:
+                    head, _, body = line.partition(":")
                     w = Word([letter(tok) for tok in body.split()])
-                except Exception as e:
-                    raise PresentationError(f"line {lineno}: {e}") from None
-                rels.append(Relation(kind, normalize_relator(w)))
-            else:
-                raise PresentationError(f"line {lineno}: unrecognized line {line!r}")
+                    rels.append(Relation(head[len("relator "):].strip(), normalize_relator(w)))
+                else:
+                    raise PresentationError(f"unrecognized line {line!r}")
+            except ValueError as e:
+                raise PresentationError(f"line {lineno}: {e}") from None
         if n is None:
             raise PresentationError("missing n: header")
         return Presentation(n, label, tuple(rels))

@@ -59,8 +59,8 @@ from typing import Optional
 
 from .hardware import AdmissibleError, AdmissibleWord, Hardware, PositivityViolation
 from .words import (
-    AGE_FAMILIES, FAMILIES, BaseLetter, Coord, RuleId, EMPTY, TRANSITION_FAMILIES, Word,
-    family_relators, reduced_word,
+    AGE_FAMILIES, FAMILIES, BaseLetter, Coord, RuleId, EMPTY, TRANSITION_FAMILIES, TokenError,
+    Word, content_lines, family_relators, parse_rule, reduced_word, rule_token,
 )
 
 # One row per family, the table of the module docstring: source and target age, the zone
@@ -510,13 +510,18 @@ class Trace:
 # ---------------------------------------------------------------------------
 
 def parse_history(text):
-    from .words import parse_rule
-    return tuple(parse_rule(line.strip()) for line in text.splitlines()
-                 if line.strip() and not line.strip().startswith("#"))
+    """The rules of a history text: one rule token per line, under the line
+    rule of ``words.content_lines``."""
+    history = []
+    for lineno, line in content_lines(text.splitlines()):
+        try:
+            history.append(parse_rule(line))
+        except TokenError as e:
+            raise TokenError(f"line {lineno}: {e}") from None
+    return tuple(history)
 
 
 def history_text(history):
-    from .words import rule_token
     return "\n".join(rule_token(rid) for rid in history)
 
 

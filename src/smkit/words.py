@@ -29,16 +29,19 @@ symbol ever built.
 The text grammar (one token per letter, whitespace separated, optional
 ``^-1`` suffix):
 
-    tape   := ["~"] "a" INT "(" ZONE ")"          a3(L2), ~a1(P4)
-    state  := ["~"] ZONE "(" COORD "," INT ")"    K1(e,1), ~P3(r2,4)
-    theta  := "th(" RULE "," ZONE ")"
-    xlet   := "x(" tape "," RULE ")"
-    ZONE   := ("K"|"L"|"P"|"R") INT
-    COORD  := "e" | "r" INT
-    RULE   := ["~"] "t" FAMILY "(" args ")",  FAMILY in
-              {1,12,2,23,3,34,4,45,5,51}; e.g. t1(e,3), t34(r2), ~t2(r1,4)
+    tape    := ["~"] "a" INT "(" ZONE ")"            a3(L2), ~a1(P4)
+    state   := ["~"] ZONE "(" RELNAME "," INT ")"    K1(e,1), ~P3(r2,4)
+    theta   := "th(" RULE "," ZONE ")"
+    xlet    := "x(" tape "," RULE ")"
+    ZONE    := ("K"|"L"|"P"|"R") INT
+    RELNAME := "e" | "r" INT                         the empty relator, r<k>
+    GEN     := "a" INT                               a generator of Ē
+    RULE    := ["~"] "t" FAMILY "(" RELNAME ["," INT] ")",  FAMILY in
+               {1,12,2,23,3,34,4,45,5,51}; e.g. t1(e,3), t34(r2), ~t2(r1,4)
 
 Tokens without parentheses are plain symbols (the Dyck tools use those).
+Ē files, histories, ``derive chain`` steps and presentation text are read
+line by line through ``content_lines``, so ``#`` starts a comment in each.
 """
 
 from __future__ import annotations
@@ -675,18 +678,46 @@ _ZONE_RE = re.compile(r"([KLPR])(\d+)$")
 _TAPE_RE = re.compile(r"(~?)a(\d+)\(([KLPR]\d+)\)$")
 _STATE_RE = re.compile(r"(~?)([KLPR])(\d+)\((e|r\d+),(\d+)\)$")
 _RULE_RE = re.compile(r"(~?)t(" + "|".join(FAMILIES) + r")\(([^()]*)\)$")
+_THETA_RE = re.compile(r"th\((.+),([KLPR]\d+)\)$")
+_X_RE = re.compile(r"x\(([^(),]*\([^()]*\)),(.+)\)$")
+
+
+def content_lines(lines):
+    """``(line number, text)`` of each line that holds more than a comment
+    (``#`` to the end of the line) and blanks, with those stripped."""
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _signed(tok):
+    """The token without its ``^-1`` suffix, and the sign the suffix gives."""
+    return (tok[:-3], -1) if tok.endswith("^-1") else (tok, 1)
 
 
 def coord_token(r):
     return "e" if r is None else f"r{r}"
 
 
-def _parse_coord_token(tok):
+def parse_relator_name(tok):
+    """The relator a RELNAME token names: None for e, k for r<k>."""
     if tok == "e":
         return None
-    if tok.startswith("r") and tok[1:].isdigit():
+    if tok.startswith("r") and tok[1:].isdecimal():
         return int(tok[1:])
-    raise TokenError(f"bad coordinate {tok!r}")
+    raise TokenError(f"bad relator token {tok!r} (want e or r<k>)")
+
+
+def parse_generators(text):
+    """The word ``((i, sign), ...)`` of GEN tokens over the generators of Ē."""
+    out = []
+    for tok in text.split():
+        name, sign = _signed(tok)
+        if not name.startswith("a") or not name[1:].isdecimal():
+            raise TokenError(f"bad generator token {name!r}")
+        out.append((int(name[1:]), sign))
+    return tuple(out)
 
 
 def parse_zone(tok):
@@ -701,10 +732,7 @@ def rule_token(rule):
 
 
 def parse_rule(tok):
-    tok = tok.strip()
-    sign = 1
-    if tok.endswith("^-1"):
-        sign, tok = -1, tok[:-3]
+    tok, sign = _signed(tok.strip())
     m = _RULE_RE.match(tok)
     if not m:
         raise TokenError(f"bad rule token {tok!r}")
@@ -713,33 +741,20 @@ def parse_rule(tok):
     if family in AGE_FAMILIES:
         if len(parts) != 2:
             raise TokenError(f"rule {tok!r}: family {family} needs (coord,i)")
-        r, i = _parse_coord_token(parts[0]), int(parts[1])
+        r = parse_relator_name(parts[0])
+        try:
+            i = int(parts[1])
+        except ValueError:
+            raise TokenError(f"rule {tok!r}: bad tape index {parts[1]!r}") from None
     else:
         if len(parts) != 1:
             raise TokenError(f"rule {tok!r}: family {family} needs (coord)")
-        r, i = _parse_coord_token(parts[0]), None
+        r, i = parse_relator_name(parts[0]), None
     if family in EMPTY_RELATOR_FAMILIES and r is not None:
         raise TokenError(f"rule {tok!r}: family {family} carries the empty coordinate")
     if family in NONEMPTY_RELATOR_FAMILIES and r is None:
         raise TokenError(f"rule {tok!r}: family {family} needs a non-empty relator")
     return RuleId(family, r, i, bar, sign)
-
-
-def _split_args(body):
-    """Split on top-level commas of a parenthesised argument list."""
-    parts, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
 
 
 def symbol_token(sym, sign=1):
@@ -751,10 +766,7 @@ def symbol_token(sym, sign=1):
 
 def parse_symbol(tok):
     """Parse one token into (symbol, sign)."""
-    tok = tok.strip()
-    sign = 1
-    if tok.endswith("^-1"):
-        sign, tok = -1, tok[:-3]
+    tok, sign = _signed(tok.strip())
     if "(" not in tok:
         if not _PLAIN_RE.match(tok):
             raise TokenError(f"bad token {tok!r}")
@@ -764,26 +776,22 @@ def parse_symbol(tok):
         return Tape(int(m.group(2)), parse_zone(m.group(3)), m.group(1) == "~"), sign
     m = _STATE_RE.match(tok)
     if m:
-        coord = Coord(_parse_coord_token(m.group(4)), int(m.group(5)))
+        coord = Coord(parse_relator_name(m.group(4)), int(m.group(5)))
         return State(m.group(2), int(m.group(3)), coord, m.group(1) == "~"), sign
-    if tok.startswith("th(") and tok.endswith(")"):
-        parts = _split_args(tok[3:-1])
-        if len(parts) != 2:
-            raise TokenError(f"bad theta token {tok!r}")
-        rule = parse_rule(parts[0])
+    m = _THETA_RE.match(tok)
+    if m:
+        rule = parse_rule(m.group(1))
         if rule.sign < 0:
             raise TokenError(f"theta token {tok!r}: rule must be positive")
-        return Theta(rule, parse_zone(parts[1])), sign
-    if tok.startswith("x(") and tok.endswith(")"):
-        parts = _split_args(tok[2:-1])
-        if len(parts) != 2:
-            raise TokenError(f"bad x token {tok!r}")
-        tape, tsign = parse_symbol(parts[0])
+        return Theta(rule, parse_zone(m.group(2))), sign
+    m = _X_RE.match(tok)
+    if m:
+        tape, tsign = parse_symbol(m.group(1))
         if not isinstance(tape, Tape) or tsign < 0 or tape.bar:
             raise TokenError(f"bad x token {tok!r}: needs a positive plain tape letter")
         if tape.zone.kind == "P":
             raise TokenError(f"bad x token {tok!r}: no x letters over P zones")
-        rule = parse_rule(parts[1])
+        rule = parse_rule(m.group(2))
         if rule.bar or rule.sign < 0:
             raise TokenError(f"bad x token {tok!r}: rule must be positive and plain")
         return X(tape, rule), sign

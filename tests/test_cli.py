@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 from conftest import DATA
 from smkit import words
 from smkit.cli import main
+from smkit.smachine import parse_history
 
 EE = os.path.join(DATA, "sample.ee")
 
@@ -138,6 +140,20 @@ class TestDerive:
         code, _, _ = run_cli(capsys, "derive", "insert", "--ee", EE,
                              "--relator", "q1")
         assert code == 2
+
+    @pytest.mark.parametrize("steps, message", (
+        ("insert 0 r1\nfrob 0 r1", "steps line 2: expected 'insert|delete <pos> <relator>', "
+                                    "got 'frob 0 r1'"),
+        ("insert 0 r1\n\ninsert 0 q1", "steps line 3: bad relator token 'q1' (want e or r<k>)")),
+        ids=("unknown-op", "bad-relator"))
+    def test_steps_errors_name_the_line(self, capsys, monkeypatch, steps, message):
+        """The steps reader rejects the line itself, before any history is
+        derived."""
+        import smkit.cli
+        monkeypatch.setattr(smkit.cli, "derivation_history", None)
+        code, out, err = run_cli(capsys, "derive", "chain", "--ee", EE, "--word", "a1",
+                                 "--steps", steps)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv, message", (
         (("--bar", "--delete"), "--delete does not apply with --bar"),
@@ -320,6 +336,70 @@ class TestPresent:
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 141
         assert err == b""
+
+
+class TestHistoryLines:
+    def test_trailing_comment(self, capsys):
+        code, out, err = run_cli(capsys, "brief", "--history",
+                                 "t12(r1)  # enter r1\n\nt23(r1)\t# and on\n")
+        assert (code, out, err) == (0, "(12)(23)\n", "historical form: True\n")
+
+    @pytest.mark.parametrize("history, message", (
+        ("t12(r1)\n# note\nfoo", "line 3: bad rule token 'foo'"),
+        ("t2(r1,x)  # x is no index", "line 1: rule 't2(r1,x)': bad tape index 'x'"),
+        ("\nt2(q,1)", "line 2: bad relator token 'q' (want e or r<k>)")),
+        ids=("token", "tape-index", "relator"))
+    def test_errors_name_the_line(self, capsys, history, message):
+        for argv in (("brief",), ("trapezium", "--ee", EE, "--word", "K1(e,1) L1(e,1)")):
+            code, out, err = run_cli(capsys, *argv, "--history", history)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_band_rule_with_bad_tape_index(self, capsys):
+        code, out, err = run_cli(capsys, "band", "--ee", EE, "--word", "K1(e,1) L1(e,1)",
+                                 "--rule", "t2(r1,x)")
+        assert (code, out, err) == (2, "", "error: rule 't2(r1,x)': bad tape index 'x'\n")
+
+
+def _commented(text):
+    """text with a comment after each line, and a blank line and a comment
+    line between lines."""
+    out = ["# leading comment", ""]
+    for line in text.splitlines():
+        out += [f"  {line}  # note", "", "   # comment line"]
+    return "\n".join(out) + "\n"
+
+
+class TestCommentsChangeNothing:
+    """Every text reader skips comments and blank lines the same way."""
+
+    @pytest.mark.parametrize("kind", ("ee", "history", "steps", "presentation"))
+    def test_reads_equal(self, capsys, pres, kind):
+        from smkit.hardware import load_ee
+        from smkit.presentation import read_presentation, write_presentation
+        if kind == "ee":
+            with open(EE) as f:
+                bare = "".join(line for line in f if not line.startswith("#"))
+            read = load_ee
+        elif kind == "history":
+            bare, read = "t12(r1)\nt2(r1,1)^-1\n~t3(e,2)\n", parse_history
+        elif kind == "steps":
+            bare = "insert 0 r1\ninsert 1 r2\ndelete 0 r1\n"
+
+            def read(text):
+                return run_cli(capsys, "derive", "chain", "--ee", EE, "--word", "a2",
+                               "--steps", text)
+        else:
+            buf = io.StringIO()
+            write_presentation(pres, buf)
+            bare = "".join(buf.getvalue().splitlines(keepends=True)[:40])
+
+            def read(text):
+                return read_presentation(io.StringIO(text))
+        commented = _commented(bare)
+        assert commented.count("#") > bare.count("#")
+        assert read(commented) == read(bare)
+        if kind == "steps":
+            assert read(bare)[0] == 0
 
 
 class TestUnreducedWord:

@@ -38,6 +38,18 @@ class TestEELoader:
         with pytest.raises(EEError):
             load_ee("generators: a1 a2\nflavor: what\n")
 
+    @pytest.mark.parametrize("line, message", (
+        ("m: x", "m must be an integer, got 'x'"),
+        ("relator: a1^-1 a2", "inverse generator in 'a1^-1 a2'"),
+        ("relator: a1 b2  # b2 is no generator", "bad generator token 'b2'")),
+        ids=("m", "inverse", "token"))
+    def test_line_errors_name_the_line(self, line, message):
+        text = ("generators: a1 a2\ninvolution: a1 a2\n\n" + line +
+                "\nm: 2\nrelator:\nrelator: a1 a2\nrelator: a2 a1\n")
+        with pytest.raises(EEError) as err:
+            load_ee(text)
+        assert str(err.value) == f"line 4: {message}"
+
     def test_four_generator_file(self):
         ee = load_ee(
             "generators: a1 a2 a3 a4\n"

@@ -284,6 +284,18 @@ class TestRoundTrip:
             read_presentation(bad)
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("line, message", (
+        ("n: x", "n must be an integer, got 'x'"),
+        ("relator frob: K1(e,1)", "unknown relation kind 'frob'"),
+        ("relator main: K1(e,1) K1(e,1)^-1", "trivial relator"),
+        ("relator main K1(e,1)", "unrecognized line 'relator main K1(e,1)'"),
+        ("relator : K1(e,1)", "unknown relation kind ''")),
+        ids=("n", "kind", "trivial", "no-colon", "no-kind"))
+    def test_line_errors_name_the_line(self, line, message):
+        with pytest.raises(PresentationError) as err:
+            read_presentation(io.StringIO(f"n: 8\n# note\n{line}\n"))
+        assert str(err.value) == f"line 3: {message}"
+
     def test_golden_head(self, pres):
         buf = io.StringIO()
         write_presentation(pres, buf)

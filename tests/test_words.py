@@ -11,7 +11,8 @@ from smkit.words import (
     BaseLetter, Coord, CyclicWord, PairingError, RuleId, State, Tape, Theta,
     TokenError, Word, X, classify_pair, cyclic_reduce, enumerate_pairings,
     find_minus_pairing, is_dyck, is_positive, least_rotation, letter_key,
-    letter_keys, parse_rule, parse_symbol, parse_word, rule_token, word_to_text,
+    letter_keys, parse_generators, parse_relator_name, parse_rule, parse_symbol,
+    parse_word, rule_token, word_to_text,
 )
 
 
@@ -160,12 +161,30 @@ class TestTokens:
                     "th(t2(r1,1)^-1,L3)"]:
             with pytest.raises(TokenError):
                 parse_symbol(bad)
+        # a state letter as x's first argument is read whole, not split at its comma
+        with pytest.raises(TokenError, match="needs a positive plain tape letter"):
+            parse_symbol("x(K1(e,1),t2(r1,1))")
         for bad, message in [("t1(r1,3)", "family 1 carries the empty coordinate"),
                              ("t12(e)", "family 12 needs a non-empty relator"),
                              ("t34(e)", "family 34 needs a non-empty relator"),
-                             ("t1(e)", r"family 1 needs \(coord,i\)")]:
+                             ("t1(e)", r"family 1 needs \(coord,i\)"),
+                             ("t2(r1,x)", r"rule 't2\(r1,x\)': bad tape index 'x'"),
+                             ("t2(q,1)", r"bad relator token 'q' \(want e or r<k>\)")]:
             with pytest.raises(TokenError, match=message):
                 parse_rule(bad)
+
+    def test_generator_words(self):
+        assert parse_generators(" a1 a2^-1\ta10 ") == ((1, 1), (2, -1), (10, 1))
+        assert parse_generators("") == ()
+        for bad, name in [("a1 b2", "b2"), ("a1 x^-1", "x"), ("a", "a"), ("a²", "a²")]:
+            with pytest.raises(TokenError, match=f"bad generator token '{name}'"):
+                parse_generators(bad)
+
+    def test_relator_names(self):
+        assert parse_relator_name("e") is None and parse_relator_name("r12") == 12
+        for bad in ["", "r", "q1", "r1^-1", "r²", "E"]:
+            with pytest.raises(TokenError, match=r"\(want e or r<k>\)"):
+                parse_relator_name(bad)
 
 
 def brute_matchings(w):
@@ -408,3 +427,9 @@ class TestAdjacentInversePairs:
                 if w[k][1] < 0 and w[(k + 1) % n][1] > 0:
                     assert w[k][0] == w[(k + 1) % n][0]
                     assert (k, (k + 1) % n) in p.pairs
+
+
+class TestContentLines:
+    def test_numbers_every_line_and_strips_comments(self):
+        lines = ["# head", "", "  a b  # tail", "\t", "c#d", "#", "e"]
+        assert list(words.content_lines(lines)) == [(3, "a b"), (5, "c"), (7, "e")]
