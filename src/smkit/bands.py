@@ -13,6 +13,11 @@ A trapezium is a stack of bar bands whose tops chain graphically onto the
 next band's bottoms; the construction requires the bottom word to start
 and end with K-type letters, which makes every trim word empty and the
 chaining exact.
+
+Verification normalizes each distinct cell boundary once per Presentation,
+which remembers the relation of every cell found to be a relator (never of
+one that is not), so only callers that check many diagrams against one
+presentation gain from it.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .hardware import AdmissibleWord
-from .presentation import Presentation, alpha, normalize_relator
+from .presentation import Presentation, _alpha_letters, normalize_relator
 from .smachine import Machine, is_reduced_history
-from .words import RuleId, State, Tape, Theta, Word, word_to_text
+from .words import RuleId, State, Tape, Theta, Word, reduced_word, word_to_text
 
 
 class BandError(ValueError):
@@ -88,21 +93,23 @@ def _positive_band(machine, W, rid):
         lzone, rzone = (zb, za) if s > 0 else (za, zb)
         left_part, right_part = machine._parts(rid, st.kind, st.j, s)
         st2 = hw.state(st.kind, st.j, rule.dst, bar)
-        bottom = Word(((st, s),), reduce=False)
-        top = left_part * Word(((st2, s),), reduce=False) * right_part
+        # the state letter separates two reduced tape words, and alpha keeps
+        # a reduced word reduced, so the top is spelled reduced at once
+        top = (*left_part.letters, (st2, s), *right_part.letters)
         if not bar:
-            top = alpha(rid.inverse, top)
-        cells.append(Cell("bar_main" if bar else "main",
-                          Theta(rid, lzone), Theta(rid, rzone), bottom, top))
+            top = tuple(_alpha_letters(rid.inverse, top))
+        cells.append(Cell("bar_main" if bar else "main", Theta(rid, lzone),
+                          Theta(rid, rzone), reduced_word(((st, s),)), reduced_word(top)))
         if k == len(W.inners):
             break
-        zone = hw.zone_after((st.base, s))
-        for sym, e in W.inners[k]:
-            one = Word(((sym, e),), reduce=False)
-            bottom = one if bar else alpha(rid, one)
-            top = one if bar else alpha(rid.inverse, one)
-            cells.append(Cell("bar_theta_a" if bar else "theta_a",
-                              Theta(rid, zone), Theta(rid, zone), bottom, top))
+        theta = Theta(rid, hw.zone_after((st.base, s)))
+        for letter in W.inners[k]:
+            if bar:
+                bottom = top = reduced_word((letter,))
+            else:
+                bottom = reduced_word(tuple(_alpha_letters(rid, (letter,))))
+                top = reduced_word(tuple(_alpha_letters(rid.inverse, (letter,))))
+            cells.append(Cell("bar_theta_a" if bar else "theta_a", theta, theta, bottom, top))
     bottom = Word(chain.from_iterable(c.bottom.letters for c in cells))
     top = Word(chain.from_iterable(c.top.letters for c in cells))
     return Band(rid, tuple(cells), bottom, top, W.base())
@@ -153,26 +160,37 @@ def trapezium(pres: Presentation, machine: Machine, W: AdmissibleWord, history):
 # ---------------------------------------------------------------------------
 
 def _project_ak(w):
-    return w.project(lambda sym: isinstance(sym, (Tape, State)))
+    """The tape and state letters of w, freely reduced."""
+    return Word([l for l in w.letters if isinstance(l[0], (Tape, State))])
 
 
 def verify_band(band: Band, pres: Presentation, machine: Machine):
     """Cell-by-cell check of a band; returns a list of violations."""
     report = []
     index = pres.index()
+    memo = pres._cell_memo
     rule = machine.rule(band.rid)
     if rule is None:
         return [f"unknown rule {band.rid!r}"]
     for k, cell in enumerate(band.cells):
         try:
-            rel = normalize_relator(cell.boundary())
-        except Exception as e:
-            report.append(f"cell {k}: boundary did not normalize: {e}")
-            continue
-        hit = index.get(rel)
+            key = (cell.left, cell.dir, cell.bottom.letters, cell.right, cell.top.letters)
+            hit = memo.get(key)
+        except TypeError:  # an unhashable field: the cell is checked in full
+            key = hit = None
         if hit is None:
-            report.append(f"cell {k}: boundary is not a relator")
-        elif hit.kind != cell.kind:
+            try:
+                rel = normalize_relator(cell.boundary())
+            except Exception as e:
+                report.append(f"cell {k}: boundary did not normalize: {e}")
+                continue
+            hit = index.get(rel)
+            if hit is None:
+                report.append(f"cell {k}: boundary is not a relator")
+                continue
+            if key is not None:
+                memo[key] = hit
+        if hit.kind != cell.kind:
             report.append(f"cell {k}: relator kind {hit.kind} != {cell.kind}")
     for k, (c1, c2) in enumerate(zip(band.cells, band.cells[1:])):
         if c1.right != c2.left or c1.dir != c2.dir:

@@ -134,6 +134,10 @@ class Presentation:
     ee_label: str = field(compare=False)
     relations: tuple
     _index: MappingProxyType = field(init=False, repr=False, compare=False)
+    # bands.verify_band's memo: a cell's (left, dir, bottom letters, right,
+    # top letters) -> the Relation its boundary normalizes to.  Filled
+    # lazily, with cells whose boundary is a relator only.
+    _cell_memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         index = {rel.relator: rel for rel in self.relations}  # one hash per relator
@@ -405,8 +409,13 @@ def read_presentation(fh):
     """The Presentation written by ``write_presentation``.  Each distinct
     token is parsed once per call; a relator repeats the few thousand letters
     of the presentation many times over.  Like ``emit``, the build creates
-    no reference cycles and runs with the cyclic collector paused."""
+    no reference cycles and runs with the cyclic collector paused.
+
+    A relator that repeats an earlier one is found by ``Presentation``, after
+    the read; its line is then found by reading ``fh`` again, when ``fh`` can
+    seek back to where the read began."""
     with _collector_paused():
+        start = _rewind_point(fh)
         n = None
         label = ""
         rels = []
@@ -439,4 +448,31 @@ def read_presentation(fh):
                 raise PresentationError(f"line {lineno}: {e}") from None
         if n is None:
             raise PresentationError("missing n: header")
-        return Presentation(n, label, tuple(rels))
+        try:
+            return Presentation(n, label, tuple(rels))
+        except PresentationError as e:  # a repeated relator
+            if start is None:
+                raise
+            first, repeat = _repeated_relator_lines(fh, start, rels)
+            raise PresentationError(f"line {repeat}: {e} (first on line {first})") from None
+
+
+def _rewind_point(fh):
+    """Where fh can seek back to, or None when it cannot seek."""
+    try:
+        return fh.tell() if fh.seekable() else None
+    except (AttributeError, OSError):
+        return None
+
+
+def _repeated_relator_lines(fh, start, rels):
+    """(line of the first occurrence, line of the repeat) of the first relator
+    of rels that repeats an earlier one, read again from fh at ``start``."""
+    first = {}
+    for k, rel in enumerate(rels):
+        j = first.setdefault(rel.relator, k)
+        if j != k:
+            break
+    fh.seek(start)
+    numbers = [lineno for lineno, line in content_lines(fh) if line.startswith("relator ")]
+    return numbers[j], numbers[k]

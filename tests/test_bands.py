@@ -1,14 +1,21 @@
+import random
+from dataclasses import replace
+
 import pytest
 
+import oracles
 from genwords import random_bar_word, random_walk
+from smkit import bands
 from smkit.bands import (
-    BandError, Band, Cell, band_text, theta_band, trapezium, trapezium_text,
+    BandError, Band, Cell, band_text, theta_band, trapezium, trapezium_text, verify,
     verify_band, verify_trapezium,
 )
 from smkit.derive import bar_conjugated_insertion
 from smkit.hardware import BaseLetter
+from smkit.presentation import alpha, emit
 from smkit.smachine import NotApplicable
-from smkit.words import Coord, parse_rule, parse_word
+from smkit.words import Coord, CyclicWord, Word, parse_rule, parse_word, wletter
+from test_step import seeded_words
 
 B = BaseLetter
 
@@ -93,16 +100,14 @@ class TestTamper:
     def test_tampered_cell_is_located(self, hw, mixed, pres):
         W = mixed_word(hw, hw.sigma_w(((1, 1),), flavor="bar"))
         band = theta_band(pres, mixed, W, parse_rule("~t12(r1)"))
-        cells = list(band.cells)
-        c = cells[3]
-        cells[3] = Cell(c.kind, c.left, c.right, c.bottom,
-                        c.top * parse_word("~a1(P2)") * parse_word("~a1(P2)^-1"),
-                        c.dir)
-        cells[3] = Cell(c.kind, c.left, c.right,
-                        parse_word("~a2(P3)"), c.top, c.dir)
-        broken = Band(band.rid, tuple(cells), band.bottom, band.top, band.base)
-        report = verify_band(broken, pres, mixed)
-        assert any("cell 3" in line for line in report)
+        c = band.cells[3]
+        # a top that gains a letter that does not cancel, a replaced bottom
+        for cell in (replace(c, top=c.top * parse_word("~a1(P2)")),
+                     replace(c, bottom=parse_word("~a2(P3)"))):
+            cells = list(band.cells)
+            cells[3] = cell
+            broken = Band(band.rid, tuple(cells), band.bottom, band.top, band.base)
+            assert "cell 3: boundary is not a relator" in verify_band(broken, pres, mixed), cell
 
     def test_wrong_kind_reported(self, hw, mixed, pres):
         W = mixed_word(hw, hw.sigma_w((), flavor="bar"))
@@ -112,6 +117,147 @@ class TestTamper:
         cells[0] = Cell("bar_theta_a", c.left, c.right, c.bottom, c.top, c.dir)
         broken = Band(band.rid, tuple(cells), band.bottom, band.top, band.base)
         assert any("kind" in line for line in verify_band(broken, pres, mixed))
+
+
+def applicable_pairs(mixed, words):
+    """(W, signed rule) for every word of words and every rule that applies."""
+    return [(W, signed) for W in words for rid in mixed.rules
+            for signed in (rid, rid.inverse) if mixed.applicable(signed, W) is None]
+
+
+class TestOnePassBuild:
+    def test_main_cell_tops_match_the_reduced_spelling(self, hw, mixed):
+        # The positive band over W (or over W o rid for a negative rule,
+        # whose band is its mirror) puts at each state letter st^s a main
+        # cell whose top is left st2^s right, freely reduced, alpha-decorated
+        # for a plain rule.
+        pairs = applicable_pairs(mixed, seeded_words(hw, "mixed"))
+        assert {rid.bar for _, rid in pairs} == {False, True}
+        assert {rid.sign for _, rid in pairs} == {1, -1}
+        for W, rid in pairs:
+            band = theta_band(None, mixed, W, rid)
+            pos = rid.positive
+            rule = mixed.rules[pos]
+            base = W if rid.sign > 0 else mixed.apply(rid, W)
+            mains = [c for c in band.cells if c.kind in ("main", "bar_main")]
+            assert len(mains) == len(base.states)
+            for (st, s), cell in zip(base.states, mains):
+                left, right = oracles._parts(mixed, rule, 1, st, s)
+                st2 = hw.state(st.kind, st.j, rule.dst, pos.bar)
+                want = Word(left.letters + ((st2, s),) + right.letters)
+                if not pos.bar:
+                    want = alpha(pos.inverse, want)
+                assert (cell.top if rid.sign > 0 else cell.bottom) == want, (rid, st)
+
+
+def cell_lines(report):
+    """The lines of a band report that name one cell."""
+    return [line for line in report if line.startswith("cell ")]
+
+
+def tampered(band, rng):
+    """Copies of band with one cell changed: its top, its bottom or its kind."""
+    k = rng.randrange(len(band.cells))
+    c = band.cells[k]
+    letter = wletter(rng.choice([sym for sym, _ in band.bottom]))
+    out = []
+    for cell in (replace(c, top=c.top * letter), replace(c, bottom=letter * c.bottom),
+                 replace(c, kind="theta_a" if c.kind != "theta_a" else "main")):
+        cells = list(band.cells)
+        cells[k] = cell
+        out.append(Band(band.rid, tuple(cells), band.bottom, band.top, band.base))
+    return out
+
+
+class TestCellMemo:
+    """verify_band keeps, per Presentation, the Relation of each cell whose
+    boundary is a relator; a hit skips the boundary and its normalization."""
+
+    @pytest.fixture(scope="class")
+    def objects(self, hw, mixed):
+        rng = random.Random(16)
+        out = []
+        while len(out) < 8:
+            W = mixed_word(hw, random_bar_word(hw, rng, maxlen=1))
+            h, _ = random_walk(mixed, W, rng, rng.randrange(1, 5), allow=lambda r: r.bar)
+            if h:
+                trap = trapezium(None, mixed, W, h)
+                out.append(trap)
+                band = tampered(trap.bands[-1], rng)[0]
+                out.append(replace(trap, bands=trap.bands[:-1] + (band,)))
+        pairs = applicable_pairs(mixed, seeded_words(hw, "mixed", seed=16))
+        for W, rid in rng.sample(pairs, 24):
+            band = theta_band(None, mixed, W, rid)
+            out += [band, *tampered(band, rng)]
+        return out
+
+    def test_warm_memo_reports_as_cold(self, hw, mixed, pres, objects):
+        for obj in objects:  # warm pres
+            verify(obj, pres, mixed)
+        cold = emit(hw)
+        assert cold == pres
+        index = pres.index()
+        for obj in objects:
+            cold._cell_memo.clear()
+            report = verify(obj, pres, mixed)
+            assert report == verify(obj, cold, mixed)
+            bands = [obj] if isinstance(obj, Band) else obj.bands
+            for band in bands:
+                want = []
+                for k, cell in enumerate(band.cells):
+                    hit = index.get(CyclicWord._rotated(oracles.normalize_relator(cell.boundary())))
+                    if hit is None:
+                        want.append(f"cell {k}: boundary is not a relator")
+                    elif hit.kind != cell.kind:
+                        want.append(f"cell {k}: relator kind {hit.kind} != {cell.kind}")
+                assert cell_lines(verify_band(band, pres, mixed)) == want
+
+    @pytest.mark.parametrize("field", ["left", "right", "dir", "bottom", "top", "kind"])
+    def test_every_key_field_counts(self, hw, mixed, pres, field, monkeypatch):
+        W = mixed_word(hw, hw.sigma_w(((1, 1),), flavor="bar"))
+        band = theta_band(pres, mixed, W, parse_rule("~t12(r1)"))
+        assert verify_band(band, pres, mixed) == []
+        # every cell is cached now: a second check normalizes nothing
+        normalized = []
+        real = bands.normalize_relator
+        monkeypatch.setattr(bands, "normalize_relator", lambda w: normalized.append(w) or real(w))
+        assert verify_band(band, pres, mixed) == [] and normalized == []
+        c = band.cells[3]
+        changed = {"left": c.right, "right": c.left, "dir": -c.dir, "bottom": c.top,
+                   "top": c.bottom, "kind": "bar_theta_a"}[field]
+        cells = list(band.cells)
+        cells[3] = replace(c, **{field: changed})
+        broken = Band(band.rid, tuple(cells), band.bottom, band.top, band.base)
+        want = ("cell 3: relator kind bar_main != bar_theta_a" if field == "kind"
+                else "cell 3: boundary is not a relator")
+        assert want in verify_band(broken, pres, mixed)
+
+    def test_misses_are_not_cached(self, hw, mixed, pres):
+        rng = random.Random(3)
+        W = mixed_word(hw, hw.sigma_w(((1, 1), (2, -1)), flavor="bar"))
+        band = theta_band(pres, mixed, W, parse_rule("~t12(r2)"))
+        assert verify_band(band, pres, mixed) == []
+        size = len(pres._cell_memo)
+        for broken in tampered(band, rng):
+            assert cell_lines(verify_band(broken, pres, mixed))
+        assert len(pres._cell_memo) == size
+
+    def test_malformed_cell_takes_the_full_path(self, hw, mixed, pres):
+        # a cell with an unhashable field has no memo key
+        W = mixed_word(hw, hw.sigma_w((), flavor="bar"))
+        band = theta_band(pres, mixed, W, parse_rule("~t12(r1)"))
+        assert verify_band(band, pres, mixed) == []
+        size = len(pres._cell_memo)
+        cells = list(band.cells)
+        cells[2] = replace(cells[2], dir=[1])
+        broken = Band(band.rid, tuple(cells), band.bottom, band.top, band.base)
+        report = verify_band(broken, pres, mixed)
+        assert cell_lines(report) == [
+            "cell 2: boundary did not normalize: bad operand type for unary -: 'list'"]
+        assert len(pres._cell_memo) == size
+
+    def test_emit_leaves_the_memo_empty(self, hw):
+        assert emit(hw)._cell_memo == {}
 
 
 class TestTrapezia:

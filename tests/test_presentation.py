@@ -296,6 +296,21 @@ class TestRoundTrip:
             read_presentation(io.StringIO(f"n: 8\n# note\n{line}\n"))
         assert str(err.value) == f"line 3: {message}"
 
+    def test_duplicate_relator_names_its_line(self):
+        line = "relator main: K1(e,1) L1(e,1)\n"
+        text = "n: 8\n" + line + "# the same relator again\n\n" + line
+        with pytest.raises(PresentationError) as err:
+            read_presentation(io.StringIO(text))
+        rel = normalize_relator(parse_word("K1(e,1) L1(e,1)"))
+        assert str(err.value) == f"line 5: duplicate relator {rel!r} (first on line 2)"
+
+    def test_duplicate_relator_of_an_input_read_once(self):
+        # lines that cannot be read again: the error names no line
+        line = "relator main: K1(e,1) L1(e,1)"
+        with pytest.raises(PresentationError) as err:
+            read_presentation(iter(["n: 8", line, line]))
+        assert str(err.value).startswith("duplicate relator ")
+
     def test_golden_head(self, pres):
         buf = io.StringIO()
         write_presentation(pres, buf)
