@@ -6,13 +6,14 @@ cell to every state letter of W and one theta-tape cell to every tape
 letter, gluing consecutive cells along their shared theta-edges.  For plain
 rules the bottom path reads alpha_tau(W) and the top path the
 alpha_{tau^-1}-decorated image of (flanks + W o tau); bar bands carry no
-x-letters and read W and flanks + (W o tau) directly.  Bands for negative
-rules are the vertical mirrors of the positive bands over W o tau.
+x-letters and read W and flanks + (W o tau) directly.  The band of tau^-1
+over W, the vertical mirror of the positive band over W o tau^-1, is built
+in one pass over W o tau^-1 with every cell upside down (dir -1).
 
 A trapezium is a stack of bar bands whose tops chain graphically onto the
 next band's bottoms; the construction requires the bottom word to start
 and end with K-type letters, which makes every trim word empty and the
-chaining exact.
+chaining exact; a check projects each word of the history once.
 
 Verification normalizes each distinct cell boundary once per Presentation,
 which remembers the relation of every cell found to be a relator (never of
@@ -49,10 +50,6 @@ class Cell:
         return Word(((self.left, -self.dir), *self.bottom.letters,
                      (self.right, self.dir), *self.top.inverse().letters))
 
-    def mirror(self):
-        return Cell(self.kind, self.left, self.right, self.top, self.bottom,
-                    -self.dir)
-
 
 @dataclass(frozen=True)
 class Band:
@@ -61,10 +58,6 @@ class Band:
     bottom: Word  # reduced label of the bottom path
     top: Word  # reduced label of the top path
     base: tuple  # unsigned basic letters
-
-    def mirror(self):
-        return Band(self.rid.inverse, tuple(c.mirror() for c in self.cells),
-                    self.top, self.bottom, self.base)
 
 
 def theta_band(pres: Presentation, machine: Machine, W: AdmissibleWord, rid: RuleId):
@@ -75,44 +68,42 @@ def theta_band(pres: Presentation, machine: Machine, W: AdmissibleWord, rid: Rul
 
 
 def _band_step(machine, W, rid):
-    """(band of rid over W, W o rid), with W o rid built by one step."""
+    """(band of rid over W, W o rid), built in one pass: its cells sit on the
+    word rid's positive form applies to (W, or W o rid for a negative rid),
+    upside down for a negative rid."""
     out = machine.apply(rid, W)
-    if rid.sign < 0:
-        return _positive_band(machine, out, rid.positive).mirror(), out
-    return _positive_band(machine, W, rid), out
-
-
-def _positive_band(machine, W, rid):
-    """Cells of the band of a positive rule rid known to apply to W."""
+    pos, d = rid.positive, rid.sign
+    src = W if d > 0 else out
     rule = machine.rule(rid)
     hw = machine.hw
     bar = rid.bar
     cells = []
-    for k, (st, s) in enumerate(W.states):
-        zb, za = hw.zones_of(st.base)
-        lzone, rzone = (zb, za) if s > 0 else (za, zb)
-        left_part, right_part = machine._parts(rid, st.kind, st.j, s)
+    for k, (st, s) in enumerate(src.states):
+        lzone, rzone = hw.zones_of(st.base)[::s]
+        left_part, right_part = machine._parts(pos, st.kind, st.j, s)
         st2 = hw.state(st.kind, st.j, rule.dst, bar)
         # the state letter separates two reduced tape words, and alpha keeps
-        # a reduced word reduced, so the top is spelled reduced at once
-        top = (*left_part.letters, (st2, s), *right_part.letters)
+        # a reduced word reduced, so the image is spelled reduced at once
+        image = (*left_part.letters, (st2, s), *right_part.letters)
         if not bar:
-            top = tuple(_alpha_letters(rid.inverse, top))
-        cells.append(Cell("bar_main" if bar else "main", Theta(rid, lzone),
-                          Theta(rid, rzone), reduced_word(((st, s),)), reduced_word(top)))
-        if k == len(W.inners):
+            image = tuple(_alpha_letters(pos.inverse, image))
+        ends = (reduced_word(((st, s),)), reduced_word(image))[::d]  # (bottom, top)
+        cells.append(Cell("bar_main" if bar else "main", Theta(pos, lzone),
+                          Theta(pos, rzone), *ends, d))
+        if k == len(src.inners):
             break
-        theta = Theta(rid, hw.zone_after((st.base, s)))
-        for letter in W.inners[k]:
+        theta = Theta(pos, hw.zone_after((st.base, s)))
+        for letter in src.inners[k]:
             if bar:
                 bottom = top = reduced_word((letter,))
             else:
+                # alpha_rid below and alpha_{rid^-1} above, whatever rid's sign
                 bottom = reduced_word(tuple(_alpha_letters(rid, (letter,))))
                 top = reduced_word(tuple(_alpha_letters(rid.inverse, (letter,))))
-            cells.append(Cell("bar_theta_a" if bar else "theta_a", theta, theta, bottom, top))
+            cells.append(Cell("bar_theta_a" if bar else "theta_a", theta, theta, bottom, top, d))
     bottom = Word(chain.from_iterable(c.bottom.letters for c in cells))
     top = Word(chain.from_iterable(c.top.letters for c in cells))
-    return Band(rid, tuple(cells), bottom, top, W.base())
+    return Band(rid, tuple(cells), bottom, top, src.base()), out
 
 
 @dataclass(frozen=True)
@@ -202,12 +193,12 @@ def verify_band(band: Band, pres: Presentation, machine: Machine):
     if top != band.top:
         report.append("top label mismatch")
     hw = machine.hw
-    b1 = tuple(sym.base for sym, _ in band.bottom if isinstance(sym, State))
+    signed = [(sym.base, s) for sym, s in band.bottom if isinstance(sym, State)]
+    b1 = tuple(y for y, _ in signed)
     b2 = tuple(sym.base for sym, _ in band.top if isinstance(sym, State))
     if b1 != b2 or b1 != band.base:
         report.append("top and bottom bases differ")
     # 2-letter base shapes and the locked fold-back exclusion
-    signed = [(sym.base, s) for sym, s in band.bottom if isinstance(sym, State)]
     for (y, s), (y2, s2) in zip(signed, signed[1:]):
         fold = (y2, s2) == (y, -s)
         if not fold and (y2, s2) != hw.succ((y, s)):
@@ -237,7 +228,8 @@ def verify_trapezium(trap: Trapezium, pres: Presentation, machine: Machine):
         report.append("band rules disagree with the history")
     # the side projections must replay as a computation, letter for letter
     try:
-        W0 = machine.hw.parse_admissible(_project_ak(trap.bottom), machine.flavor)
+        p0 = _project_ak(trap.bottom)
+        W0 = machine.hw.parse_admissible(p0, machine.flavor)
     except Exception as e:
         report.append(f"bottom does not parse: {e}")
         return report
@@ -245,10 +237,16 @@ def verify_trapezium(trap: Trapezium, pres: Presentation, machine: Machine):
     if not trace.ok:
         report.append(f"history does not run: {trace.failure}")
         return report
+    # a band's bottom equal to the word checked below it (the trapezium's
+    # bottom or the top beneath) reuses that check: each glued word once
+    below, ok = trap.bottom, p0 == trace.words[0].flat()
     for i, band in enumerate(trap.bands):
-        if _project_ak(band.bottom) != trace.words[i].flat():
+        if band.bottom != below:
+            ok = _project_ak(band.bottom) == trace.words[i].flat()
+        if not ok:
             report.append(f"band {i}: bottom projection is not step {i}")
-        if _project_ak(band.top) != trace.words[i + 1].flat():
+        below, ok = band.top, _project_ak(band.top) == trace.words[i + 1].flat()
+        if not ok:
             report.append(f"band {i}: top projection is not step {i + 1}")
     return report
 

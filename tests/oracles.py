@@ -3,29 +3,31 @@
 Nothing here shares code paths with the library algorithms it checks:
 matchings are enumerated over all position pairings and filtered, the
 x-word conjugacy oracle is a plain breadth-first closure over the
-elementary conjugation moves, relator canonicalization strips and
-rotates letter by letter, trying every rotation, the fixed-shape relators
-are spelled as the paper writes each relation, admissibility is checked
-letter by letter with no sector table, rule application checks a rule,
-then builds and validates its result twice with unmemoized tape parts and
-no step plan, pair nesting compares every arc with every other, the minus
-pairing is searched for over every non-crossing matching, the symbol order
-is recomputed from the fields, zone components are grown by search, the
-base-word geometry is read off hw.sigma and the zone-naming rule, the
-standard words are built block by block, and the acceptance search keys
-its words on their text.
+elementary conjugation moves, relator canonicalization strips and rotates
+letter by letter, trying every rotation, the fixed-shape relators are
+spelled as the paper writes each relation, admissibility is checked letter
+by letter with no sector table, rule application checks a rule, then
+builds and validates its result twice with unmemoized tape parts and no
+step plan, pair nesting compares every arc with every other, the minus
+pairing is searched for over every non-crossing matching, a theta-band is
+the positive band of its rule's positive form, mirrored cell by cell for a
+negative rule, the symbol order is recomputed from the fields, zone
+components are grown by search, the base-word geometry is read off
+hw.sigma and the zone-naming rule, the standard words are built block by
+block, and the acceptance search keys its words on their text.
 """
 
 import functools
 import itertools
 from collections import deque
 
+from smkit.bands import Band, Cell
 from smkit.h2 import is_uniform, run_of
 from smkit.hardware import (
     AdmissibleError, AdmissibleWord, BadBasePattern, BadInnerAlphabet, BarSectorNotEmpty,
     MixedCoordinates, PositivityViolation,
 )
-from smkit.presentation import PresentationError
+from smkit.presentation import PresentationError, alpha
 from smkit.smachine import Diagnosis
 from smkit.words import (
     EMPTY, FAMILIES, KINDS, BaseLetter, Coord, CyclicWord, DyckPairing, State, Tape, Theta,
@@ -497,6 +499,43 @@ def step(machine, rid, W):
     if diag is not None:
         return None, diag
     return apply(machine, rid, W), None
+
+
+def band(machine, W, rid):
+    """The theta-band of rid over W as the paper draws it: the positive band
+    of rid's positive form over the word it applies to (W, or W o rid for a
+    negative rid), every cell then mirrored for a negative rid."""
+    hw = machine.hw
+    pos = rid.positive
+    rule = machine.rules[pos]
+    if rid.sign < 0:
+        W = apply(machine, rid, W)
+    cells = []
+    for k, (st, s) in enumerate(W.states):
+        zb, za = zones_of(hw, st.base)
+        left, right = _parts(machine, rule, 1, st, s)
+        top = Word(left.letters + ((hw.state(st.kind, st.j, rule.dst, pos.bar), s),)
+                   + right.letters)
+        if not pos.bar:
+            top = alpha(pos.inverse, top)
+        cells.append(Cell("bar_main" if pos.bar else "main", Theta(pos, zb if s > 0 else za),
+                          Theta(pos, za if s > 0 else zb), Word(((st, s),)), top))
+        if k == len(W.inners):
+            break
+        theta = Theta(pos, zone_after(hw, (st.base, s)))
+        for letter in W.inners[k]:
+            a = Word((letter,))
+            if pos.bar:
+                cells.append(Cell("bar_theta_a", theta, theta, a, a))
+            else:
+                cells.append(Cell("theta_a", theta, theta, alpha(pos, a), alpha(pos.inverse, a)))
+    bottom = Word([l for c in cells for l in c.bottom.letters])
+    top = Word([l for c in cells for l in c.top.letters])
+    base = tuple(st.base for st, _ in W.states)
+    if rid.sign > 0:
+        return Band(rid, tuple(cells), bottom, top, base)
+    cells = [Cell(c.kind, c.left, c.right, c.top, c.bottom, -c.dir) for c in cells]
+    return Band(rid, tuple(cells), top, bottom, base)
 
 
 # ---------------------------------------------------------------------------

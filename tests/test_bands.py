@@ -89,6 +89,10 @@ class TestStrictBands:
         assert verify_band(band, pres, mixed) == []
         fwd = theta_band(pres, mixed, W, rid)
         assert band.bottom == fwd.top and band.top == fwd.bottom
+        assert band.rid == rid.inverse and band.base == fwd.base
+        # cell by cell, upside down
+        assert [(c.kind, c.left, c.right, c.top, c.bottom, -c.dir) for c in band.cells] == [
+            (c.kind, c.left, c.right, c.bottom, c.top, c.dir) for c in fwd.cells]
 
     def test_not_applicable_raises(self, hw, mixed, pres):
         W = mixed_word(hw, hw.sigma_w(()))
@@ -148,6 +152,19 @@ class TestOnePassBuild:
                 if not pos.bar:
                     want = alpha(pos.inverse, want)
                 assert (cell.top if rid.sign > 0 else cell.bottom) == want, (rid, st)
+
+    def test_bands_equal_the_paper_construction(self, hw, mixed):
+        # every field of every cell, and the band's rule, labels and base,
+        # over both signs, plain and bar rules
+        pairs = applicable_pairs(mixed, seeded_words(hw, "mixed"))
+        assert {(rid.bar, rid.sign) for _, rid in pairs} == {
+            (False, 1), (False, -1), (True, 1), (True, -1)}
+        for W, rid in pairs:
+            band = theta_band(None, mixed, W, rid)
+            want = oracles.band(mixed, W, rid)
+            assert band.cells == want.cells, (W, rid)
+            assert (band.rid, band.bottom, band.top, band.base) == (
+                want.rid, want.bottom, want.top, want.base), (W, rid)
 
 
 def cell_lines(report):
@@ -331,3 +348,163 @@ class TestSerialization:
         text = trapezium_text(trap)
         assert text.startswith("trapezium height=1")
         assert "band ~t12(r1)" in text
+
+
+def band_with_cell(band, k, cell):
+    cells = list(band.cells)
+    cells[k] = cell
+    return replace(band, cells=tuple(cells))
+
+
+class TestBandReport:
+    """Every structural line of verify_band, each from one hand-edited band
+    whose cells are all relators of the right kind."""
+
+    @pytest.fixture(scope="class")
+    def band(self, hw, mixed):
+        W = mixed_word(hw, hw.sigma_w(((1, 1),), flavor="bar"))
+        return theta_band(None, mixed, W, parse_rule("~t12(r1)"))
+
+    def test_clean(self, band, pres, mixed):
+        assert verify_band(band, pres, mixed) == []
+
+    def test_theta_edge_mismatch(self, band, pres, mixed):
+        # a bar tape cell turned upside down is the same relator, but its
+        # theta edges point the other way
+        c = band.cells[6]
+        assert c.kind == "bar_theta_a" and c.bottom == c.top
+        broken = band_with_cell(band, 6, Cell(c.kind, c.left, c.right, c.top, c.bottom, -c.dir))
+        assert verify_band(broken, pres, mixed) == [
+            "cells 5,6: theta edges th(~t12(r1),P2) != th(~t12(r1),P2)",
+            "cells 6,7: theta edges th(~t12(r1),P2) != th(~t12(r1),P2)"]
+
+    def test_label_mismatch(self, band, pres, mixed):
+        broken = replace(band, bottom=band.top, top=band.bottom)
+        assert verify_band(broken, pres, mixed) == ["bottom label mismatch", "top label mismatch"]
+
+    def test_bases_differ(self, band, pres, mixed):
+        broken = replace(band, base=band.base[::-1])
+        assert verify_band(broken, pres, mixed) == ["top and bottom bases differ"]
+
+    def test_illegal_two_letter_base(self, band, pres, mixed):
+        letters = band.bottom.letters
+        assert str(letters[2][0]) == "P1(e,1)"
+        broken = replace(band, bottom=Word(letters[:2] + letters[3:]))
+        assert verify_band(broken, pres, mixed) == [
+            "bottom label mismatch", "top and bottom bases differ",
+            "illegal 2-letter base L1^1 R1^1"]
+
+    def test_fold_back_in_a_locked_zone(self, hw, pres, mixed):
+        # t2(e,1) leaves the K-zones open, so it applies over a K3 fold-back;
+        # t12(r1) locks them
+        K3 = hw.state("K", 3, Coord(None, 2))
+        W = hw.parse_admissible(Word(((K3, 1), (hw.tape(1, B("K", 3)), 1), (K3, -1))), "mixed")
+        band = theta_band(None, mixed, W, parse_rule("t2(e,1)"))
+        assert verify_band(band, pres, mixed) == []
+        broken = replace(band, rid=parse_rule("t12(r1)"))
+        assert verify_band(broken, pres, mixed) == ["fold-back at K3^1 in a locked zone"]
+
+    def test_growth_bound(self, hw, band, pres, mixed):
+        # the bound is 33 base letters * relator length 2
+        assert len(band.base) * hw.ee.c == 66
+        broken = replace(band, top=band.top * Word(parse_word("a1(P2)").letters * 67))
+        assert verify_band(broken, pres, mixed) == [
+            "top label mismatch", "band growth exceeds base-length * max-relator-length"]
+        within = replace(band, top=band.top * Word(parse_word("a1(P2)").letters * 66))
+        assert verify_band(within, pres, mixed) == ["top label mismatch"]
+
+    def test_unknown_rule(self, band, pres, mixed):
+        broken = replace(band, rid=parse_rule("~t12(r5)"))
+        assert verify_band(broken, pres, mixed) == ["unknown rule ~t12(r5)"]
+
+
+def with_band(trap, i, **fields):
+    bands = list(trap.bands)
+    bands[i] = replace(bands[i], **fields)
+    return replace(trap, bands=tuple(bands))
+
+
+def _gained(t, i):
+    return with_band(t, i, top=t.bands[i].top * parse_word("~a1(P2)"))
+
+
+def _glued_gain(t):
+    top = t.bands[1].top * parse_word("~a1(P2)")
+    return with_band(with_band(t, 1, top=top), 2, bottom=top)
+
+
+def _pair(t, mixed):
+    W1 = mixed.apply(t.history[0], mixed_word(mixed.hw, t.bottom))
+    back = theta_band(None, mixed, W1, t.history[0].inverse)
+    return replace(t, history=(t.history[0], back.rid), bands=(t.bands[0], back), top=back.top)
+
+
+# Each tampered trapezium with its exact report.  The trapezium is the first
+# height-3 seeded bar walk (see ``walk``).
+TRAPEZIUM_REPORTS = {
+    "clean": (lambda t, m: t, []),
+    "band 0 top gains a letter": (lambda t, m: _gained(t, 0), [
+        "band 0: top label mismatch",
+        "bands 0,1: top does not glue onto bottom",
+        "band 0: top projection is not step 1"]),
+    "band 1 top gains a letter": (lambda t, m: _gained(t, 1), [
+        "band 1: top label mismatch",
+        "bands 1,2: top does not glue onto bottom",
+        "band 1: top projection is not step 2"]),
+    "last top gains a letter": (lambda t, m: _gained(t, 2), [
+        "band 2: top label mismatch",
+        "band 2: top projection is not step 3"]),
+    "band 1 top and band 2 bottom gain the same letter": (lambda t, m: _glued_gain(t), [
+        "band 1: top label mismatch",
+        "band 2: bottom label mismatch",
+        "band 1: top projection is not step 2",
+        "band 2: bottom projection is not step 2"]),
+    "band 0 bottom replaced": (lambda t, m: with_band(t, 0, bottom=t.bands[0].top), [
+        "band 0: bottom label mismatch",
+        "band 0: bottom projection is not step 0"]),
+    "band 1 bottom replaced": (lambda t, m: with_band(t, 1, bottom=t.bands[1].top), [
+        "band 1: bottom label mismatch",
+        "bands 0,1: top does not glue onto bottom",
+        "band 1: bottom projection is not step 1"]),
+    "reducible pair": (_pair, [
+        "history is not reduced",
+        "bands 0,1: mirror bands (reducible pair)"]),
+    "history disagrees with the bands": (
+        lambda t, m: replace(t, history=t.history[:2] + (parse_rule("~t4(e,1)"),)), [
+            "band rules disagree with the history",
+            "band 2: top projection is not step 3"]),
+    "unreduced history": (
+        lambda t, m: replace(t, history=(t.history[0], t.history[0].inverse, t.history[2])), [
+            "history is not reduced",
+            "band rules disagree with the history",
+            "band 1: top projection is not step 2",
+            "band 2: bottom projection is not step 2",
+            "band 2: top projection is not step 3"]),
+    "bottom does not parse": (lambda t, m: replace(t, bottom=t.bottom * parse_word("~a1(P2)")), [
+        "bottom does not parse: BadBasePattern: word must end with a state letter"]),
+    "history does not run": (
+        lambda t, m: replace(t, history=(parse_rule("~t12(r1)"),) + t.history[1:]), [
+            "band rules disagree with the history",
+            "history does not run: (0, Diagnosis(code='CoordMismatch', "
+            "detail='word at (e,4), rule needs (e,1)'))"]),
+}
+
+
+class TestTrapeziumReport:
+    @pytest.fixture(scope="class")
+    def walk(self, hw, mixed):
+        rng = random.Random(17)
+        while True:
+            W = mixed_word(hw, random_bar_word(hw, rng, maxlen=1))
+            h, _ = random_walk(mixed, W, rng, 3, allow=lambda r: r.bar)
+            if len(h) == 3:
+                return trapezium(None, mixed, W, h)
+
+    def test_walk(self, walk):
+        assert walk.history == tuple(
+            parse_rule(r) for r in ("~t4(e,2)^-1", "~t4(e,2)^-1", "~t4(e,1)^-1"))
+
+    @pytest.mark.parametrize("case", list(TRAPEZIUM_REPORTS))
+    def test_report(self, walk, pres, mixed, case):
+        tamper, want = TRAPEZIUM_REPORTS[case]
+        assert verify_trapezium(tamper(walk, mixed), pres, mixed) == want
