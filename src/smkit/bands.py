@@ -163,7 +163,13 @@ def verify_band(band: Band, pres: Presentation, machine: Machine):
     rule = machine.rule(band.rid)
     if rule is None:
         return [f"unknown rule {band.rid!r}"]
+    # every cell's theta edges name the band's rule and point its way
+    own = (band.rid.positive, band.rid.positive, band.rid.sign)
     for k, cell in enumerate(band.cells):
+        if (getattr(cell.left, "rule", None), getattr(cell.right, "rule", None),
+                cell.dir) != own:
+            report.append(f"cell {k}: theta edges {cell.left!r}, {cell.right!r} "
+                          f"with dir {cell.dir} are not of {band.rid!r}")
         try:
             key = (cell.left, cell.dir, cell.bottom.letters, cell.right, cell.top.letters)
             hit = memo.get(key)

@@ -24,11 +24,14 @@ all x-letters erased and the j=1 zone letters dropped; finally there is the
 single hub relator.  Relators for negative rules are consequences and are
 not emitted.  Every relator is stored in its canonical form, the
 lexicographically least of the cyclic rotations of itself and its inverse,
-before deduplication.  Main, bar_main and hub relators vary with the rule
-and go through ``normalize_relator``; the fixed-shape kinds (theta_a,
-bar_theta_a, a_x, k_x) are spelled in their canonical form directly, as
-``rule_relations`` explains, each as one tuple of the (letter, sign) pairs
-its rule shares among all its relators.
+before deduplication.  The hub, and the main and bar_main relators at the
+base letters a rule acts at (v_z or u_z not empty), vary with the rule and
+go through ``normalize_relator``.  Every other kind is fixed-shape, and so
+is a main or bar_main relator at a letter the rule does not act at:
+th^-1 z th z'^-1, read from its least state letter.  Those are spelled in
+their canonical form directly, as ``rule_relations`` explains, each as one
+tuple of (letter, sign) pairs built once per symbol and shared by every
+rule and every emit.
 
 ``emit`` and ``read_presentation`` build a whole presentation: hundreds of
 thousands of tuples, words and relations, and no reference cycles.  So
@@ -38,6 +41,7 @@ that heap would free nothing; reference counting frees it as before.
 
 from __future__ import annotations
 
+import functools
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -68,7 +72,7 @@ _AT = {"main": (State, "base"), "bar_main": (State, "base"), "k_x": (State, "bas
        "theta_a": (Theta, "zone"), "bar_theta_a": (Theta, "zone"), "a_x": (Tape, "zone")}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Relation:
     """One relator of the presentation.  Its rule and place are not stored:
     the letters of the relator name them."""
@@ -76,9 +80,13 @@ class Relation:
     kind: str
     relator: CyclicWord  # normalized: least of relator/inverse rotations
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise PresentationError(f"unknown relation kind {self.kind!r}")
+    def __init__(self, kind, relator):
+        # the slots are set through their descriptors, past the frozen
+        # __setattr__ (one Relation per relator)
+        if kind not in KINDS:
+            raise PresentationError(f"unknown relation kind {kind!r}")
+        _set_kind(self, kind)
+        _set_relator(self, relator)
 
     @property
     def rule(self) -> Optional[RuleId]:
@@ -100,6 +108,10 @@ class Relation:
             if isinstance(sym, cls):
                 return getattr(sym, attr)
         return None
+
+
+_set_kind = Relation.__dict__["kind"].__set__
+_set_relator = Relation.__dict__["relator"].__set__
 
 
 def normalize_relator(w: Word):
@@ -268,7 +280,7 @@ def emit(hw: Hardware, label=""):
     The relations of every positive rule, plain rules first and then bar
     rules, each in ``enumerate_rule_ids`` order, followed by the hub.  The
     build creates no reference cycles, so it runs with the cyclic collector
-    paused; fixed-shape relators share their letter pairs within a rule."""
+    paused; fixed-shape relators share one letter pair per symbol."""
     with _collector_paused():
         machine = Machine(hw, "mixed")
         rels = [rel for bar in (False, True) for rid in enumerate_rule_ids(hw.ee, bar)
@@ -295,17 +307,19 @@ def rule_relations(machine: Machine, rid: RuleId):
     ``emit`` lists them: main, then theta_a, then (plain rules only) a_x and
     k_x, or their bar kinds for a bar rule.
 
-    Main relators carry the rule's tape words v and u, so each is spelled
-    as a tuple of letters and goes through ``normalize_relator``.  Every
-    other relator has a fixed shape, and is spelled in its canonical form
-    directly.  ``symbol_key`` ranks tape < state < theta < x letters, and a
-    positive letter before its inverse.  Each such relator has exactly one
-    least letter: its positive tape letter, or for k_x its positive state
-    letter.  Only the rotation read from that letter can be least, and the
-    inverse's one candidate starts at the same letter.  The comments below
-    name the first letter where the two differ.  Each letter's (sym, 1) and
-    (sym, -1) pair is built once per rule, and a fixed-shape relator is one
-    flat tuple of those pairs."""
+    A main relator at a base letter the rule acts at carries the rule's
+    tape words v and u, so it is spelled as a tuple of letters and goes
+    through ``normalize_relator``.  Every other relator has a fixed shape,
+    and is spelled in its canonical form directly.  ``symbol_key`` ranks
+    tape < state < theta < x letters, and a positive letter before its
+    inverse.  A fixed-shape main relator th(zb)^-1 src th(za) dst^-1 is read
+    from src, or from dst (as the inverse) when dst ranks lower.  Every
+    other one has exactly one least letter: its positive tape letter, or
+    for k_x its positive state letter.  Only the rotation read from that
+    letter can be least, and the inverse's one candidate starts at the same
+    letter.  The comments below name the first letter where the two differ.
+    Each symbol's (sym, 1) and (sym, -1) pair is built once (``_pair``), and
+    a fixed-shape relator is one flat tuple of those pairs."""
     hw = machine.hw
     rule = machine.rules[rid]
     bar = rid.bar
@@ -315,19 +329,29 @@ def rule_relations(machine: Machine, rid: RuleId):
     indices = range(1, hw.ee.mbar + 1)
     zones = hw.zones
     theta = {z: _pair(Theta(rid, z)) for z in zones}
-    # main relations, one per unsigned basic letter
+    # main relations, one per unsigned basic letter:
+    # th(zb)^-1 src th(za) (v dst u)^-1
     kind = "bar_main" if bar else "main"
     for bl, _ in hw.sigma:
-        zb, za = hw.zones_of(bl)
+        (zbp, zbn), (zap, zan) = (theta[z] for z in hw.zones_of(bl))
         src = hw.state(bl.kind, bl.j, rule.src, bar)
         dst = hw.state(bl.kind, bl.j, rule.dst, bar)
+        (srcp, srcn), (dstp, dstn) = _pair(src), _pair(dst)
+        if bl.kind not in rule.actions:
+            # v = u = 1: read from src, or from dst when it ranks lower
+            # (the inverse's least rotation); src is dst at an age rule,
+            # and then th(za) before th(za)^-1 picks the first form
+            if src._key <= dst._key:
+                letters = (srcp, zap, dstn, zbn)
+            else:
+                letters = (dstp, zan, srcn, zbp)
+            add(Relation(kind, CyclicWord._rotated(letters)))
+            continue
         v, u = (part.letters for part in machine._parts(rid, bl.kind, bl.j, 1))
         if not bar:
             v, u = _alpha_letters(rid.inverse, v), _alpha_letters(rid.inverse, u)
-        # th(zb)^-1 src th(za) (v dst u)^-1
         add(Relation(kind, normalize_relator(Word(
-            (theta[zb][1], (src, 1), theta[za][0], *_inverse(u),
-             (dst, -1), *_inverse(v))))))
+            (zbn, srcp, zap, *_inverse(u), dstn, *_inverse(v))))))
     # the (a, 1), (a, -1) pairs of the tape letters over each zone (none
     # over a bar j=1 zone), and for a plain rule those of x(a, tau)
     tapes = {z: [_pair(hw.tape(i, z, bar)) for i in indices]
@@ -385,8 +409,10 @@ def rule_relations(machine: Machine, rid: RuleId):
     return rels
 
 
+@functools.cache
 def _pair(sym):
-    """The letters sym and sym^-1."""
+    """The letters sym and sym^-1, built once per symbol: symbols are
+    interned, so the cache grows no further than the symbol pools."""
     return (sym, 1), (sym, -1)
 
 
@@ -398,11 +424,21 @@ def _inverse(letters):
 # text format
 # ---------------------------------------------------------------------------
 
+# Relator lines per ``fh.write`` in ``write_presentation``.
+_WRITE_LINES = 4096
+
+
 def write_presentation(p: Presentation, fh):
-    fh.write(f"n: {p.n}\n")
-    fh.write(f"ee-file: {p.ee_label or '-'}\n")
-    for rel in p.relations:
-        fh.write(f"relator {rel.kind}: {word_to_text(rel.relator)}\n")
+    """The text of p: its header, then its relator lines a few thousand to
+    each ``fh.write``.  One write of it all is no faster, and an unbuffered
+    stream (``python -u``) silently drops the rest of a write cut short by a
+    reader that closes early; only the next write raises BrokenPipeError,
+    which ``smkit present | head`` needs."""
+    fh.write(f"n: {p.n}\nee-file: {p.ee_label or '-'}\n")
+    rels = p.relations
+    for k in range(0, len(rels), _WRITE_LINES):
+        fh.write("".join([f"relator {rel.kind}: {word_to_text(rel.relator.letters)}\n"
+                          for rel in rels[k:k + _WRITE_LINES]]))
 
 
 def read_presentation(fh):

@@ -446,7 +446,7 @@ class CyclicWord:
         """A CyclicWord from a tuple already in canonical rotation; skips
         the Booth pass of ``__init__``."""
         self = object.__new__(cls)
-        object.__setattr__(self, "letters", letters)
+        _set_cyclic_letters(self, letters)
         return self
 
     def __setattr__(self, *a):
@@ -477,6 +477,9 @@ class CyclicWord:
 
     def word(self):
         return Word(self.letters, reduce=False)
+
+
+_set_cyclic_letters = CyclicWord.__dict__["letters"].__set__
 
 
 def is_dyck(w: CyclicWord):

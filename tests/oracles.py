@@ -4,8 +4,8 @@ Nothing here shares code paths with the library algorithms it checks:
 matchings are enumerated over all position pairings and filtered, the
 x-word conjugacy oracle is a plain breadth-first closure over the
 elementary conjugation moves, relator canonicalization strips and rotates
-letter by letter, trying every rotation, the fixed-shape relators are
-spelled as the paper writes each relation, admissibility is checked letter
+letter by letter, trying every rotation, the fixed-shape and main relators
+are spelled as the paper writes each relation, admissibility is checked letter
 by letter with no sector table, rule application checks a rule, then
 builds and validates its result twice with unmemoized tape parts and no
 step plan, pair nesting compares every arc with every other, the minus
@@ -262,6 +262,34 @@ def fixed_shape_relators(machine, rid):
                 x, brother = X(hw.tape(i, after), rid), X(hw.tape(i, before), rid)
                 # z x z^-1 = x'^e, e = 1 (K) or 4 (L)
                 out.append(relator("k_x", [(z, 1), (x, 1), (z, -1)] + [(brother, -1)] * e))
+    return out
+
+
+def main_relators(machine, rid):
+    """(kind, letters) of the main or bar_main relators of the positive rule
+    rid, one per unsigned basic letter z in base-word order: the relation
+    th(zone before z)^-1 z th(zone after z) = alpha(v) z' alpha(u), with z'
+    at the rule's target coordinate and v, u the tape words of ``_parts``
+    above (alpha of the inverse rule for a plain rule, none for a bar
+    rule), put in canonical form by ``normalize_relator`` above."""
+    hw, bar = machine.hw, rid.bar
+    rule = machine.rules[rid]
+
+    def state(bl, coord):
+        # the bar alphabet shares the plain state letters at (e,1)
+        return State(bl.kind, bl.j, coord, bar and coord != Coord(None, 1))
+
+    out = []
+    for bl, _ in hw.sigma:
+        z, z2 = state(bl, rule.src), state(bl, rule.dst)
+        before, after = zones_of(hw, bl)
+        v, u = _parts(machine, rule, 1, z, 1)
+        if not bar:
+            v, u = alpha(rid.inverse, v), alpha(rid.inverse, u)
+        lhs = [(Theta(rid, before), -1), (z, 1), (Theta(rid, after), 1)]
+        rhs = list(v.letters) + [(z2, 1)] + list(u.letters)
+        word = Word(lhs + [(y, -s) for y, s in reversed(rhs)])
+        out.append(("bar_main" if bar else "main", normalize_relator(word)))
     return out
 
 

@@ -270,6 +270,8 @@ class TestCellMemo:
         broken = Band(band.rid, tuple(cells), band.bottom, band.top, band.base)
         report = verify_band(broken, pres, mixed)
         assert cell_lines(report) == [
+            f"cell 2: theta edges {cells[2].left!r}, {cells[2].right!r} with dir [1] "
+            "are not of ~t12(r1)",
             "cell 2: boundary did not normalize: bad operand type for unary -: 'list'"]
         assert len(pres._cell_memo) == size
 
@@ -375,6 +377,7 @@ class TestBandReport:
         assert c.kind == "bar_theta_a" and c.bottom == c.top
         broken = band_with_cell(band, 6, Cell(c.kind, c.left, c.right, c.top, c.bottom, -c.dir))
         assert verify_band(broken, pres, mixed) == [
+            "cell 6: theta edges th(~t12(r1),P2), th(~t12(r1),P2) with dir -1 are not of ~t12(r1)",
             "cells 5,6: theta edges th(~t12(r1),P2) != th(~t12(r1),P2)",
             "cells 6,7: theta edges th(~t12(r1),P2) != th(~t12(r1),P2)"]
 
@@ -402,7 +405,9 @@ class TestBandReport:
         band = theta_band(None, mixed, W, parse_rule("t2(e,1)"))
         assert verify_band(band, pres, mixed) == []
         broken = replace(band, rid=parse_rule("t12(r1)"))
-        assert verify_band(broken, pres, mixed) == ["fold-back at K3^1 in a locked zone"]
+        assert verify_band(broken, pres, mixed) == [
+            f"cell {k}: theta edges {c.left!r}, {c.right!r} with dir 1 are not of t12(r1)"
+            for k, c in enumerate(band.cells)] + ["fold-back at K3^1 in a locked zone"]
 
     def test_growth_bound(self, hw, band, pres, mixed):
         # the bound is 33 base letters * relator length 2
@@ -416,6 +421,17 @@ class TestBandReport:
     def test_unknown_rule(self, band, pres, mixed):
         broken = replace(band, rid=parse_rule("~t12(r5)"))
         assert verify_band(broken, pres, mixed) == ["unknown rule ~t12(r5)"]
+
+    @pytest.mark.parametrize("name", ["~t1(e,1)", "~t12(r2)", "~t12(r1)^-1"])
+    def test_cells_of_another_rule(self, band, pres, mixed, name):
+        # every cell is a relator of ~t12(r1) read upwards, so under any
+        # other signed rule every cell is reported, and nothing else
+        report = verify_band(replace(band, rid=parse_rule(name)), pres, mixed)
+        assert report[0] == \
+            f"cell 0: theta edges th(~t12(r1),K8), th(~t12(r1),K1) with dir 1 are not of {name}"
+        assert report == [
+            f"cell {k}: theta edges {c.left!r}, {c.right!r} with dir 1 are not of {name}"
+            for k, c in enumerate(band.cells)]
 
 
 def with_band(trap, i, **fields):

@@ -128,9 +128,12 @@ class TestDifferential:
 
 
 class TestSpelledRelators:
-    """``rule_relations`` spells theta_a, bar_theta_a, a_x and k_x relators
-    in canonical form without normalizing them.  Spelling R-zone a_x as the
-    paper writes it, a^-1 x a x^-4 unrotated, fails both tests."""
+    """``rule_relations`` spells theta_a, bar_theta_a, a_x and k_x relators,
+    and main and bar_main relators at letters the rule does not act at, in
+    canonical form without normalizing them.  Spelling R-zone a_x as the
+    paper writes it, a^-1 x a x^-4 unrotated, fails the first two tests.
+    Reading every fixed-shape main relator from src fails the first and the
+    last; swapping its theta letters fails the last."""
 
     @pytest.fixture(scope="class", params=[
         ("sample.ee", 8), pytest.param(("sample.ee", 10), marks=pytest.mark.slow),
@@ -154,6 +157,14 @@ class TestSpelledRelators:
                 got = [(rel.kind, rel.relator.letters)
                        for rel in rule_relations(machine, rid) if rel.kind in FIXED_SHAPE]
                 assert got == oracles.fixed_shape_relators(machine, rid), rid
+
+    def test_main_relators_are_the_papers(self, machine):
+        # most are spelled directly (the rule does not act at their letter)
+        for bar in (False, True):
+            for rid in enumerate_rule_ids(machine.hw.ee, bar):
+                got = [(rel.kind, rel.relator.letters) for rel in rule_relations(machine, rid)
+                       if rel.kind in ("main", "bar_main")]
+                assert got == oracles.main_relators(machine, rid), rid
 
 
 class TestLaws:

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import GOLDEN
-from smkit.hardware import BaseLetter, Hardware, load_ee
+from smkit.hardware import BaseLetter, Hardware, load_ee, load_ee_file
 from smkit.presentation import (
-    KINDS, NonUniformIndex, Presentation, PresentationError, Relation, alpha,
+    KINDS, NonUniformIndex, Presentation, PresentationError, Relation, _pair, alpha,
     beta, delta, emit, gamma, normalize_relator, read_presentation,
     rule_relations, shift_index, write_presentation,
 )
@@ -26,6 +26,21 @@ B = BaseLetter
 # per k_x family over the same alphabet.
 FOUR_EE = ("generators: a1 a2\ninvolution: a1 a2\nm: 2\n"
            "relator:\nrelator: a1 a2\nrelator: a2 a1\nrelator: a1 a1 a2 a2\n")
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+# sha256, line count and stats() of more inputs, with `ee-file: -`
+with open(os.path.join(GOLDEN, "presentations.json")) as f:
+    GOLDEN_MORE = json.load(f)
+
+
+def digest(pres):
+    """The sha256 and line count of pres's text, and its stats()."""
+    buf = io.StringIO()
+    write_presentation(pres, buf)
+    text = buf.getvalue()
+    return {"sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "lines": text.count("\n"), "stats": pres.stats()}
 
 
 def provenance(pres):
@@ -113,12 +128,13 @@ class TestEmission:
     def test_golden_counts_and_digest(self, hw, pres):
         with open(os.path.join(GOLDEN, "presentation_n8.json")) as f:
             golden = json.load(f)
-        assert pres.stats() == golden["stats"]
-        buf = io.StringIO()
-        write_presentation(pres, buf)
-        text = buf.getvalue()
-        assert text.count("\n") == golden["lines"]
-        assert hashlib.sha256(text.encode()).hexdigest() == golden["sha256"]
+        assert digest(pres) == golden
+
+    @pytest.mark.parametrize("golden", GOLDEN_MORE,
+                             ids=lambda g: f"{os.path.basename(g['ee'])}-N{g['n']}")
+    def test_more_golden_digests(self, golden):
+        pres = emit(Hardware(load_ee_file(os.path.join(ROOT, golden["ee"])), golden["n"]))
+        assert digest(pres) == {key: golden[key] for key in ("sha256", "lines", "stats")}
 
     def test_no_duplicate_relators(self, pres):
         seen = set()
@@ -407,6 +423,25 @@ class TestCollectorPause:
         with pytest.raises(PresentationError, match="duplicate relator"):
             read_presentation(io.StringIO("n: 8\n" + line + line))
         assert gc.isenabled()
+
+
+class TestTrackedObjects:
+    """The objects an emit leaves for the collector to scan once it runs
+    again: about three per relation (the Relation, its CyclicWord and its
+    letters tuple), since letter pairs are built once per symbol."""
+
+    def test_fewer_than_3_5_tracked_objects_per_relation(self, hw, pres):
+        gc.collect()
+        before = len(gc.get_objects())
+        p = emit(hw)
+        made = len(gc.get_objects()) - before
+        assert made / len(p.relations) < 3.5
+
+    def test_one_letter_pair_per_symbol(self, hw):
+        for sym in (hw.tape(1, B("L", 2)), Theta(parse_rule("t2(r1,1)"), B("L", 2)),
+                    hw.state("K", 1, Coord(None, 1))):
+            assert _pair(sym) is _pair(sym)
+            assert _pair(sym) == ((sym, 1), (sym, -1))
 
 
 class TestShiftIndex:
