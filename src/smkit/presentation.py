@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import gc
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -160,6 +161,10 @@ class Presentation:
                     raise PresentationError(f"duplicate relator {rel.relator!r}")
                 seen.add(rel.relator)
         object.__setattr__(self, "_index", MappingProxyType(index))
+
+    def __reduce__(self):
+        # rebuilt through __post_init__: a fresh index, an empty cell memo
+        return Presentation, (self.n, self.ee_label, self.relations)
 
     def stats(self):
         out = {k: 0 for k in KINDS}
@@ -448,13 +453,13 @@ def read_presentation(fh):
     no reference cycles and runs with the cyclic collector paused.
 
     A relator that repeats an earlier one is found by ``Presentation``, after
-    the read; its line is then found by reading ``fh`` again, when ``fh`` can
-    seek back to where the read began."""
+    the read; the line of each relator is kept as it is read, so the error
+    names the lines of both."""
     with _collector_paused():
-        start = _rewind_point(fh)
         n = None
         label = ""
         rels = []
+        linenos = array("L")  # the line of each relator in rels; no int kept per line
         letters = {}  # token -> (symbol, sign)
 
         def letter(tok):
@@ -478,6 +483,7 @@ def read_presentation(fh):
                     head, _, body = line.partition(":")
                     w = Word([letter(tok) for tok in body.split()])
                     rels.append(Relation(head[len("relator "):].strip(), normalize_relator(w)))
+                    linenos.append(lineno)
                 else:
                     raise PresentationError(f"unrecognized line {line!r}")
             except ValueError as e:
@@ -487,28 +493,10 @@ def read_presentation(fh):
         try:
             return Presentation(n, label, tuple(rels))
         except PresentationError as e:  # a repeated relator
-            if start is None:
-                raise
-            first, repeat = _repeated_relator_lines(fh, start, rels)
-            raise PresentationError(f"line {repeat}: {e} (first on line {first})") from None
-
-
-def _rewind_point(fh):
-    """Where fh can seek back to, or None when it cannot seek."""
-    try:
-        return fh.tell() if fh.seekable() else None
-    except (AttributeError, OSError):
-        return None
-
-
-def _repeated_relator_lines(fh, start, rels):
-    """(line of the first occurrence, line of the repeat) of the first relator
-    of rels that repeats an earlier one, read again from fh at ``start``."""
-    first = {}
-    for k, rel in enumerate(rels):
-        j = first.setdefault(rel.relator, k)
-        if j != k:
-            break
-    fh.seek(start)
-    numbers = [lineno for lineno, line in content_lines(fh) if line.startswith("relator ")]
-    return numbers[j], numbers[k]
+            first = {}
+            for k, rel in enumerate(rels):
+                j = first.setdefault(rel.relator, k)
+                if j != k:
+                    break
+            raise PresentationError(
+                f"line {linenos[k]}: {e} (first on line {linenos[j]})") from None

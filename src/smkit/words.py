@@ -452,6 +452,9 @@ class CyclicWord:
     def __setattr__(self, *a):
         raise AttributeError("CyclicWord is immutable")
 
+    def __reduce__(self):
+        return CyclicWord._rotated, (self.letters,)
+
     def __len__(self):
         return len(self.letters)
 
@@ -483,9 +486,9 @@ _set_cyclic_letters = CyclicWord.__dict__["letters"].__set__
 
 
 def is_dyck(w: CyclicWord):
-    """A Dyck word is a cyclically freely trivial word."""
-    letters = free_reduce(w.letters)
-    return 2 * conjugator_length(letters) == len(letters)
+    """A Dyck word is a cyclically freely trivial word: a rotation of a
+    freely trivial word is freely trivial, so its letters reduce to nothing."""
+    return not free_reduce(w.letters)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +505,7 @@ class DyckPairing:
 
     ``pairs`` are oriented: (open_pos, close_pos), the inside being the
     clockwise arc open..close.  ``parents`` maps a pair to the innermost pair
-    containing it (None for roots); together with ``pairs`` this is the
+    containing it (-1 for roots); together with ``pairs`` this is the
     nesting forest.
     """
 
@@ -562,27 +565,6 @@ def _bracket_scan(opens):
     return pairs, parent
 
 
-def _nesting(n, oriented_pairs):
-    """Parent table for oriented pairs, or None if the nesting is inconsistent.
-
-    A valid cancellation scheme has, for each pair, all other pairs either
-    completely inside its clockwise open..close arc or completely outside,
-    and the insides ordered by containment.  Then no arc covers a cut of
-    least bracket depth, and the bracket scan pops each pair's own open at
-    its close; the parent is the pair whose open was below it on the stack.
-    Pairs oriented at min/max position always pass with the cut before 0.
-    """
-    opens = [False] * n
-    pair_at = [0] * n
-    for k, (o, c) in enumerate(oriented_pairs):
-        opens[o] = True
-        pair_at[o] = pair_at[c] = k
-    pairs, parent = _bracket_scan(opens)
-    if any(pair_at[o] != pair_at[c] for o, c in pairs):
-        return None
-    return tuple(-1 if parent[o] < 0 else pair_at[parent[o]] for o, _ in oriented_pairs)
-
-
 def _matchings(word, positions):
     """All non-crossing inverse-letter perfect matchings of ``positions``.
 
@@ -602,29 +584,32 @@ def _matchings(word, positions):
                     yield [(p, q)] + left + right
 
 
-def _canonical_orientation(n, matching):
-    """Orient pairs by the cut before position 0: open at min, close at max."""
-    return tuple(sorted((min(p, q), max(p, q)) for p, q in matching))
-
-
 def enumerate_pairings(w: CyclicWord, limit=None):
     """Distinct cancellation pairings of ``w`` in leftmost-first DFS order,
     at most ``limit`` of them (all when ``limit`` is None).
 
     Pairings are identified with their (unoriented) non-crossing matchings;
     each is returned with the canonical orientation induced by cutting the
-    canonical rotation before position 0.  A non-Dyck word yields [].
-    Raises ValueError for a negative ``limit``.
+    canonical rotation before position 0.  ``_matchings`` yields each
+    matching as ``[(p, q)] + inside + after``, so its pairs already come
+    sorted by open position, with open < close, and one stack pass over
+    them gives the nesting: a pair's parent is the innermost earlier pair
+    still open at its open.  A non-Dyck word yields [].  Raises ValueError
+    for a negative ``limit``.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"pairing limit must be >= 0, got {limit}")
     if not is_dyck(w):
         return []
-    n = len(w)
     out = []
-    for matching in islice(_matchings(w.letters, list(range(n))), limit):
-        oriented = _canonical_orientation(n, matching)
-        out.append(DyckPairing(w, oriented, _nesting(n, oriented)))
+    for matching in islice(_matchings(w.letters, list(range(len(w)))), limit):
+        parents, stack = [], []  # stack: the pairs still open, innermost last
+        for k, (p, _) in enumerate(matching):
+            while stack and matching[stack[-1]][1] < p:
+                stack.pop()
+            parents.append(stack[-1] if stack else -1)
+            stack.append(k)
+        out.append(DyckPairing(w, tuple(matching), tuple(parents)))
     return out
 
 

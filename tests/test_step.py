@@ -1,7 +1,7 @@
 """One-pass rule application: ``Machine.step`` (with cold and warm step
 plans) and ``applicable_rules`` against the check-then-build reference in
 ``oracles``, the step/inverse law, the lazily filled zone lookup and the
-one-scan pair nesting."""
+nesting of enumerated Dyck pairings."""
 
 import random
 
@@ -18,9 +18,7 @@ from smkit.hardware import (
     COORD_E1, AdmissibleError, AdmissibleWord, BaseLetter, EEPresentation, Hardware,
 )
 from smkit.smachine import Diagnosis, Machine
-from smkit.words import (
-    TRANSITION_FAMILIES, Coord, RuleId, Word, _canonical_orientation, _matchings, _nesting,
-)
+from smkit.words import TRANSITION_FAMILIES, Coord, RuleId, Word, enumerate_pairings
 
 B = BaseLetter
 CODES = {"UnknownRule", "FlavorMismatch", "CoordMismatch", "ForbiddenSectorShape",
@@ -155,20 +153,19 @@ class TestZoneLookup:
 
 
 class TestNesting:
-    def test_one_scan_matches_pairwise_filter(self):
-        rejected = 0
-        for w in dyck_words(8):
-            n = len(w)
-            for matching in _matchings(w.letters, list(range(n))):
-                canonical = _canonical_orientation(n, matching)
-                minus = tuple(sorted((p, q) if w[p][1] < 0 else (q, p) for p, q in matching))
-                expect = oracles.nesting(n, canonical)
-                assert expect is not None  # pairs oriented at min/max position always nest
-                assert _nesting(n, canonical) == expect
-                got = _nesting(n, minus)
-                assert got == oracles.nesting(n, minus), (w, minus)
-                rejected += got is None
-        assert rejected
+    def test_enumerated_nesting_matches_the_oracle(self):
+        # every pairing of every cyclic Dyck word up to length 10: pairs in
+        # open order with open < close, and the parents of one stack pass
+        # over them equal to the pairwise filter's
+        words, pairings = dyck_words(10), 0
+        for w in words:
+            for pairing in enumerate_pairings(w):
+                pairs = pairing.pairs
+                assert all(o < c for o, c in pairs)
+                assert [o for o, _ in pairs] == sorted(o for o, _ in pairs)
+                assert pairing.parents == oracles.nesting(len(w), pairs), (w, pairs)
+                pairings += 1
+        assert pairings > len(words)
 
 
 # ---------------------------------------------------------------------------
