@@ -15,10 +15,12 @@ next band's bottoms; the construction requires the bottom word to start
 and end with K-type letters, which makes every trim word empty and the
 chaining exact; a check projects each word of the history once.
 
-Verification normalizes each distinct cell boundary once per Presentation,
-which remembers the relation of every cell found to be a relator (never of
-one that is not), so only callers that check many diagrams against one
-presentation gain from it.
+Building spells each distinct cell once per Machine, which keeps it under
+its signed rule and the one letter it is drawn on, and verification normalizes each
+distinct cell boundary once per Presentation, which remembers the relation
+of every cell found to be a relator (never of one that is not).  So callers
+that build and check many diagrams over one machine and one presentation
+gain the most.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class BandError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     kind: str  # "main" | "theta_a" | "bar_main" | "bar_theta_a"
     left: Theta
@@ -70,37 +72,57 @@ def theta_band(pres: Presentation, machine: Machine, W: AdmissibleWord, rid: Rul
 def _band_step(machine, W, rid):
     """(band of rid over W, W o rid), built in one pass: its cells sit on the
     word rid's positive form applies to (W, or W o rid for a negative rid),
-    upside down for a negative rid."""
+    upside down for a negative rid.
+
+    A cell depends on nothing but the signed rule and the one letter of that
+    word it is drawn on, so each is built once per machine and kept in
+    ``machine._cell_memo[rid]`` under that letter: a state letter for a main
+    cell, a tape letter for a theta cell.  A tape cell's theta zone is its
+    sector's, which is the zone of the tape letter itself in every word
+    ``Machine.apply`` accepts, so the letter alone is the key."""
     out = machine.apply(rid, W)
     pos, d = rid.positive, rid.sign
     src = W if d > 0 else out
+    memo = machine._cell_memo.get(rid)
+    if memo is None:
+        memo = machine._cell_memo.setdefault(rid, {})
     rule = machine.rule(rid)
     hw = machine.hw
     bar = rid.bar
     cells = []
-    for k, (st, s) in enumerate(src.states):
-        lzone, rzone = hw.zones_of(st.base)[::s]
-        left_part, right_part = machine._parts(pos, st.kind, st.j, s)
-        st2 = hw.state(st.kind, st.j, rule.dst, bar)
-        # the state letter separates two reduced tape words, and alpha keeps
-        # a reduced word reduced, so the image is spelled reduced at once
-        image = (*left_part.letters, (st2, s), *right_part.letters)
-        if not bar:
-            image = tuple(_alpha_letters(pos.inverse, image))
-        ends = (reduced_word(((st, s),)), reduced_word(image))[::d]  # (bottom, top)
-        cells.append(Cell("bar_main" if bar else "main", Theta(pos, lzone),
-                          Theta(pos, rzone), *ends, d))
+    for k, y in enumerate(src.states):
+        cell = memo.get(y)
+        if cell is None:
+            st, s = y
+            lzone, rzone = hw.zones_of(st.base)[::s]
+            left_part, right_part = machine._parts(pos, st.kind, st.j, s)
+            st2 = hw.state(st.kind, st.j, rule.dst, bar)
+            # the state letter separates two reduced tape words, and alpha
+            # keeps a reduced word reduced, so the image is spelled reduced
+            # at once
+            image = (*left_part.letters, (st2, s), *right_part.letters)
+            if not bar:
+                image = tuple(_alpha_letters(pos.inverse, image))
+            ends = (reduced_word((y,)), reduced_word(image))[::d]  # (bottom, top)
+            cell = memo[y] = Cell("bar_main" if bar else "main", Theta(pos, lzone),
+                                  Theta(pos, rzone), *ends, d)
+        cells.append(cell)
         if k == len(src.inners):
             break
-        theta = Theta(pos, hw.zone_after((st.base, s)))
-        for letter in src.inners[k]:
-            if bar:
-                bottom = top = reduced_word((letter,))
-            else:
-                # alpha_rid below and alpha_{rid^-1} above, whatever rid's sign
-                bottom = reduced_word(tuple(_alpha_letters(rid, (letter,))))
-                top = reduced_word(tuple(_alpha_letters(rid.inverse, (letter,))))
-            cells.append(Cell("bar_theta_a" if bar else "theta_a", theta, theta, bottom, top, d))
+        for letter in src.inners[k].letters:
+            cell = memo.get(letter)
+            if cell is None:
+                st, s = y
+                theta = Theta(pos, hw.zone_after((st.base, s)))
+                if bar:
+                    bottom = top = reduced_word((letter,))
+                else:
+                    # alpha_rid below and alpha_{rid^-1} above, whatever rid's sign
+                    bottom = reduced_word(tuple(_alpha_letters(rid, (letter,))))
+                    top = reduced_word(tuple(_alpha_letters(rid.inverse, (letter,))))
+                cell = memo[letter] = Cell("bar_theta_a" if bar else "theta_a", theta,
+                                           theta, bottom, top, d)
+            cells.append(cell)
     bottom = Word(chain.from_iterable(c.bottom.letters for c in cells))
     top = Word(chain.from_iterable(c.top.letters for c in cells))
     return Band(rid, tuple(cells), bottom, top, src.base()), out

@@ -89,6 +89,14 @@ class Relation:
         _set_kind(self, kind)
         _set_relator(self, relator)
 
+    # immutable over interned symbols: a copy is the relation itself, so a
+    # copied Presentation shares its relations
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     @property
     def rule(self) -> Optional[RuleId]:
         """The positive rule its theta or x letters name; None for the hub."""
@@ -149,7 +157,9 @@ class Presentation:
     _index: MappingProxyType = field(init=False, repr=False, compare=False)
     # bands.verify_band's memo: a cell's (left, dir, bottom letters, right,
     # top letters) -> the Relation its boundary normalizes to.  Filled
-    # lazily, with cells whose boundary is a relator only.
+    # lazily, with cells whose boundary is a relator only.  It checks cells
+    # against this presentation; Machine._cell_memo, the other cell memo,
+    # keeps the cells bands._band_step builds, per machine, and checks none.
     _cell_memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):

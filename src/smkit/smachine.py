@@ -148,6 +148,12 @@ class Machine:
         self.distance = self._distances()
         self._by_src = None  # source coordinate -> signed candidates, on first use
         self._part_memo = {}
+        # bands._band_step's cells: signed rule -> {letter: Cell}, keyed by
+        # the state or tape letter a cell is drawn on, so at most
+        # 2 x (state letters + tape letters) per rule.  Filled lazily.
+        # Presentation._cell_memo is the other cell memo: it keeps the
+        # relation each verified cell is, per presentation.
+        self._cell_memo = {}
 
     def rule_ids(self):
         return list(self.rules)

@@ -13,7 +13,7 @@ from smkit.bands import (
 from smkit.derive import bar_conjugated_insertion
 from smkit.hardware import BaseLetter
 from smkit.presentation import alpha, emit
-from smkit.smachine import NotApplicable
+from smkit.smachine import Machine, NotApplicable
 from smkit.words import Coord, CyclicWord, Word, parse_rule, parse_word, wletter
 from test_step import seeded_words
 
@@ -153,18 +153,90 @@ class TestOnePassBuild:
                     want = alpha(pos.inverse, want)
                 assert (cell.top if rid.sign > 0 else cell.bottom) == want, (rid, st)
 
-    def test_bands_equal_the_paper_construction(self, hw, mixed):
+    def test_bands_equal_the_paper_construction(self, hw):
         # every field of every cell, and the band's rule, labels and base,
-        # over both signs, plain and bar rules
-        pairs = applicable_pairs(mixed, seeded_words(hw, "mixed"))
+        # over both signs, plain and bar rules; every band is built on a
+        # fresh machine and built again once all are, from the machine's
+        # cell cache, which hands back the same cells
+        machine = Machine(hw, "mixed")
+        pairs = applicable_pairs(machine, seeded_words(hw, "mixed"))
         assert {(rid.bar, rid.sign) for _, rid in pairs} == {
             (False, 1), (False, -1), (True, 1), (True, -1)}
-        for W, rid in pairs:
-            band = theta_band(None, mixed, W, rid)
-            want = oracles.band(mixed, W, rid)
-            assert band.cells == want.cells, (W, rid)
-            assert (band.rid, band.bottom, band.top, band.base) == (
-                want.rid, want.bottom, want.top, want.base), (W, rid)
+        cold = [theta_band(None, machine, W, rid) for W, rid in pairs]
+        for (W, rid), first in zip(pairs, cold):
+            again = theta_band(None, machine, W, rid)
+            want = oracles.band(machine, W, rid)
+            for band in (first, again):
+                assert band.cells == want.cells, (W, rid)
+                assert (band.rid, band.bottom, band.top, band.base) == (
+                    want.rid, want.bottom, want.top, want.base), (W, rid)
+            assert all(a is b for a, b in zip(first.cells, again.cells)), (W, rid)
+
+
+def flavor_letters(machine):
+    """(state letters, tape letters) of the words of the machine's flavor."""
+    hw = machine.hw
+    bars = {"strict": (False,), "bar": (True,), "mixed": (False, True)}[machine.flavor]
+    states = {hw.state(kind, j, coord, bar) for bar in bars for coord in hw.ee.coords()
+              for kind in "KLPR" for j in range(1, hw.N + 1)}
+    # the bar alphabet has no tape letters over the j=1 zones
+    tapes = {hw.tape(i, zone, bar) for bar in bars for zone in set(hw.zones)
+             for i in range(1, hw.ee.mbar + 1) if not (bar and zone.j == 1)}
+    return states, tapes
+
+
+class TestMachineCellCache:
+    """_band_step builds each cell once per Machine and keeps it in
+    Machine._cell_memo[signed rule][the letter a cell is drawn on]; cold and
+    warm builds are checked against the oracle in TestOnePassBuild."""
+
+    def test_a_rule_and_its_inverse_over_one_word(self, hw):
+        # a rule that keeps its coordinate applies both ways to one word, so
+        # the two bands read cells under the same state letters
+        machine = Machine(hw, "mixed")
+        words = seeded_words(hw, "mixed", seed=8)
+        both = [(W, rid) for W in words for rid in machine.rules
+                if machine.applicable(rid, W) is None
+                and machine.applicable(rid.inverse, W) is None]
+        assert {rid.bar for _, rid in both} == {False, True}
+        for W, rid in both:
+            for signed in (rid, rid.inverse):
+                band = theta_band(None, machine, W, signed)
+                want = oracles.band(machine, W, signed)
+                assert band.cells == want.cells, (W, signed)
+                assert (band.bottom, band.top) == (want.bottom, want.top), (W, signed)
+
+    @pytest.mark.parametrize("flavor", ["strict", "bar", "mixed"])
+    def test_at_most_two_cells_per_letter(self, hw, flavor):
+        machine = Machine(hw, flavor)
+        assert machine._cell_memo == {}
+        rng = random.Random(20)
+        for seed in (7, 8, 9):
+            words = seeded_words(hw, flavor, seed)
+            for W, rid in applicable_pairs(machine, words):
+                theta_band(None, machine, W, rid)
+            for W in words:  # and the words a few steps on
+                h, walk = random_walk(machine, W, rng, 4)
+                for step, V in zip(h, walk):
+                    theta_band(None, machine, V, step)
+        states, tapes = flavor_letters(machine)
+        letters = {(sym, s) for sym in states | tapes for s in (1, -1)}
+        assert len(machine._cell_memo) > len(machine.rules)
+        for rid, cells in machine._cell_memo.items():
+            assert set(cells) <= letters, rid
+            assert len(cells) <= 2 * len(states) + 2 * len(tapes), rid
+
+    def test_each_machine_has_its_own_cache(self, hw):
+        one, two = Machine(hw, "mixed"), Machine(hw, "mixed")
+        assert one._cell_memo == {} and two._cell_memo == {}
+        W = mixed_word(hw, hw.sigma_w((), flavor="bar"))
+        theta_band(None, one, W, parse_rule("~t12(r1)"))
+        assert list(one._cell_memo) == [parse_rule("~t12(r1)")]
+        assert two._cell_memo == {}
+        # a rule that does not apply leaves no entry
+        with pytest.raises(NotApplicable):
+            theta_band(None, one, W, parse_rule("t23(r1)"))
+        assert list(one._cell_memo) == [parse_rule("~t12(r1)")]
 
 
 def cell_lines(report):

@@ -302,8 +302,13 @@ class TestRoundTrip:
         assert trip(rel) == rel
         back = trip(pres)
         assert back == pres and back.ee_label == pres.ee_label
+        assert back.index() is not pres.index()
         assert dict(back.index()) == dict(pres.index())
         assert back._cell_memo == {}
+        if trip is not ROUND_TRIPS["pickle"]:
+            # relators and relations are immutable: a copy shares them
+            assert trip(rel.relator) is rel.relator and trip(rel) is rel
+            assert all(a is b for a, b in zip(back.relations, pres.relations))
 
     def test_empty_presentation(self, tmp_path):
         p = Presentation(8, "x", ())
