@@ -13,7 +13,12 @@ in one pass over W o tau^-1 with every cell upside down (dir -1).
 A trapezium is a stack of bar bands whose tops chain graphically onto the
 next band's bottoms; the construction requires the bottom word to start
 and end with K-type letters, which makes every trim word empty and the
-chaining exact; a check projects each word of the history once.
+chaining exact.
+
+A check walks each band once: it compares the freely reduced letters of
+the cells with the band's labels without building words, and projects
+each label to its tape and state letters once, for the growth bound and
+for the replay of the history alike.
 
 Building spells each distinct cell once per Machine, which keeps it under
 its signed rule and the one letter it is drawn on, and verification normalizes each
@@ -31,7 +36,7 @@ from itertools import chain
 from .hardware import AdmissibleWord
 from .presentation import Presentation, _alpha_letters, normalize_relator
 from .smachine import Machine, is_reduced_history
-from .words import RuleId, State, Tape, Theta, Word, reduced_word, word_to_text
+from .words import RuleId, State, Tape, Theta, Word, free_reduce, reduced_word, word_to_text
 
 
 class BandError(ValueError):
@@ -172,28 +177,43 @@ def trapezium(pres: Presentation, machine: Machine, W: AdmissibleWord, history):
 # verification
 # ---------------------------------------------------------------------------
 
+_AK = (Tape, State)
+
+
 def _project_ak(w):
     """The tape and state letters of w, freely reduced."""
-    return Word([l for l in w.letters if isinstance(l[0], (Tape, State))])
+    return Word([l for l in w.letters if isinstance(l[0], _AK)])
 
 
 def verify_band(band: Band, pres: Presentation, machine: Machine):
     """Cell-by-cell check of a band; returns a list of violations."""
+    return _check_band(band, pres, machine)[0]
+
+
+def _check_band(band, pres, machine):
+    """(violations, bottom projection, top projection) of a band: the
+    projections the growth bound measures are the ones the trapezium replay
+    compares, so each is taken once."""
     report = []
+    pb, pt = _project_ak(band.bottom), _project_ak(band.top)
     index = pres.index()
     memo = pres._cell_memo
     rule = machine.rule(band.rid)
     if rule is None:
-        return [f"unknown rule {band.rid!r}"]
+        return [f"unknown rule {band.rid!r}"], pb, pt
     # every cell's theta edges name the band's rule and point its way
     own = (band.rid.positive, band.rid.positive, band.rid.sign)
+    bottom, top = [], []  # the cells' letters, concatenated
     for k, cell in enumerate(band.cells):
+        cb, ct = cell.bottom.letters, cell.top.letters
+        bottom += cb
+        top += ct
         if (getattr(cell.left, "rule", None), getattr(cell.right, "rule", None),
                 cell.dir) != own:
             report.append(f"cell {k}: theta edges {cell.left!r}, {cell.right!r} "
                           f"with dir {cell.dir} are not of {band.rid!r}")
         try:
-            key = (cell.left, cell.dir, cell.bottom.letters, cell.right, cell.top.letters)
+            key = (cell.left, cell.dir, cb, cell.right, ct)
             hit = memo.get(key)
         except TypeError:  # an unhashable field: the cell is checked in full
             key = hit = None
@@ -214,16 +234,15 @@ def verify_band(band: Band, pres: Presentation, machine: Machine):
     for k, (c1, c2) in enumerate(zip(band.cells, band.cells[1:])):
         if c1.right != c2.left or c1.dir != c2.dir:
             report.append(f"cells {k},{k + 1}: theta edges {c1.right!r} != {c2.left!r}")
-    bottom = Word(chain.from_iterable(c.bottom.letters for c in band.cells))
-    top = Word(chain.from_iterable(c.top.letters for c in band.cells))
-    if bottom != band.bottom:
+    # the cells' letters, freely reduced, spell the labels
+    if free_reduce(bottom) != band.bottom.letters:
         report.append("bottom label mismatch")
-    if top != band.top:
+    if free_reduce(top) != band.top.letters:
         report.append("top label mismatch")
     hw = machine.hw
     signed = [(sym.base, s) for sym, s in band.bottom if isinstance(sym, State)]
-    b1 = tuple(y for y, _ in signed)
-    b2 = tuple(sym.base for sym, _ in band.top if isinstance(sym, State))
+    b1 = tuple([y for y, _ in signed])
+    b2 = tuple([sym.base for sym, _ in band.top if isinstance(sym, State)])
     if b1 != b2 or b1 != band.base:
         report.append("top and bottom bases differ")
     # 2-letter base shapes and the locked fold-back exclusion
@@ -234,17 +253,17 @@ def verify_band(band: Band, pres: Presentation, machine: Machine):
         if fold and hw.zone_after((y, s)).kind in rule.locks:
             report.append(f"fold-back at {y}^{s} in a locked zone")
     bc = len(band.base) * hw.ee.c
-    if abs(len(_project_ak(band.top)) - len(_project_ak(band.bottom))) > bc:
+    if abs(len(pt) - len(pb)) > bc:
         report.append("band growth exceeds base-length * max-relator-length")
-    return report
+    return report, pb, pt
 
 
 def verify_trapezium(trap: Trapezium, pres: Presentation, machine: Machine):
     """Band checks plus gluing, history and the simulated computation."""
     report = []
-    for i, band in enumerate(trap.bands):
-        for msg in verify_band(band, pres, machine):
-            report.append(f"band {i}: {msg}")
+    checked = [_check_band(band, pres, machine) for band in trap.bands]
+    for i, (msgs, _, _) in enumerate(checked):
+        report += [f"band {i}: {msg}" for msg in msgs]
     if not is_reduced_history(trap.history):
         report.append("history is not reduced")
     for i, (b1, b2) in enumerate(zip(trap.bands, trap.bands[1:])):
@@ -254,9 +273,13 @@ def verify_trapezium(trap: Trapezium, pres: Presentation, machine: Machine):
             report.append(f"bands {i},{i + 1}: mirror bands (reducible pair)")
     if tuple(b.rid for b in trap.bands) != tuple(trap.history):
         report.append("band rules disagree with the history")
-    # the side projections must replay as a computation, letter for letter
+    # the side projections must replay as a computation, letter for letter;
+    # the band checks projected every band label already
     try:
-        p0 = _project_ak(trap.bottom)
+        if trap.bands and trap.bottom == trap.bands[0].bottom:
+            p0 = checked[0][1]
+        else:
+            p0 = _project_ak(trap.bottom)
         W0 = machine.hw.parse_admissible(p0, machine.flavor)
     except Exception as e:
         report.append(f"bottom does not parse: {e}")
@@ -268,12 +291,12 @@ def verify_trapezium(trap: Trapezium, pres: Presentation, machine: Machine):
     # a band's bottom equal to the word checked below it (the trapezium's
     # bottom or the top beneath) reuses that check: each glued word once
     below, ok = trap.bottom, p0 == trace.words[0].flat()
-    for i, band in enumerate(trap.bands):
+    for i, (band, (_, pb, pt)) in enumerate(zip(trap.bands, checked)):
         if band.bottom != below:
-            ok = _project_ak(band.bottom) == trace.words[i].flat()
+            ok = pb == trace.words[i].flat()
         if not ok:
             report.append(f"band {i}: bottom projection is not step {i}")
-        below, ok = band.top, _project_ak(band.top) == trace.words[i + 1].flat()
+        below, ok = band.top, pt == trace.words[i + 1].flat()
         if not ok:
             report.append(f"band {i}: top projection is not step {i + 1}")
     return report

@@ -280,10 +280,28 @@ def letter_keys(letters):
 
 
 def free_reduce(letters):
-    """Freely reduce a sequence of (symbol, sign) pairs.  The letters that
-    survive are the caller's own tuples, not copies."""
+    """Freely reduce a sequence of (symbol, sign) pairs.
+
+    One scan for an adjacent inverse pair comes first, so a reduced tuple,
+    the common case, comes back as it is (``is_reduced`` relies on that).
+    Otherwise the stack reduction drops the leftmost cancelling pair and
+    runs on from there over the letters the scan kept.  Symbols compare
+    with ``==``, so equal plain strings cancel even when they are not the
+    same object.  The letters that survive are the caller's own tuples, not
+    copies."""
+    letters = tuple(letters)
+    it = iter(letters)
+    for a in it:
+        break
     out = []
-    for letter in letters:
+    for b in it:
+        if a[0] == b[0] and a[1] == -b[1]:
+            break
+        out.append(a)
+        a = b
+    else:
+        return letters
+    for letter in it:
         if out:
             last = out[-1]
             if last[0] == letter[0] and last[1] == -letter[1]:
@@ -365,7 +383,11 @@ def is_positive(w):
 
 
 def is_reduced(letters):
-    return tuple(letters) == free_reduce(letters)
+    """True iff ``letters`` hold no adjacent inverse pair: ``free_reduce``
+    hands a reduced tuple back as it is after one scan, and a tuple is not
+    copied."""
+    letters = tuple(letters)
+    return free_reduce(letters) is letters
 
 
 def least_rotation(keys):

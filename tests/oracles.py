@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the tests.
 
 Nothing here shares code paths with the library algorithms it checks:
-matchings are enumerated over all position pairings and filtered, the
+free reduction deletes the leftmost adjacent inverse pair until none is
+left, matchings are enumerated over all position pairings and filtered, the
 x-word conjugacy oracle is a plain breadth-first closure over the
 elementary conjugation moves, relator canonicalization strips and rotates
 letter by letter, trying every rotation, the fixed-shape and main relators
@@ -175,6 +176,21 @@ def x_conjugacy_closure(hw, w: CyclicWord, depth):
 # ---------------------------------------------------------------------------
 # relator canonicalization
 # ---------------------------------------------------------------------------
+
+def free_reduce(letters):
+    """The freely reduced tuple of ``letters``: delete the leftmost adjacent
+    inverse pair, again and again, until none is left."""
+    letters = list(letters)
+    k = 0
+    while k < len(letters) - 1:
+        (a, s), (b, t) = letters[k], letters[k + 1]
+        if a == b and s == -t:
+            del letters[k:k + 2]
+            k = 0
+        else:
+            k += 1
+    return tuple(letters)
+
 
 def least_rotation_index(letters):
     """Smallest k whose rotation letters[k:] + letters[:k] is least under

@@ -424,6 +424,12 @@ class TestSerialization:
         assert "band ~t12(r1)" in text
 
 
+# letters spelled into labels by hand: a pair that cancels, and an x-letter,
+# which the trapezium replay's projection drops
+CANCELLING_PAIR = parse_word("a1(P2) a1(P2)^-1", reduce=False).letters
+X_LETTER = parse_word("x(a1(K2),t2(e,1))").letters
+
+
 def band_with_cell(band, k, cell):
     cells = list(band.cells)
     cells[k] = cell
@@ -490,6 +496,26 @@ class TestBandReport:
         within = replace(band, top=band.top * Word(parse_word("a1(P2)").letters * 66))
         assert verify_band(within, pres, mixed) == ["top label mismatch"]
 
+    def test_unreduced_labels(self, band, pres, mixed):
+        # tape cell 6 with one cancelling pair spelled into its bottom and 35
+        # into its top still has a relator boundary.  The labels are the
+        # unreduced concatenations, which the check reduces before it
+        # compares them; and it reduces the projections before it measures
+        # growth (unreduced, the top would outgrow the bottom by 68 > 66)
+        c = band.cells[6]
+        y = CANCELLING_PAIR
+        tampered = Cell(c.kind, c.left, c.right, Word(c.bottom.letters + y, reduce=False),
+                        Word(c.top.letters + y * 35, reduce=False), c.dir)
+        broken = band_with_cell(band, 6, tampered)
+        cells = broken.cells
+        broken = replace(
+            broken,
+            bottom=Word([l for cell in cells for l in cell.bottom.letters], reduce=False),
+            top=Word([l for cell in cells for l in cell.top.letters], reduce=False))
+        assert len(broken.bottom) == len(band.bottom) + 2
+        assert len(broken.top) == len(band.top) + 70
+        assert verify_band(broken, pres, mixed) == ["bottom label mismatch", "top label mismatch"]
+
     def test_unknown_rule(self, band, pres, mixed):
         broken = replace(band, rid=parse_rule("~t12(r5)"))
         assert verify_band(broken, pres, mixed) == ["unknown rule ~t12(r5)"]
@@ -516,9 +542,14 @@ def _gained(t, i):
     return with_band(t, i, top=t.bands[i].top * parse_word("~a1(P2)"))
 
 
-def _glued_gain(t):
-    top = t.bands[1].top * parse_word("~a1(P2)")
+def _glued(t, top):
+    """t with band 1's top and band 2's bottom both replaced by top."""
     return with_band(with_band(t, 1, top=top), 2, bottom=top)
+
+
+def _spliced(w, letters):
+    """w with letters put in after its first letter, not reduced."""
+    return Word(w.letters[:1] + letters + w.letters[1:], reduce=False)
 
 
 def _pair(t, mixed):
@@ -542,7 +573,8 @@ TRAPEZIUM_REPORTS = {
     "last top gains a letter": (lambda t, m: _gained(t, 2), [
         "band 2: top label mismatch",
         "band 2: top projection is not step 3"]),
-    "band 1 top and band 2 bottom gain the same letter": (lambda t, m: _glued_gain(t), [
+    "band 1 top and band 2 bottom gain the same letter": (
+        lambda t, m: _glued(t, t.bands[1].top * parse_word("~a1(P2)")), [
         "band 1: top label mismatch",
         "band 2: bottom label mismatch",
         "band 1: top projection is not step 2",
@@ -554,6 +586,27 @@ TRAPEZIUM_REPORTS = {
         "band 1: bottom label mismatch",
         "bands 0,1: top does not glue onto bottom",
         "band 1: bottom projection is not step 1"]),
+    "band 1 top carries an x-letter": (
+        lambda t, m: with_band(t, 1, top=_spliced(t.bands[1].top, X_LETTER)), [
+            "band 1: top label mismatch",
+            "bands 1,2: top does not glue onto bottom"]),
+    "band 1 top and band 2 bottom carry the same x-letter": (
+        lambda t, m: _glued(t, _spliced(t.bands[1].top, X_LETTER)), [
+            "band 1: top label mismatch",
+            "band 2: bottom label mismatch"]),
+    "bottom carries an x-letter": (
+        lambda t, m: replace(t, bottom=_spliced(t.bottom, X_LETTER)), []),
+    "band 1 top and band 2 bottom carry the same cancelling pair": (
+        lambda t, m: _glued(t, _spliced(t.bands[1].top, CANCELLING_PAIR)), [
+            "band 1: top label mismatch",
+            "band 2: bottom label mismatch"]),
+    "bottom is band 0's top": (lambda t, m: replace(t, bottom=t.bands[0].top), [
+        "band 0: bottom projection is not step 0",
+        "band 0: top projection is not step 1",
+        "band 1: bottom projection is not step 1",
+        "band 1: top projection is not step 2",
+        "band 2: bottom projection is not step 2",
+        "band 2: top projection is not step 3"]),
     "reducible pair": (_pair, [
         "history is not reduced",
         "bands 0,1: mirror bands (reducible pair)"]),

@@ -24,6 +24,15 @@ def C(text):
     return CyclicWord(parse_word(text, reduce=False).letters)
 
 
+# interned symbols, and plain strings as parsed words hold them: equal but
+# not identical, since each draw builds its string anew.  Few enough symbols
+# that drawn words cancel often.
+REDUCE_LETTERS = st.tuples(
+    st.one_of(st.sampled_from((Tape(1, BaseLetter("L", 2)), Tape(2, BaseLetter("L", 2)))),
+              st.sampled_from(("ab", "cd")).map(lambda s: s[:1] + s[1:])),
+    st.sampled_from((1, -1)))
+
+
 class TestReduce:
     def test_inverse_cancellation(self):
         assert W("a1(L2) a1(L2)^-1").is_empty()
@@ -62,6 +71,34 @@ class TestReduce:
         # survivors of a cancellation are the caller's tuples too
         w = Word(letters[:1] + [(Tape(2, z), 1), (Tape(2, z), -1)] + letters[1:])
         assert len(w) == 4 and all(a is b for a, b in zip(w.letters, letters))
+
+    @settings(max_examples=600)
+    @given(st.lists(REDUCE_LETTERS, max_size=16),
+           st.sampled_from(("none", "first", "middle", "last")),
+           REDUCE_LETTERS,
+           st.sampled_from((list, tuple, iter)))
+    def test_free_reduce_is_the_oracle(self, drawn, where, pair, kind):
+        # a reduced word, with one inverse pair x x^-1 put in so that the
+        # leftmost cancellation sits at position 0, in the middle or at the
+        # last pair (or nowhere)
+        letters = list(oracles.free_reduce(drawn))
+        if where != "none":
+            p = {"first": 0, "middle": len(letters) // 2, "last": len(letters)}[where]
+            (x, s) = pair
+            if p and letters[p - 1] == (x, -s):
+                s = -s
+            letters[p:p] = [(x, s), (x, -s)]
+        want = oracles.free_reduce(letters)
+        assert (want == tuple(letters)) == (where == "none")
+        got = words.free_reduce(kind(letters))
+        assert got == want
+        assert words.is_reduced(kind(letters)) == (got == tuple(letters))
+        # the drawn word itself, unreduced in most draws
+        assert words.free_reduce(kind(drawn)) == oracles.free_reduce(drawn)
+        assert words.is_reduced(kind(drawn)) == (oracles.free_reduce(drawn) == tuple(drawn))
+        if kind is tuple and where == "none":
+            t = tuple(letters)
+            assert words.free_reduce(t) is t
 
 
 class TestCyclic:
