@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .hardware import AdmissibleWord, Hardware
+from .hardware import COORD_E1, AdmissibleWord, Hardware
 from .smachine import Machine, Trace, inverse_history
 from .words import AGE_FAMILIES, EMPTY_RELATOR_FAMILIES, FAMILIES, RuleId, free_reduce
 
@@ -146,8 +146,7 @@ def bar_conjugated_insertion(hw: Hardware, w, u, r):
 def is_accept_target(hw: Hardware, W: AdmissibleWord):
     """True iff W is graphically Sigma(v)^s K1(e,1) for some word v, s >= 1
     (bar shape allowed: block 1 carries no tape letters)."""
-    from .words import Coord
-    if W.coord != Coord(None, 1):
+    if W.coord != COORD_E1:
         return False
     n = len(hw.sigma)
     sb = W.signed_base()

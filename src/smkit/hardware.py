@@ -133,6 +133,9 @@ class EEPresentation:
     involution: tuple  # involution[i-1] = i', 1-based values
     relators: tuple  # tuple of tuples of ints, () included
 
+    # The tuple coords() returns, kept on the first call; not a field.
+    _coords = None
+
     def __post_init__(self):
         if not (1 <= self.m <= self.mbar):
             raise EEError(f"need 1 <= m <= mbar, got m={self.m}, mbar={self.mbar}")
@@ -180,9 +183,14 @@ class EEPresentation:
         return ne[r - 1]
 
     def coords(self):
-        """All (r, omega) coordinate pairs, empty relator first."""
-        rs = [None] + list(range(1, len(self.nonempty) + 1))
-        return [Coord(r, i) for r in rs for i in range(1, 6)]
+        """All (r, omega) coordinate pairs, empty relator first: one tuple,
+        built on the first call (loading a presentation builds none)."""
+        coords = self._coords
+        if coords is None:
+            rs = [None] + list(range(1, len(self.nonempty) + 1))
+            coords = tuple([Coord(r, i) for r in rs for i in range(1, 6)])
+            object.__setattr__(self, "_coords", coords)
+        return coords
 
 
 def load_ee(text):

@@ -31,7 +31,13 @@ is a main or bar_main relator at a letter the rule does not act at:
 th^-1 z th z'^-1, read from its least state letter.  Those are spelled in
 their canonical form directly, as ``rule_relations`` explains, each as one
 tuple of (letter, sign) pairs built once per symbol and shared by every
-rule and every emit.
+rule and every emit.  The tape and state letters of every relator come
+from tables built once per machine, so once per ``emit``
+(``_RelatorLetters``: the tape letters of each zone, plain and bar, and
+the state letters of each base letter at each coordinate); only the theta
+and x letters, which name the rule, are looked up per rule.  A fixed-shape
+relation is built in one frame, its relator and Relation together, with
+no call per relation (``_add_relations``).
 
 ``emit`` and ``read_presentation`` build a whole presentation: hundreds of
 thousands of tuples, words and relations, and no reference cycles.  So
@@ -52,7 +58,7 @@ from typing import Optional
 from .hardware import Hardware
 from .smachine import Machine, enumerate_rule_ids
 from .words import (
-    BaseLetter, CyclicWord, RuleId, State, Tape, Theta, Word, X,
+    BaseLetter, CyclicWord, RuleId, State, Tape, Theta, Word, X, _set_cyclic_letters,
     conjugator_length, content_lines, least_rotation, letter_keys, parse_symbol,
     word_to_text,
 )
@@ -61,10 +67,6 @@ KINDS = ("main", "theta_a", "a_x", "k_x", "bar_main", "bar_theta_a", "hub")
 
 
 class PresentationError(ValueError):
-    pass
-
-
-class NonUniformIndex(ValueError):
     pass
 
 
@@ -119,6 +121,7 @@ class Relation:
         return None
 
 
+_new = object.__new__
 _set_kind = Relation.__dict__["kind"].__set__
 _set_relator = Relation.__dict__["relator"].__set__
 
@@ -248,42 +251,6 @@ def delta(w):
 beta = gamma = delta
 
 
-def letter_index(sym):
-    if isinstance(sym, Tape):
-        return sym.zone.j
-    if isinstance(sym, State):
-        return sym.j
-    if isinstance(sym, Theta):
-        return sym.zone.j
-    if isinstance(sym, X):
-        return sym.tape.zone.j
-    raise NonUniformIndex(f"{sym!r} carries no block index")
-
-
-def shift_index(w, j2, bar_mode=False):
-    """Replace the uniform block index of every letter of w by j2.
-
-    With bar_mode and j2 == 1 all tape letters are removed (the bar copy of
-    the index-1 block carries none)."""
-    idx = {letter_index(sym) for sym, _ in w}
-    if len(idx) > 1:
-        raise NonUniformIndex(f"indices {sorted(idx)} mixed")
-    out = []
-    for sym, s in w:
-        if isinstance(sym, Tape):
-            if bar_mode and j2 == 1:
-                continue
-            sym = Tape(sym.i, BaseLetter(sym.zone.kind, j2), sym.bar)
-        elif isinstance(sym, State):
-            sym = State(sym.kind, j2, sym.coord, sym.bar)
-        elif isinstance(sym, Theta):
-            sym = Theta(sym.rule, BaseLetter(sym.zone.kind, j2))
-        elif isinstance(sym, X):
-            sym = X(Tape(sym.tape.i, BaseLetter(sym.tape.zone.kind, j2)), sym.rule)
-        out.append((sym, s))
-    return Word(out)
-
-
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
@@ -333,95 +300,145 @@ def rule_relations(machine: Machine, rid: RuleId):
     for k_x its positive state letter.  Only the rotation read from that
     letter can be least, and the inverse's one candidate starts at the same
     letter.  The comments below name the first letter where the two differ.
-    Each symbol's (sym, 1) and (sym, -1) pair is built once (``_pair``), and
-    a fixed-shape relator is one flat tuple of those pairs."""
+
+    A relator is one flat tuple of (sym, 1) and (sym, -1) pairs, each built
+    once per symbol (``_pair``).  The tape and state letters come from the
+    machine's ``_RelatorLetters``, built on the first call, so once per
+    ``emit``; only the theta and x letters, which name the rule, are looked
+    up per rule.  Each family is spelled by list comprehensions, and each
+    of its relations is built in ``_add_relations``, one frame per family."""
     hw = machine.hw
     rule = machine.rules[rid]
     bar = rid.bar
+    table = machine._relator_letters
+    if table is None:
+        table = machine._relator_letters = _RelatorLetters(hw)
     rels = []
-    add = rels.append
 
-    indices = range(1, hw.ee.mbar + 1)
     zones = hw.zones
     theta = {z: _pair(Theta(rid, z)) for z in zones}
     # main relations, one per unsigned basic letter:
     # th(zb)^-1 src th(za) (v dst u)^-1
-    kind = "bar_main" if bar else "main"
-    for bl, _ in hw.sigma:
-        (zbp, zbn), (zap, zan) = (theta[z] for z in hw.zones_of(bl))
-        src = hw.state(bl.kind, bl.j, rule.src, bar)
-        dst = hw.state(bl.kind, bl.j, rule.dst, bar)
-        (srcp, srcn), (dstp, dstn) = _pair(src), _pair(dst)
+    spelled = []
+    states = table.states[bar]
+    for (bl, zb, za), (srcp, srcn), (dstp, dstn) in zip(
+            table.sigma, states[rule.src], states[rule.dst]):
+        (zbp, zbn), (zap, zan) = theta[zb], theta[za]
         if bl.kind not in rule.actions:
             # v = u = 1: read from src, or from dst when it ranks lower
             # (the inverse's least rotation); src is dst at an age rule,
             # and then th(za) before th(za)^-1 picks the first form
-            if src._key <= dst._key:
-                letters = (srcp, zap, dstn, zbn)
+            if srcp[0]._key <= dstp[0]._key:
+                spelled.append((srcp, zap, dstn, zbn))
             else:
-                letters = (dstp, zan, srcn, zbp)
-            add(Relation(kind, CyclicWord._rotated(letters)))
+                spelled.append((dstp, zan, srcn, zbp))
             continue
         v, u = (part.letters for part in machine._parts(rid, bl.kind, bl.j, 1))
         if not bar:
             v, u = _alpha_letters(rid.inverse, v), _alpha_letters(rid.inverse, u)
-        add(Relation(kind, normalize_relator(Word(
-            (zbn, srcp, zap, *_inverse(u), dstn, *_inverse(v))))))
-    # the (a, 1), (a, -1) pairs of the tape letters over each zone (none
-    # over a bar j=1 zone), and for a plain rule those of x(a, tau)
-    tapes = {z: [_pair(hw.tape(i, z, bar)) for i in indices]
-             for z in zones if not (bar and z.j == 1)}
-    xs = {} if bar else {z: [_pair(X(ap[0], rid)) for ap, _ in tapes[z]] for z in zones}
+        # its canonical letters, wrapped with the family's below
+        spelled.append(normalize_relator(Word(
+            (zbn, srcp, zap, *_inverse(u), dstn, *_inverse(v)))).letters)
+    _add_relations(rels, "bar_main" if bar else "main", spelled)
+    # the pairs of the tape letters over each zone (none over a bar j=1
+    # zone), and for a plain rule those of x(a, tau) over each non-P zone
+    tapes = table.tapes[bar]
+    xs = {} if bar else {z: [_pair(X(ap[0], rid)) for ap, _ in tapes[z]]
+                         for z in zones if z.kind != "P"}
     # theta-tape commutations at unlocked zones:
     # th^-1 alpha_tau(a) th alpha_tau^-1(a)^-1, read from a
-    kind = "bar_theta_a" if bar else "theta_a"
+    spelled = []
     for zone in zones:
         if zone.kind in rule.locks or (bar and zone.j == 1):
             continue
         thp, thn = theta[zone]
         if bar or zone.kind == "P":
             # alpha fixes a: a th a^-1 th^-1; the inverse reads a th^-1
-            for ap, an in tapes[zone]:
-                add(Relation(kind, CyclicWord._rotated((ap, thp, an, thn))))
+            spelled += [(ap, thp, an, thn) for ap, an in tapes[zone]]
         elif zone.kind == "R":
             # alpha_tau(a) = a x: a x th x a^-1 th^-1; the inverse reads a x^-1
-            for (ap, an), (xp, _) in zip(tapes[zone], xs[zone]):
-                add(Relation(kind, CyclicWord._rotated((ap, xp, thp, xp, an, thn))))
+            spelled += [(ap, xp, thp, xp, an, thn)
+                        for (ap, an), (xp, _) in zip(tapes[zone], xs[zone])]
         else:
             # alpha_tau(a) = x a: a th a^-1 x th^-1 x; the inverse reads a x^-1
-            for (ap, an), (xp, _) in zip(tapes[zone], xs[zone]):
-                add(Relation(kind, CyclicWord._rotated((ap, thp, an, xp, thn, xp))))
+            spelled += [(ap, thp, an, xp, thn, xp)
+                        for (ap, an), (xp, _) in zip(tapes[zone], xs[zone])]
+    _add_relations(rels, "bar_theta_a" if bar else "theta_a", spelled)
     if bar:
         return rels
-    # tape-x conjugation relations over K/L/R zones:
+    # tape-x conjugation relations over K/L/R zones, in base-word order:
     # a x a^-1 x^-4 (K, L) and a x^4 a^-1 x^-1 (R, the inverse of
     # a^-1 x a x^-4 read from a); each inverse reads a x^-1
-    for zone in zones:
-        if zone.kind == "P":
-            continue
-        for ap, an in tapes[zone]:
-            for xp, xn in xs[zone]:
-                if zone.kind == "R":
-                    letters = (ap, xp, xp, xp, xp, an, xn)
-                else:
-                    letters = (ap, xp, an, xn, xn, xn, xn)
-                add(Relation("a_x", CyclicWord._rotated(letters)))
+    spelled = []
+    for zone, xz in xs.items():
+        if zone.kind == "R":
+            spelled += [(ap, xp, xp, xp, xp, an, xn) for ap, an in tapes[zone] for xp, xn in xz]
+        else:
+            spelled += [(ap, xp, an, xn, xn, xn, xn) for ap, an in tapes[zone] for xp, xn in xz]
+    _add_relations(rels, "a_x", spelled)
     # state-x crossing relations at K and L letters:
     # z x z^-1 x'^-1 (K) or z x z^-1 x'^-4 (L), read from z; the inverse
     # reads z x^-1
-    for bl, _ in hw.sigma:
-        if bl.kind not in "KL":
-            continue
-        zb, za = hw.zones_of(bl)
-        for coord in hw.ee.coords():
-            zp, zn = _pair(State(bl.kind, bl.j, coord))
-            for (xp, _), (_, x2n) in zip(xs[za], xs[zb]):
-                if bl.kind == "K":
-                    letters = (zp, xp, zn, x2n)
-                else:
-                    letters = (zp, xp, zn, x2n, x2n, x2n, x2n)
-                add(Relation("k_x", CyclicWord._rotated(letters)))
+    spelled = []
+    for kind, zb, za, zpairs in table.kl:
+        xx = [(xp, x2n) for (xp, _), (_, x2n) in zip(xs[za], xs[zb])]
+        if kind == "K":
+            spelled += [(zp, xp, zn, x2n) for zp, zn in zpairs for xp, x2n in xx]
+        else:
+            spelled += [(zp, xp, zn, x2n, x2n, x2n, x2n) for zp, zn in zpairs for xp, x2n in xx]
+    _add_relations(rels, "k_x", spelled)
     return rels
+
+
+class _RelatorLetters:
+    """The letters of ``rule_relations``' relators that no rule changes, as
+    ``_pair`` pairs, for the Hardware of one machine:
+
+    - ``sigma``: per letter of the base word, its base letter, the zone
+      before it and the zone after it;
+    - ``tapes[bar]``: zone -> the pairs of its plain or bar tape letters
+      a_1 .. a_mbar (no bar zone with j=1: it carries none);
+    - ``states[bar]``: coordinate -> the pairs of the plain or bar state
+      letters at it, one per letter of the base word;
+    - ``kl``: per K or L letter of the base word, its kind, the zones
+      before and after it, and the pairs of its plain state letters at
+      each coordinate in ``ee.coords()`` order (for k_x).
+
+    Kept on the machine (``Machine._relator_letters``) and built once."""
+
+    __slots__ = ("sigma", "tapes", "states", "kl")
+
+    def __init__(self, hw):
+        coords = hw.ee.coords()
+        indices = range(1, hw.ee.mbar + 1)
+        self.sigma = tuple((bl, *hw.zones_of(bl)) for bl, _ in hw.sigma)
+        self.tapes = {bar: {z: tuple([_pair(hw.tape(i, z, bar)) for i in indices])
+                            for z in hw.zones if not (bar and z.j == 1)}
+                      for bar in (False, True)}
+        self.states = {bar: {c: tuple([_pair(hw.state(bl.kind, bl.j, c, bar))
+                                       for bl, _, _ in self.sigma])
+                             for c in coords}
+                       for bar in (False, True)}
+        plain = self.states[False]
+        self.kl = tuple((bl.kind, zb, za, tuple([plain[c][p] for c in coords]))
+                        for p, (bl, zb, za) in enumerate(self.sigma) if bl.kind in "KL")
+
+
+def _add_relations(rels, kind, spelled):
+    """Append to rels a Relation of kind for each tuple of letters in
+    spelled, each already in canonical rotation.  The CyclicWord and the
+    Relation are built here, in this one frame, as ``CyclicWord._rotated``
+    and ``Relation.__init__`` would build them: ``rule_relations`` passes
+    only kinds of KINDS, so the kind check would pass, and the rotation
+    pass is not needed."""
+    add = rels.append
+    for letters in spelled:
+        relator = _new(CyclicWord)
+        _set_cyclic_letters(relator, letters)
+        rel = _new(Relation)
+        _set_kind(rel, kind)
+        _set_relator(rel, relator)
+        add(rel)
 
 
 @functools.cache

@@ -154,6 +154,10 @@ class Machine:
         # Presentation._cell_memo is the other cell memo: it keeps the
         # relation each verified cell is, per presentation.
         self._cell_memo = {}
+        # presentation.rule_relations' letter tables: the tape and state
+        # letter pairs its relators take whatever the rule.  Built on first
+        # use, so once per emit.
+        self._relator_letters = None
 
     def rule_ids(self):
         return list(self.rules)

@@ -6,7 +6,8 @@ left, matchings are enumerated over all position pairings and filtered, the
 x-word conjugacy oracle is a plain breadth-first closure over the
 elementary conjugation moves, relator canonicalization strips and rotates
 letter by letter, trying every rotation, the fixed-shape and main relators
-are spelled as the paper writes each relation, admissibility is checked letter
+are spelled as the paper writes each relation, the block-index shift
+rebuilds every letter from its fields, admissibility is checked letter
 by letter with no sector table, rule application checks a rule, then
 builds and validates its result twice with unmemoized tape parts and no
 step plan, pair nesting compares every arc with every other, the minus
@@ -307,6 +308,49 @@ def main_relators(machine, rid):
         word = Word(lhs + [(y, -s) for y, s in reversed(rhs)])
         out.append(("bar_main" if bar else "main", normalize_relator(word)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# block-index shift: a relator's letters moved from one j-block to another
+# ---------------------------------------------------------------------------
+
+class NonUniformIndex(ValueError):
+    pass
+
+
+def letter_index(sym):
+    """The block index j of a structured letter."""
+    if isinstance(sym, (Tape, Theta)):
+        return sym.zone.j
+    if isinstance(sym, State):
+        return sym.j
+    if isinstance(sym, X):
+        return sym.tape.zone.j
+    raise NonUniformIndex(f"{sym!r} carries no block index")
+
+
+def shift_index(w, j2, bar_mode=False):
+    """Replace the uniform block index of every letter of w by j2, field by
+    field; raises NonUniformIndex when the letters of w sit in more than one
+    block.  With bar_mode and j2 == 1 all tape letters are removed (the bar
+    copy of the index-1 block carries none)."""
+    idx = {letter_index(sym) for sym, _ in w}
+    if len(idx) > 1:
+        raise NonUniformIndex(f"indices {sorted(idx)} mixed")
+    out = []
+    for sym, s in w:
+        if isinstance(sym, Tape):
+            if bar_mode and j2 == 1:
+                continue
+            sym = Tape(sym.i, BaseLetter(sym.zone.kind, j2), sym.bar)
+        elif isinstance(sym, State):
+            sym = State(sym.kind, j2, sym.coord, sym.bar)
+        elif isinstance(sym, Theta):
+            sym = Theta(sym.rule, BaseLetter(sym.zone.kind, j2))
+        elif isinstance(sym, X):
+            sym = X(Tape(sym.tape.i, BaseLetter(sym.tape.zone.kind, j2)), sym.rule)
+        out.append((sym, s))
+    return Word(out)
 
 
 # ---------------------------------------------------------------------------

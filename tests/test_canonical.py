@@ -137,8 +137,9 @@ class TestSpelledRelators:
 
     @pytest.fixture(scope="class", params=[
         ("sample.ee", 8), pytest.param(("sample.ee", 10), marks=pytest.mark.slow),
-        pytest.param(("sample.ee", 12), marks=pytest.mark.slow), (FOUR_EE, 8)],
-        ids=["sample-N8", "sample-N10", "sample-N12", "four-N8"])
+        pytest.param(("sample.ee", 12), marks=pytest.mark.slow), (FOUR_EE, 8),
+        pytest.param(("mbar4.ee", 8), marks=pytest.mark.slow)],
+        ids=["sample-N8", "sample-N10", "sample-N12", "four-N8", "mbar4-N8"])
     def machine(self, request):
         path, n = request.param
         return Machine(Hardware(load_ee_file(os.path.join(DATA, path)), n), "mixed")

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 import oracles
@@ -58,6 +60,14 @@ class TestEELoader:
             "relator:\nrelator: a1 a2\nrelator: a2 a1\n"
             "relator: a3 a4\nrelator: a4 a3\n")
         assert ee.mbar == 4 and ee.m == 2 and len(ee.nonempty) == 4
+
+    def test_coords_are_one_tuple(self, ee):
+        coords = ee.coords()
+        assert coords is ee.coords()
+        assert coords == tuple(Coord(r, i) for r in (None, 1, 2) for i in range(1, 6))
+        # the kept tuple stays out of ==, and a pickle keeps the coordinates
+        assert EEPresentation(ee.m, ee.mbar, ee.involution, ee.relators) == ee
+        assert pickle.loads(pickle.dumps(ee)).coords() == coords
 
 
 class TestGeometry:

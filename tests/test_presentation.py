@@ -9,12 +9,13 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GOLDEN
+import oracles
+from conftest import DATA, GOLDEN
 from smkit.hardware import BaseLetter, Hardware, load_ee, load_ee_file
 from smkit.presentation import (
-    KINDS, NonUniformIndex, Presentation, PresentationError, Relation, _pair, alpha,
-    beta, delta, emit, gamma, normalize_relator, read_presentation,
-    rule_relations, shift_index, write_presentation,
+    KINDS, Presentation, PresentationError, Relation, _pair, _RelatorLetters, alpha,
+    beta, delta, emit, gamma, normalize_relator, read_presentation, rule_relations,
+    write_presentation,
 )
 from smkit.smachine import Machine, enumerate_rule_ids
 from smkit.words import (
@@ -468,19 +469,59 @@ class TestTrackedObjects:
             assert _pair(sym) == ((sym, 1), (sym, -1))
 
 
+class TestRelatorLetters:
+    """The letter tables ``rule_relations`` reads: built on a machine's
+    first call and kept, holding the Hardware's own letters."""
+
+    def test_built_once_per_machine(self, hw):
+        machine = Machine(hw, "mixed")
+        assert machine._relator_letters is None
+        plain, bar = enumerate_rule_ids(hw.ee)[0], enumerate_rule_ids(hw.ee, bar=True)[0]
+        rule_relations(machine, plain)
+        table = machine._relator_letters
+        rule_relations(machine, bar)
+        assert machine._relator_letters is table
+
+    def test_tables_hold_the_hardware_letters(self):
+        # two involution pairs, m = 2: the bar P-zone letters a1, a2 are
+        # the plain ones, a3 and a4 are barred
+        hw = Hardware(load_ee_file(os.path.join(DATA, "mbar4.ee")), 8)
+        table = _RelatorLetters(hw)
+        assert [bl for bl, _, _ in table.sigma] == [bl for bl, _ in hw.sigma]
+        for bar in (False, True):
+            zones = [z for z in hw.zones if not (bar and z.j == 1)]
+            assert list(table.tapes[bar]) == zones
+            for zone in zones:
+                assert table.tapes[bar][zone] == tuple(
+                    _pair(hw.tape(i, zone, bar)) for i in range(1, 5))
+            assert list(table.states[bar]) == list(hw.ee.coords())
+            for coord, row in table.states[bar].items():
+                assert row == tuple(_pair(hw.state(bl.kind, bl.j, coord, bar))
+                                    for bl, _ in hw.sigma)
+        p2 = table.tapes[True][B("P", 2)]
+        assert [ap[0].bar for ap, _ in p2] == [False, False, True, True]
+        coords = hw.ee.coords()
+        assert table.kl == tuple(
+            (bl.kind, *hw.zones_of(bl), tuple(_pair(State(bl.kind, bl.j, c)) for c in coords))
+            for bl, _ in hw.sigma if bl.kind in "KL")
+
+
 class TestShiftIndex:
+    """The block-index shift of ``oracles``, and the law it checks: moving a
+    relator from one j-block to another gives a relator."""
+
     def test_substitution(self):
         w = parse_word("a1(L3) x(a2(L3),t2(r1,2))")
-        out = shift_index(w, 5)
+        out = oracles.shift_index(w, 5)
         assert out == parse_word("a1(L5) x(a2(L5),t2(r1,2))")
 
     def test_non_uniform_rejected(self):
-        with pytest.raises(NonUniformIndex):
-            shift_index(parse_word("a1(L3) a1(L4)"), 2)
+        with pytest.raises(oracles.NonUniformIndex):
+            oracles.shift_index(parse_word("a1(L3) a1(L4)"), 2)
 
     def test_bar_mode_drops_tape_at_one(self):
         w = parse_word("~a1(L3) ~L3(r1,2) th(~t2(r1,1),L3)")
-        out = shift_index(w, 1, bar_mode=True)
+        out = oracles.shift_index(w, 1, bar_mode=True)
         assert out == parse_word("~L1(r1,2) th(~t2(r1,1),L1)")
 
     def test_takes_non_K_relators_to_relators(self, hw, pres):
@@ -498,8 +539,8 @@ class TestShiftIndex:
             if any(isinstance(s, Theta) and s.bar for s, _ in rel.relator):
                 continue
             try:
-                img = shift_index(rel.relator.word(), 5)
-            except NonUniformIndex:
+                img = oracles.shift_index(rel.relator.word(), 5)
+            except oracles.NonUniformIndex:
                 continue
             assert normalize_relator(img) in index, rel
             checked[rel.kind] += 1
