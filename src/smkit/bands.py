@@ -18,14 +18,20 @@ chaining exact.
 A check walks each band once: it compares the freely reduced letters of
 the cells with the band's labels without building words, and projects
 each label to its tape and state letters once, for the growth bound and
-for the replay of the history alike.
+for the replay of the history alike; in a trapezium a band's bottom equal
+to the top beneath it takes that top's projection.  Building takes a bar
+band's labels from the words W and W o tau (with the flanks), so the check
+is the one place that reduces the cells' letters; a plain band's labels are
+its cells' letters, freely reduced.
 
 Building spells each distinct cell once per Machine, which keeps it under
-its signed rule and the one letter it is drawn on, and verification normalizes each
-distinct cell boundary once per Presentation, which remembers the relation
-of every cell found to be a relator (never of one that is not).  So callers
-that build and check many diagrams over one machine and one presentation
-gain the most.
+its signed rule and the one letter it is drawn on.  Verification checks
+each cell object once per Presentation: the presentation remembers every
+cell that passed all the cell checks in a band of its signed rule, by
+identity, and a band of that rule skips them for that cell.  A cell equal
+to a remembered one but another object, one that failed, or one in a band
+of another rule is checked in full.  So callers that build and check many
+diagrams over one machine and one presentation gain the most.
 """
 
 from __future__ import annotations
@@ -84,7 +90,12 @@ def _band_step(machine, W, rid):
     ``machine._cell_memo[rid]`` under that letter: a state letter for a main
     cell, a tape letter for a theta cell.  A tape cell's theta zone is its
     sector's, which is the zone of the tape letter itself in every word
-    ``Machine.apply`` accepts, so the letter alone is the key."""
+    ``Machine.apply`` accepts, so the letter alone is the key.
+
+    A bar band's labels are read off the words: the free reductions of W
+    and of W o rid with the flanks (see below), one scan each when already
+    reduced.  A plain band's labels are its cells' letters, freely
+    reduced."""
     out = machine.apply(rid, W)
     pos, d = rid.positive, rid.sign
     src = W if d > 0 else out
@@ -128,8 +139,20 @@ def _band_step(machine, W, rid):
                 cell = memo[letter] = Cell("bar_theta_a" if bar else "theta_a", theta,
                                            theta, bottom, top, d)
             cells.append(cell)
-    bottom = Word(chain.from_iterable(c.bottom.letters for c in cells))
-    top = Word(chain.from_iterable(c.top.letters for c in cells))
+    if bar:
+        # up to free reduction, the cells below src's letters spell src and
+        # those above spell src o pos between the flanks: the parts pos
+        # attaches outside src's first and last state letters (none at a
+        # K-type letter)
+        (st, s), (st2, s2) = src.states[0], src.states[-1]
+        image = (*machine._parts(pos, st.kind, st.j, s)[0].letters,
+                 *(out if d > 0 else W).flat().letters,
+                 *machine._parts(pos, st2.kind, st2.j, s2)[1].letters)
+        bottom, top = (reduced_word(free_reduce(src.flat().letters)),
+                       reduced_word(free_reduce(image)))[::d]
+    else:
+        bottom = Word(chain.from_iterable(c.bottom.letters for c in cells))
+        top = Word(chain.from_iterable(c.top.letters for c in cells))
     return Band(rid, tuple(cells), bottom, top, src.base()), out
 
 
@@ -190,47 +213,48 @@ def verify_band(band: Band, pres: Presentation, machine: Machine):
     return _check_band(band, pres, machine)[0]
 
 
-def _check_band(band, pres, machine):
+def _check_band(band, pres, machine, pb=None):
     """(violations, bottom projection, top projection) of a band: the
     projections the growth bound measures are the ones the trapezium replay
-    compares, so each is taken once."""
+    compares, so each is taken once.  ``pb``, when given, is the bottom's
+    projection, already taken."""
     report = []
-    pb, pt = _project_ak(band.bottom), _project_ak(band.top)
+    if pb is None:
+        pb = _project_ak(band.bottom)
+    pt = _project_ak(band.top)
+    rid = band.rid
+    rule = machine.rule(rid)
+    if rule is None:
+        return [f"unknown rule {rid!r}"], pb, pt
     index = pres.index()
     memo = pres._cell_memo
-    rule = machine.rule(band.rid)
-    if rule is None:
-        return [f"unknown rule {band.rid!r}"], pb, pt
     # every cell's theta edges name the band's rule and point its way
-    own = (band.rid.positive, band.rid.positive, band.rid.sign)
+    own = (rid.positive, rid.positive, rid.sign)
     bottom, top = [], []  # the cells' letters, concatenated
     for k, cell in enumerate(band.cells):
-        cb, ct = cell.bottom.letters, cell.top.letters
-        bottom += cb
-        top += ct
-        if (getattr(cell.left, "rule", None), getattr(cell.right, "rule", None),
-                cell.dir) != own:
+        bottom += cell.bottom.letters
+        top += cell.top.letters
+        hit = memo.get(id(cell))
+        if hit is not None and hit[1] == rid:
+            continue  # this very cell passed every check in a band of rid
+        ok = (getattr(cell.left, "rule", None), getattr(cell.right, "rule", None),
+              cell.dir) == own
+        if not ok:
             report.append(f"cell {k}: theta edges {cell.left!r}, {cell.right!r} "
-                          f"with dir {cell.dir} are not of {band.rid!r}")
+                          f"with dir {cell.dir} are not of {rid!r}")
         try:
-            key = (cell.left, cell.dir, cb, cell.right, ct)
-            hit = memo.get(key)
-        except TypeError:  # an unhashable field: the cell is checked in full
-            key = hit = None
-        if hit is None:
-            try:
-                rel = normalize_relator(cell.boundary())
-            except Exception as e:
-                report.append(f"cell {k}: boundary did not normalize: {e}")
-                continue
-            hit = index.get(rel)
-            if hit is None:
-                report.append(f"cell {k}: boundary is not a relator")
-                continue
-            if key is not None:
-                memo[key] = hit
-        if hit.kind != cell.kind:
-            report.append(f"cell {k}: relator kind {hit.kind} != {cell.kind}")
+            rel = normalize_relator(cell.boundary())
+        except Exception as e:
+            report.append(f"cell {k}: boundary did not normalize: {e}")
+            continue
+        rel = index.get(rel)
+        if rel is None:
+            report.append(f"cell {k}: boundary is not a relator")
+        elif rel.kind != cell.kind:
+            report.append(f"cell {k}: relator kind {rel.kind} != {cell.kind}")
+        elif ok:
+            # holding the cell keeps its id from naming another object
+            memo[id(cell)] = (cell, rid)
     for k, (c1, c2) in enumerate(zip(band.cells, band.cells[1:])):
         if c1.right != c2.left or c1.dir != c2.dir:
             report.append(f"cells {k},{k + 1}: theta edges {c1.right!r} != {c2.left!r}")
@@ -261,25 +285,31 @@ def _check_band(band, pres, machine):
 def verify_trapezium(trap: Trapezium, pres: Presentation, machine: Machine):
     """Band checks plus gluing, history and the simulated computation."""
     report = []
-    checked = [_check_band(band, pres, machine) for band in trap.bands]
+    bands = trap.bands
+    # glued[i]: band i's bottom is the word beneath it, band i-1's top (or
+    # the trapezium's bottom for band 0).  Each such word is projected and
+    # compared with the machine's word once, for both bands that carry it.
+    glued = [trap.bottom == b.bottom for b in bands[:1]] + [
+        b1.top == b2.bottom for b1, b2 in zip(bands, bands[1:])]
+    checked = []
+    for i, band in enumerate(bands):
+        checked.append(_check_band(band, pres, machine,
+                                   checked[-1][2] if i and glued[i] else None))
     for i, (msgs, _, _) in enumerate(checked):
         report += [f"band {i}: {msg}" for msg in msgs]
     if not is_reduced_history(trap.history):
         report.append("history is not reduced")
-    for i, (b1, b2) in enumerate(zip(trap.bands, trap.bands[1:])):
-        if b1.top != b2.bottom:
+    for i, (b1, b2) in enumerate(zip(bands, bands[1:])):
+        if not glued[i + 1]:
             report.append(f"bands {i},{i + 1}: top does not glue onto bottom")
         if b2.rid == b1.rid.inverse:
             report.append(f"bands {i},{i + 1}: mirror bands (reducible pair)")
-    if tuple(b.rid for b in trap.bands) != tuple(trap.history):
+    if tuple(b.rid for b in bands) != tuple(trap.history):
         report.append("band rules disagree with the history")
     # the side projections must replay as a computation, letter for letter;
     # the band checks projected every band label already
     try:
-        if trap.bands and trap.bottom == trap.bands[0].bottom:
-            p0 = checked[0][1]
-        else:
-            p0 = _project_ak(trap.bottom)
+        p0 = checked[0][1] if bands and glued[0] else _project_ak(trap.bottom)
         W0 = machine.hw.parse_admissible(p0, machine.flavor)
     except Exception as e:
         report.append(f"bottom does not parse: {e}")
@@ -288,15 +318,13 @@ def verify_trapezium(trap: Trapezium, pres: Presentation, machine: Machine):
     if not trace.ok:
         report.append(f"history does not run: {trace.failure}")
         return report
-    # a band's bottom equal to the word checked below it (the trapezium's
-    # bottom or the top beneath) reuses that check: each glued word once
-    below, ok = trap.bottom, p0 == trace.words[0].flat()
-    for i, (band, (_, pb, pt)) in enumerate(zip(trap.bands, checked)):
-        if band.bottom != below:
+    ok = p0 == trace.words[0].flat()
+    for i, (_, pb, pt) in enumerate(checked):
+        if not glued[i]:
             ok = pb == trace.words[i].flat()
         if not ok:
             report.append(f"band {i}: bottom projection is not step {i}")
-        below, ok = band.top, pt == trace.words[i + 1].flat()
+        ok = pt == trace.words[i + 1].flat()
         if not ok:
             report.append(f"band {i}: top projection is not step {i + 1}")
     return report

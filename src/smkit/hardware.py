@@ -57,13 +57,24 @@ as long as the table.
 alphabet, index range, plain or bar letter, positivity, empty j=1 sectors
 for bar).  When it passes and the inner words are freely reduced, it
 records the table on the word (``AdmissibleWord._table``): the word is then
-*trusted* by that Hardware (``Hardware.trusts``).  The record is not a
-field, so it stays out of ``==``, ``repr`` and pickles, and the hash is the
-same with or without it (the table only saves hashing the states tuple).
-Only ``validate`` (so ``parse_admissible``) and ``Machine._apply`` record a
-table; words from ``with_coord``, ``inverse``, hand-built words and words
-validated by another Hardware are not trusted, and a step on them runs the
-full ``validate``.
+*trusted* by that Hardware (``Hardware.trusts``).  With the table it
+records the shape the word passed (``AdmissibleWord._bar_shape``): plain for
+a strict word, bar for a bar word, and for a mixed word the plain shape
+when it has it, else the bar one.  A rule's shape check on a trusted word
+with that shape walks no letter (``Machine._shape_error``); a mixed word
+at (e,1) may have both shapes, and the other one is checked in full.  The
+records are not fields, so they stay out of ``==``, ``repr`` and pickles,
+and the hash is the same with or without them (the table only saves
+hashing the states tuple).  Only ``validate`` (so ``parse_admissible``) and
+``Machine._apply`` record them (a step records its rule's shape); words
+from ``with_coord``, ``inverse``, hand-built words and words validated by
+another Hardware are not trusted, and a step on them runs the full
+``validate``.
+
+``parse_admissible`` canonicalizes each distinct state or tape symbol once
+per Hardware and remembers the result; a symbol that fails (a tape index
+out of range) is never remembered.  ``succ`` and ``zone_after`` fill their
+tables the same way, one entry per signed letter looked up.
 """
 
 from __future__ import annotations
@@ -77,6 +88,7 @@ from .words import (
 )
 
 COORD_E1 = Coord(None, 1)
+_LETTERS = (State, Tape)
 
 
 class EEError(ValueError):
@@ -290,7 +302,9 @@ class Hardware:
         self.zones = tuple(zones)  # zones[p]: the zone of the gap after sigma[p]
         self._pos = {bl: p for p, (bl, _) in enumerate(sigma)}
         self._orient = {bl: s for bl, s in sigma}
+        self._succ = {}  # signed letter -> its successor, filled by succ
         self._zone_after = {}  # signed letter -> zone, filled by zone_after
+        self._canon = {}  # State/Tape symbol -> its canonical form, by parse_admissible
         self._zone_components = None  # filled by h2.zone_components
         self._sector_tables = {}  # states tuple -> SectorTable, by sector_table
         # the letters on either side of each gap, in its zone's canonical
@@ -301,13 +315,19 @@ class Hardware:
     # -- signed-letter geometry ------------------------------------------
 
     def succ(self, y):
-        bl, s = y
-        p = self._pos[bl]
-        if s == self._orient[bl]:
-            nb, ns = self.sigma[(p + 1) % len(self.sigma)]
-            return (nb, ns)
-        nb, ns = self.sigma[(p - 1) % len(self.sigma)]
-        return (nb, -ns)
+        """The signed letter after y along the base word (looked up once per
+        letter, then remembered)."""
+        nxt = self._succ.get(y)
+        if nxt is None:
+            bl, s = y
+            p = self._pos[bl]
+            if s == self._orient[bl]:
+                nxt = self.sigma[(p + 1) % len(self.sigma)]
+            else:
+                nb, ns = self.sigma[(p - 1) % len(self.sigma)]
+                nxt = (nb, -ns)
+            self._succ[y] = nxt
+        return nxt
 
     def pred(self, y):
         bl, s = self.succ((y[0], -y[1]))
@@ -414,14 +434,22 @@ class Hardware:
 
         Letters are canonicalized on ingest: barred states at (e,1) and
         barred P-zone letters with index <= m name the same generators as
-        their plain brothers and are stored unbarred."""
+        their plain brothers and are stored unbarred.  Each distinct symbol
+        is canonicalized once per Hardware; one that fails (a tape index out
+        of range) is never remembered and raises on every call."""
         letters = tuple(w.letters) if isinstance(w, Word) else tuple(w)
+        memo = self._canon
         canon = []
         for sym, s in letters:
-            if isinstance(sym, State):
-                sym = self.state(sym.kind, sym.j, sym.coord, sym.bar)
-            elif isinstance(sym, Tape):
-                sym = self.tape(sym.i, sym.zone, sym.bar)
+            if isinstance(sym, _LETTERS):
+                c = memo.get(sym)
+                if c is None:
+                    if isinstance(sym, State):
+                        c = self.state(sym.kind, sym.j, sym.coord, sym.bar)
+                    else:
+                        c = self.tape(sym.i, sym.zone, sym.bar)
+                    memo[sym] = c
+                sym = c
             canon.append((sym, s))
         letters = tuple(canon)
         if not letters:
@@ -516,19 +544,22 @@ class Hardware:
                 if last is not None and last[0] is sym and last[1] != letter[1]:
                     reduced = False
                 last = letter
+        bar = aw.flavor == "bar"
         if aw.flavor == "strict":
             self._validate_strict(aw, table)
-        elif aw.flavor == "bar":
+        elif bar:
             self.validate_bar_shape(aw, table)
         elif aw.flavor == "mixed":
             try:
                 self.validate_plain_shape(aw, table)
             except AdmissibleError:
                 self.validate_bar_shape(aw, table)
+                bar = True
         else:
             raise ValueError(f"unknown flavor {aw.flavor!r}")
         if reduced:
             object.__setattr__(aw, "_table", table)
+            object.__setattr__(aw, "_bar_shape", bar)
 
     def validate_plain_shape(self, aw, table=None):
         """Plain state and tape letters only; ``table`` is the sector table
@@ -583,9 +614,12 @@ class AdmissibleWord:
     states: tuple  # (State, sign) pairs
     inners: tuple  # Word per sector, len == len(states) - 1
 
-    # The SectorTable of the Hardware that validated the word, or None; set
-    # only by Hardware.validate and Machine._apply, and not a field.
+    # The SectorTable of the Hardware that validated the word, or None, and
+    # the shape the word passed then: True for the bar shape, False for the
+    # plain one, None when untrusted.  Set together, only by
+    # Hardware.validate and Machine._apply, and not fields.
     _table = None
+    _bar_shape = None
 
     def __hash__(self):
         # Equal words hash equally with or without a recorded table: the
@@ -598,6 +632,7 @@ class AdmissibleWord:
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_table", None)
+        state.pop("_bar_shape", None)
         return state
 
     @property
@@ -611,11 +646,10 @@ class AdmissibleWord:
         return tuple((st.base, s) for st, s in self.states)
 
     def flat(self):
-        letters = []
-        for k, (st, s) in enumerate(self.states):
-            letters.append((st, s))
-            if k < len(self.inners):
-                letters += list(self.inners[k].letters)
+        letters = list(self.states[:1])
+        for y, inner in zip(self.states[1:], self.inners):
+            letters += inner.letters
+            letters.append(y)
         return Word(letters, reduce=False)
 
     def __len__(self):

@@ -158,11 +158,12 @@ class Presentation:
     ee_label: str = field(compare=False)
     relations: tuple
     _index: MappingProxyType = field(init=False, repr=False, compare=False)
-    # bands.verify_band's memo: a cell's (left, dir, bottom letters, right,
-    # top letters) -> the Relation its boundary normalizes to.  Filled
-    # lazily, with cells whose boundary is a relator only.  It checks cells
-    # against this presentation; Machine._cell_memo, the other cell memo,
-    # keeps the cells bands._band_step builds, per machine, and checks none.
+    # bands.verify_band's memo: id(cell) -> (cell, signed rule), for each
+    # cell object that passed every cell check (theta edges, boundary a
+    # relator, kind) in a band of that rule; holding the cell keeps its id
+    # from naming another object.  Filled lazily.  It checks cells against
+    # this presentation; Machine._cell_memo, the other cell memo, keeps the
+    # cells bands._band_step builds, per machine, and checks none.
     _cell_memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):

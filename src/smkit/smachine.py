@@ -35,9 +35,11 @@ The tape parts behind it are memoized per Machine (``_parts``, at most
 signed rules x 4N x 2 entries).
 
 A word the Hardware trusts (it validated the word, or built it in a step
-from a trusted word; see ``hardware``) carries its table, so a step reads
-the table without hashing the states tuple, and its result costs what the
-rule attaches: in each changed sector only the two junctions with the
+from a trusted word; see ``hardware``) carries its table and the plain or
+bar shape it passed, so a step reads the table without hashing the states
+tuple, checks the rule's shape without walking the letters when it is the
+recorded one (``_shape_error``), and its result costs what the rule
+attaches: in each changed sector only the two junctions with the
 attached words can cancel, and only the attached letters that survive can
 break admissibility.  The zone, index and plain/bar letter clauses hold by
 construction of the tape parts, and the result's states have the rule's
@@ -45,10 +47,10 @@ plain or bar shape.  What is left is the sign of the surviving attached
 letters in a strict sector that needs one: the first sector where one has
 another sign is the PositivityViolation the full ``Hardware.validate``
 would raise first, and is raised as such.  A result that passes carries
-its table and is trusted in turn.  When W is not trusted, the changed
-sectors are freely reduced in full and the full ``validate`` runs, as it
-does when W's flavor asks for the other shape (a strict W under a bar
-rule, a bar W under a plain rule).
+its table and the rule's shape, and is trusted in turn.  When W is not
+trusted, the changed sectors are freely reduced in full and the full
+``validate`` runs, as it does when W's flavor asks for the other shape (a
+strict W under a bar rule, a bar W under a plain rule).
 """
 
 from __future__ import annotations
@@ -151,8 +153,10 @@ class Machine:
         # bands._band_step's cells: signed rule -> {letter: Cell}, keyed by
         # the state or tape letter a cell is drawn on, so at most
         # 2 x (state letters + tape letters) per rule.  Filled lazily.
-        # Presentation._cell_memo is the other cell memo: it keeps the
-        # relation each verified cell is, per presentation.
+        # Every band over this machine reuses these objects, so
+        # Presentation._cell_memo, the other cell memo, which remembers by
+        # identity each cell object that passed its checks, checks each of
+        # them once per presentation.
         self._cell_memo = {}
         # presentation.rule_relations' letter tables: the tape and state
         # letter pairs its relators take whatever the rule.  Built on first
@@ -284,6 +288,7 @@ class Machine:
         out = AdmissibleWord(W.flavor, states, inners)
         if fast:
             object.__setattr__(out, "_table", out_table)
+            object.__setattr__(out, "_bar_shape", rid.bar)
         else:
             self.hw.validate(out)
         return out
@@ -409,10 +414,11 @@ class Machine:
 
     def _shape_error(self, W, bar, table):
         """The AdmissibleError of W's bar or plain shape check against W's
-        SectorTable, or None.  A trusted word of the bar or strict flavor
-        passed that check when it was validated, so its letters are not
-        walked again."""
-        if W._table is table and W.flavor == ("bar" if bar else "strict"):
+        SectorTable, or None.  A trusted word records the shape it passed
+        when it was validated or built (``AdmissibleWord._bar_shape``), so
+        for that shape its letters are not walked again; only the other
+        shape of a mixed word is checked in full."""
+        if W._table is table and W._bar_shape == bar:
             return None
         try:
             if bar:

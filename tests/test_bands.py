@@ -12,9 +12,9 @@ from smkit.bands import (
 )
 from smkit.derive import bar_conjugated_insertion
 from smkit.hardware import BaseLetter
-from smkit.presentation import alpha, emit
+from smkit.presentation import Presentation, alpha, emit
 from smkit.smachine import Machine, NotApplicable
-from smkit.words import Coord, CyclicWord, Word, parse_rule, parse_word, wletter
+from smkit.words import Coord, CyclicWord, State, Word, parse_rule, parse_word, wletter
 from test_step import seeded_words
 
 B = BaseLetter
@@ -173,6 +173,36 @@ class TestOnePassBuild:
             assert all(a is b for a, b in zip(first.cells, again.cells)), (W, rid)
 
 
+    def test_bar_labels_between_flanks(self, hw):
+        # a bar band's labels are spelled from W and W o rid, with the
+        # parts rid attaches outside the first and last state letters: sub-
+        # words of bar words that start or end at L, P or R letters of
+        # blocks j >= 2 have such flanks; each band equals the oracle's
+        machine = Machine(hw, "mixed")
+        rng = random.Random(12)
+        words = []
+        for coord in hw.ee.coords():
+            flat = random_bar_word(hw, rng, 2, coord).flat().letters
+            at = [k for k, (sym, _) in enumerate(flat)
+                  if isinstance(sym, State) and sym.kind in "LPR" and sym.j > 1]
+            for _ in range(3):
+                i, j = sorted(rng.sample(at, 2))
+                words.append(mixed_word(hw, flat[i:j + 1]))
+        flanked = 0
+        for W, rid in applicable_pairs(machine, words):
+            if not rid.bar:
+                continue
+            band = theta_band(None, machine, W, rid)
+            want = oracles.band(machine, W, rid)
+            assert band.cells == want.cells, (W.text(), rid)
+            assert (band.bottom, band.top) == (want.bottom, want.top), (W.text(), rid)
+            src = W if rid.sign > 0 else machine.apply(rid, W)
+            (st, s), (st2, s2) = src.states[0], src.states[-1]
+            flanked += bool(machine._parts(rid.positive, st.kind, st.j, s)[0].letters
+                            or machine._parts(rid.positive, st2.kind, st2.j, s2)[1].letters)
+        assert flanked >= 20
+
+
 def flavor_letters(machine):
     """(state letters, tape letters) of the words of the machine's flavor."""
     hw = machine.hw
@@ -259,8 +289,9 @@ def tampered(band, rng):
 
 
 class TestCellMemo:
-    """verify_band keeps, per Presentation, the Relation of each cell whose
-    boundary is a relator; a hit skips the boundary and its normalization."""
+    """verify_band keeps, per Presentation, each cell object that passed
+    every cell check in a band of its signed rule; a hit on that object in
+    a band of that rule skips the edge, boundary and kind checks."""
 
     @pytest.fixture(scope="class")
     def objects(self, hw, mixed):
@@ -346,6 +377,79 @@ class TestCellMemo:
             "are not of ~t12(r1)",
             "cell 2: boundary did not normalize: bad operand type for unary -: 'list'"]
         assert len(pres._cell_memo) == size
+
+    @staticmethod
+    def counted(monkeypatch):
+        """The boundaries normalize_relator is called on, from now on."""
+        normalized = []
+        real = bands.normalize_relator
+        monkeypatch.setattr(bands, "normalize_relator", lambda w: normalized.append(w) or real(w))
+        return normalized
+
+    def test_an_equal_cell_takes_the_full_path(self, hw, mixed, pres, monkeypatch):
+        W = mixed_word(hw, hw.sigma_w(((1, 1),), flavor="bar"))
+        band = theta_band(pres, mixed, W, parse_rule("~t12(r1)"))
+        normalized = self.counted(monkeypatch)
+        assert verify_band(band, pres, mixed) == []
+        normalized.clear()
+        for k in (0, 3):
+            c = band.cells[k]
+            for cell in (replace(c), replace(c, top=c.top * parse_word("~a1(P2)"))):
+                assert cell is not c and (cell == c) == (cell.top == c.top)
+                broken = Band(band.rid, tuple(band.cells[:k]) + (cell,) + band.cells[k + 1:],
+                              band.bottom, band.top, band.base)
+                report = verify_band(broken, pres, mixed)
+                # the copy alone is normalized, however equal to the cached cell
+                assert normalized == [cell.boundary()]
+                assert (report == []) == (cell == c)
+                cold = Presentation(pres.n, pres.ee_label, pres.relations)
+                assert report == verify_band(broken, cold, mixed)
+                normalized.clear()
+
+    def test_a_cached_cell_in_a_band_of_another_rule(self, hw, mixed, pres, monkeypatch):
+        W = mixed_word(hw, hw.sigma_w((), flavor="bar"))
+        band = theta_band(pres, mixed, W, parse_rule("~t12(r1)"))
+        assert verify_band(band, pres, mixed) == []
+        entries = {id(c): pres._cell_memo[id(c)] for c in band.cells}
+        assert all(hit == (c, band.rid) for c, hit in zip(band.cells, entries.values()))
+        normalized = self.counted(monkeypatch)
+        for name in ("~t12(r2)", "~t12(r1)^-1", "t12(r1)"):
+            other = parse_rule(name)
+            report = verify_band(replace(band, rid=other), pres, mixed)
+            assert cell_lines(report) == [
+                f"cell {k}: theta edges {c.left!r}, {c.right!r} with dir 1 are not of {name}"
+                for k, c in enumerate(band.cells)], name
+            assert len(normalized) == len(band.cells)
+            normalized.clear()
+        assert {key: pres._cell_memo[key] for key in entries} == entries
+        assert verify_band(band, pres, mixed) == [] and normalized == []
+
+    def test_only_cells_that_pass_get_an_entry(self, hw, mixed, pres):
+        cold = Presentation(pres.n, pres.ee_label, pres.relations)
+        W = mixed_word(hw, hw.sigma_w(((1, 1), (2, -1)), flavor="bar"))
+        band = theta_band(pres, mixed, W, parse_rule("~t12(r2)"))
+        # cells with the wrong edges only (a tape cell upside down is the
+        # same relator of the same kind), a boundary that is no relator,
+        # the wrong kind
+        k = next(k for k, c in enumerate(band.cells) if c.kind == "bar_theta_a")
+        c = band.cells[k]
+        flipped = Cell(c.kind, c.left, c.right, c.top, c.bottom, -c.dir)
+        broken = [(k, flipped), (0, replace(band.cells[0], top=band.cells[0].bottom)),
+                  (1, replace(band.cells[1], kind="bar_theta_a"))]
+        cells = list(band.cells)
+        for j, cell in broken:
+            cells[j] = cell
+        report = verify_band(replace(band, cells=tuple(cells)), cold, mixed)
+        assert cell_lines(report) == [
+            "cell 0: boundary is not a relator",
+            "cell 1: relator kind bar_main != bar_theta_a",
+            f"cell {k}: theta edges {c.left!r}, {c.right!r} with dir -1 are not of ~t12(r2)"]
+        # every other cell, and none of these, under the band's own rule
+        assert cold._cell_memo == {id(cell): (cell, band.rid) for j, cell in enumerate(cells)
+                                   if j not in (0, 1, k)}
+        # a band of another rule adds none: its cells fail the edge check
+        verify_band(replace(band, rid=parse_rule("~t12(r1)")), cold, mixed)
+        assert len(cold._cell_memo) == len(cells) - 3
 
     def test_emit_leaves_the_memo_empty(self, hw):
         assert emit(hw)._cell_memo == {}

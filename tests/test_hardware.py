@@ -91,6 +91,24 @@ class TestGeometry:
         for y in letters:
             assert hw.pred(hw.succ(y)) == y and hw.succ(hw.pred(y)) == y
 
+    def test_succ_is_filled_lazily(self, ee):
+        hw = Hardware(ee, 8)
+        assert hw._succ == {}
+        sigma = hw.sigma
+        want = {}
+        for p, (bl, o) in enumerate(sigma):
+            want[(bl, o)] = sigma[(p + 1) % len(sigma)]
+            prev, s = sigma[p - 1]
+            want[(bl, -o)] = (prev, -s)
+        for _ in range(2):  # cold, then from the table
+            assert {y: hw.succ(y) for y in want} == want
+        assert hw._succ == want
+        # a letter off the base word raises on every call and is not kept
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                hw.succ((B("K", 9), 1))
+        assert len(hw._succ) == len(want)
+
     def test_rr_arrow_parity(self, hw):
         # the letter after R_j is K_{j+1}^-1 for odd j and K_j for even j
         assert hw.succ((B("R", 1), 1)) == (B("K", 2), -1)
@@ -278,6 +296,44 @@ class TestParseAdmissible:
         c = hw.parse_admissible(parse_word("~L2(e,1) ~a1(L2) ~P2(e,1)"), "bar")
         d = hw.parse_admissible(parse_word("L2(e,1) ~a1(L2) P2(e,1)"), "bar")
         assert c == d
+
+    def test_canonical_letters_are_remembered(self, ee):
+        # barred (e,1) states and barred P-zone letters with index <= m are
+        # stored unbarred, on the first call as on later ones
+        hw = Hardware(ee, 8)
+        assert hw._canon == {}
+        texts = ("~K3(e,1) ~a1(K3) ~L3(e,1) ~a2(L3) ~P3(e,1) ~a1(P3) ~a2(P3)^-1 ~R3(e,1)",
+                 "~L2(e,1) ~a1(L2) ~P2(e,1)")
+        want = [[(hw.state(sym.kind, sym.j, sym.coord, sym.bar) if isinstance(sym, State)
+                  else hw.tape(sym.i, sym.zone, sym.bar), s) for sym, s in parse_word(t)]
+                for t in texts]
+        assert want[0][0][0] is State("K", 3, Coord(None, 1))
+        assert want[0][5][0] is hw.tape(1, B("P", 3)) and not want[0][5][0].bar
+        assert want[0][1][0].bar and want[0][3][0].bar
+        for _ in range(2):
+            for text, letters in zip(texts, want):
+                assert hw.parse_admissible(parse_word(text), "mixed").flat().letters == \
+                    tuple(letters)
+        assert hw._canon[State("K", 3, Coord(None, 1), True)] is State("K", 3, Coord(None, 1))
+
+    def test_out_of_range_index_is_never_remembered(self, ee):
+        hw = Hardware(ee, 8)
+        bad = parse_word("K1(e,1) L1(e,1) P1(e,1) a3(P1) R1(e,1)")
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(BadInnerAlphabet) as e:
+                hw.parse_admissible(bad, "strict")
+            messages.add(str(e.value))
+        assert messages == {"BadInnerAlphabet: a3 out of range 1..2"}
+        # the letters before it are kept, it is not
+        assert set(hw._canon) == {sym for sym, _ in bad.letters[:3]}
+
+    def test_unhashable_symbol_is_not_a_letter(self, ee):
+        hw = Hardware(ee, 8)
+        letters = parse_word("K1(e,1) L1(e,1)").letters
+        for _ in range(2):
+            with pytest.raises(BadInnerAlphabet, match="is not a state or tape letter"):
+                hw.parse_admissible(letters[:1] + ((["a1"], 1),) + letters[1:], "strict")
 
     def test_bar_accepts_shared_letters(self, hw):
         W = hw.sigma_w(((1, -1), (2, 1)), flavor="bar")

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from genwords import (
     applicable_rules, block_word, dyck_words, random_bar_word, random_positive,
-    random_reduced,
+    random_reduced, random_walk,
 )
 from smkit.derive import bar_conjugated_insertion, insertion_history
 from smkit.hardware import (
@@ -422,9 +422,11 @@ class TestUntrustedWords:
         import copy
         import pickle
         W = strict.apply(RuleId("1", None, 1), hw.sigma_w(((2, 1),)))
-        assert hw.trusts(W)
+        assert hw.trusts(W) and W._bar_shape is False
+        state = W.__getstate__()
+        assert "_table" not in state and "_bar_shape" not in state
         for U in (pickle.loads(pickle.dumps(W)), copy.copy(W), copy.deepcopy(W)):
-            assert U == W and not hw.trusts(U)
+            assert U == W and not hw.trusts(U) and U._bar_shape is None
             assert strict.step(RuleId("1", None, 2), U) == strict.step(RuleId("1", None, 2), W)
 
     def test_plans_hang_on_the_table_and_are_shared(self, hw, strict, mixed):
@@ -438,3 +440,46 @@ class TestUntrustedWords:
         assert mixed.apply(rid, M).inners == out.inners
         assert table.plans[rid] is plan
         assert not hasattr(strict, "_plans")
+
+
+class TestTrustedShape:
+    """A trusted word records the shape it passed (``_bar_shape``: by
+    ``validate``, or by the rule of the step that built it), and
+    ``Machine._shape_error`` walks its letters only for the other shape: for
+    every trusted word and either shape it answers as the full check does on
+    an untrusted copy."""
+
+    @staticmethod
+    def full_check(hw, W, bar):
+        copy = AdmissibleWord(W.flavor, W.states, W.inners)
+        assert not hw.trusts(copy)
+        return raised(hw.validate_bar_shape if bar else hw.validate_plain_shape, copy) is None
+
+    def test_fast_path_answers_as_the_full_check(self, hw):
+        machine = Machine(hw, "mixed")
+        rng = random.Random(23)
+        # mixed words through plain and bar rules, and bar words at (e,1)
+        # with P-zone letters only, which have both shapes
+        words = seeded_words(hw, "mixed", seed=23) + [
+            random_bar_word(hw, rng, 2, COORD_E1, "KLR") for _ in range(4)]
+        trusted = []
+        for W in words:
+            trusted += [W] + [out for _, out in machine.applicable_rules(W)]
+            for _ in range(2):
+                h = random_walk(machine, W, rng, 5)[0]
+                trusted += machine.run(W, h).words[1:]
+        seen = set()
+        for W in trusted:
+            assert machine.hw.trusts(W), W.text()
+            answers = tuple(self.full_check(hw, W, bar) for bar in (False, True))
+            for bar, full in zip((False, True), answers):
+                assert (machine._shape_error(W, bar, W._table) is None) == full, (W.text(), bar)
+                if not full:
+                    assert machine._shape_error(W, bar, W._table).clause == raised(
+                        hw.validate_bar_shape if bar else hw.validate_plain_shape,
+                        AdmissibleWord(W.flavor, W.states, W.inners))[1]
+            assert answers[W._bar_shape], W.text()
+            seen.add((W._bar_shape, answers))
+        # plain and bar words with one shape, and words of each record with both
+        assert seen == {(False, (True, False)), (True, (False, True)),
+                        (False, (True, True)), (True, (True, True))}
