@@ -227,7 +227,9 @@ def _check_band(band, pres, machine, pb=None):
     if rule is None:
         return [f"unknown rule {rid!r}"], pb, pt
     index = pres.index()
-    memo = pres._cell_memo
+    memo = pres._cell_memo.get(machine)
+    if memo is None:
+        memo = pres._cell_memo[machine] = {}
     # every cell's theta edges name the band's rule and point its way
     own = (rid.positive, rid.positive, rid.sign)
     bottom, top = [], []  # the cells' letters, concatenated

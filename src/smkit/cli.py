@@ -192,12 +192,7 @@ def cmd_band(args):
     (rid,) = _known_rules(machine, (parse_rule(args.rule),))
     band = theta_band(None, machine, W, rid)
     print(band_text(band))
-    if args.verify:
-        report = verify(band, _rules_presentation(machine, (rid,)), machine)
-        for line in report:
-            print(f"violation: {line}", file=sys.stderr)
-        return 1 if report else 0
-    return 0
+    return _verified(band, machine, (rid,)) if args.verify else 0
 
 
 def cmd_trapezium(args):
@@ -207,12 +202,17 @@ def cmd_trapezium(args):
     h = _known_rules(machine, parse_history(_slurp(args.history)))
     trap = trapezium(None, machine, W, h)
     print(trapezium_text(trap))
-    if args.verify:
-        report = verify(trap, _rules_presentation(machine, h), machine)
-        for line in report:
-            print(f"violation: {line}", file=sys.stderr)
-        return 1 if report else 0
-    return 0
+    return _verified(trap, machine, h) if args.verify else 0
+
+
+def _verified(obj, machine, history):
+    """``--verify``'s exit code for a band or trapezium over history: 1 when
+    ``verify`` against the relations of history's rules reports anything,
+    each line printed to stderr as ``violation: <line>``, else 0."""
+    report = verify(obj, _rules_presentation(machine, history), machine)
+    for line in report:
+        print(f"violation: {line}", file=sys.stderr)
+    return 1 if report else 0
 
 
 def cmd_dyck(args):

@@ -526,24 +526,19 @@ class Hardware:
     def validate(self, aw):
         """Check every clause of admissibility for ``aw.flavor``; raises the
         first AdmissibleError.  Free reduction is not a clause here
-        (``parse_admissible`` checks it), but a step on a trusted word relies
-        on it, so the sector table is recorded on ``aw`` only when every
-        inner word is freely reduced."""
+        (``parse_admissible`` checks it), but a step hands a trusted word's
+        unchanged sectors to its trusted result as they are, so the sector
+        table is recorded on ``aw`` only when every inner word is freely
+        reduced (``is_reduced``)."""
         table = self.sector_table(aw.states)
         mbar = self.ee.mbar
-        reduced = True
         for k, (zone, inner) in enumerate(zip(table.zones, aw.inners)):
-            last = None
-            for letter in inner.letters:
-                sym = letter[0]
+            for sym, _ in inner.letters:
                 if sym.zone != zone:
                     raise BadInnerAlphabet(
                         f"sector {k}: {sym!r} is not in the {zone!r}-zone alphabet")
                 if not 1 <= sym.i <= mbar:
                     raise BadInnerAlphabet(f"sector {k}: index of {sym!r} out of range")
-                if last is not None and last[0] is sym and last[1] != letter[1]:
-                    reduced = False
-                last = letter
         bar = aw.flavor == "bar"
         if aw.flavor == "strict":
             self._validate_strict(aw, table)
@@ -557,7 +552,7 @@ class Hardware:
                 bar = True
         else:
             raise ValueError(f"unknown flavor {aw.flavor!r}")
-        if reduced:
+        if all(is_reduced(inner.letters) for inner in aw.inners):
             object.__setattr__(aw, "_table", table)
             object.__setattr__(aw, "_bar_shape", bar)
 

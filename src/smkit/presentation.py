@@ -54,6 +54,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Optional
+from weakref import WeakKeyDictionary
 
 from .hardware import Hardware
 from .smachine import Machine, enumerate_rule_ids
@@ -158,13 +159,16 @@ class Presentation:
     ee_label: str = field(compare=False)
     relations: tuple
     _index: MappingProxyType = field(init=False, repr=False, compare=False)
-    # bands.verify_band's memo: id(cell) -> (cell, signed rule), for each
-    # cell object that passed every cell check (theta edges, boundary a
-    # relator, kind) in a band of that rule; holding the cell keeps its id
-    # from naming another object.  Filled lazily.  It checks cells against
-    # this presentation; Machine._cell_memo, the other cell memo, keeps the
-    # cells bands._band_step builds, per machine, and checks none.
-    _cell_memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    # bands.verify_band's memo: machine -> {id(cell): (cell, signed rule)},
+    # for each cell object that passed every cell check (theta edges,
+    # boundary a relator, kind) in a band of that rule checked with that
+    # machine; holding the cell keeps its id from naming another object.
+    # Filled lazily.  The machine is held weakly, so its entries, and the
+    # cells they hold, die with it.  It checks cells against this
+    # presentation; Machine._cell_memo, the other cell memo, keeps the cells
+    # bands._band_step builds, per machine, and checks none.
+    _cell_memo: WeakKeyDictionary = field(init=False, repr=False, compare=False,
+                                          default_factory=WeakKeyDictionary)
 
     def __post_init__(self):
         index = {rel.relator: rel for rel in self.relations}  # one hash per relator

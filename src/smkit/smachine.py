@@ -34,23 +34,24 @@ the table: one plan per signed rule applied per distinct states tuple.
 The tape parts behind it are memoized per Machine (``_parts``, at most
 signed rules x 4N x 2 entries).
 
-A word the Hardware trusts (it validated the word, or built it in a step
-from a trusted word; see ``hardware``) carries its table and the plain or
-bar shape it passed, so a step reads the table without hashing the states
-tuple, checks the rule's shape without walking the letters when it is the
-recorded one (``_shape_error``), and its result costs what the rule
-attaches: in each changed sector only the two junctions with the
-attached words can cancel, and only the attached letters that survive can
-break admissibility.  The zone, index and plain/bar letter clauses hold by
-construction of the tape parts, and the result's states have the rule's
-plain or bar shape.  What is left is the sign of the surviving attached
-letters in a strict sector that needs one: the first sector where one has
-another sign is the PositivityViolation the full ``Hardware.validate``
-would raise first, and is raised as such.  A result that passes carries
-its table and the rule's shape, and is trusted in turn.  When W is not
-trusted, the changed sectors are freely reduced in full and the full
-``validate`` runs, as it does when W's flavor asks for the other shape (a
-strict W under a bar rule, a bar W under a plain rule).
+Every changed sector becomes right + inner + left, freely reduced once
+(``free_reduce``), whatever the word.  A word the Hardware trusts (it
+validated the word, or built it in a step from a trusted word; see
+``hardware``) carries its table and the plain or bar shape it passed, so a
+step reads the table without hashing the states tuple, checks the rule's
+shape without walking the letters when it is the recorded one
+(``_shape_error``), and skips the full ``Hardware.validate`` on the result.
+The zone, index and plain/bar letter clauses hold by construction of the
+tape parts, and the result's states have the rule's plain or bar shape.
+What is left is the sign of the letters in a strict sector that needs one
+and whose attached words do not all have it: every inner letter of a
+trusted strict word already has that sign, so a letter of the reduced
+sector with another sign is an attached one that survived.  The first
+sector holding one is the PositivityViolation the full ``validate`` would
+raise first, and is raised as such.  A result that passes carries its
+table and the rule's shape, and is trusted in turn.  When W is not
+trusted, or its flavor asks for the other shape (a strict W under a bar
+rule, a bar W under a plain rule), the full ``validate`` runs.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from typing import Optional
 from .hardware import AdmissibleError, AdmissibleWord, Hardware, PositivityViolation
 from .words import (
     AGE_FAMILIES, FAMILIES, BaseLetter, Coord, RuleId, EMPTY, TRANSITION_FAMILIES, TokenError,
-    Word, content_lines, family_relators, parse_rule, reduced_word, rule_token,
+    content_lines, family_relators, free_reduce, parse_rule, reduced_word, rule_token,
 )
 
 # One row per family, the table of the module docstring: source and target age, the zone
@@ -156,7 +157,7 @@ class Machine:
         # Every band over this machine reuses these objects, so
         # Presentation._cell_memo, the other cell memo, which remembers by
         # identity each cell object that passed its checks, checks each of
-        # them once per presentation.
+        # them once per presentation, and forgets them with this machine.
         self._cell_memo = {}
         # presentation.rule_relations' letter tables: the tape and state
         # letter pairs its relators take whatever the rule.  Built on first
@@ -255,35 +256,29 @@ class Machine:
         """W o rid, validated; the checks before it are the caller's.
         ``table`` is the SectorTable of W's states when the caller has it.
 
-        On a trusted W each changed sector is joined at its two junctions
-        (``_attach``).  The result's states are plain for a plain rule and
-        bar for a bar rule, so unless W's flavor asks for the other shape (a
-        strict W under a bar rule, a bar W under a plain rule), the only
-        clause the result can fail is the sign of a surviving attached
-        letter in a strict sector; the first such sector is the first error
-        ``validate`` would raise, and a result without one is trusted.
-        Every other case runs the full ``validate``."""
+        Each changed sector becomes right + inner + left, freely reduced
+        once.  On a trusted W whose flavor takes the rule's shape, what is
+        left to check is the sign of the letters of a strict sector whose
+        plan names one (see the module docstring): the first sector with a
+        letter of another sign is the first error ``validate`` would raise,
+        and a result without one is trusted.  Every other case runs the
+        full ``validate``."""
         if table is None:
             table = self._table_of(W)
         plan = table.plans.get(rid)
         if plan is None:
             plan = table.plans[rid] = self._plan(rid, W.states)
         states, changes, out_table = plan
-        trusted = W._table is table
-        fast = trusted and W.flavor != ("strict" if rid.bar else "bar")
+        fast = W._table is table and W.flavor != ("strict" if rid.bar else "bar")
         strict = fast and W.flavor == "strict"
         inners = W.inners
         if changes:
             inners = list(inners)
             for k, right, left, need in changes:
-                if trusted:
-                    letters, ok = _attach(right, inners[k].letters, left,
-                                          need if strict else None)
-                    if not ok:
-                        raise PositivityViolation.at(states, k)
-                    inners[k] = reduced_word(letters)
-                else:
-                    inners[k] = Word(right + inners[k].letters + left)
+                letters = free_reduce(right + inners[k].letters + left)
+                if strict and need is not None and any(e != need for _, e in letters):
+                    raise PositivityViolation.at(states, k)
+                inners[k] = reduced_word(letters)
             inners = tuple(inners)
         out = AdmissibleWord(W.flavor, states, inners)
         if fast:
@@ -297,10 +292,10 @@ class Machine:
         """The step plan of rid on words with these state letters: the
         result's states tuple; (k, right, left, need) for each sector k whose
         inner word becomes right + inner + left, freely reduced (the sectors
-        not listed keep their inner words), where need is the sign the
-        surviving letters of right and left must have in a strict word, or
-        None when every one of them has it or the sector needs none; and
-        the result's SectorTable."""
+        not listed keep their inner words), where need is the sign every
+        letter of the sector must have in a strict word, or None when every
+        letter of right and left has it or the sector needs none; and the
+        result's SectorTable."""
         rule = self.rules[rid.positive]
         dst = rule.dst if rid.sign > 0 else rule.src
         state, parts = self.hw.state, self._parts
@@ -468,42 +463,6 @@ class Machine:
             u = right * u
             v = v * left
         return u, v
-
-
-def _attach(right, inner, left, need):
-    """(right + inner + left freely reduced, ok) for freely reduced letter
-    tuples; ok is False when need is set and a letter of right or left that
-    survives has another sign."""
-    if not inner or (right and right[-1][0] is inner[0][0] and right[-1][1] != inner[0][1]) \
-            or (left and inner[-1][0] is left[0][0] and inner[-1][1] != left[0][1]):
-        right, inner, left = _cancel_junctions(right, inner, left)
-    ok = need is None or all(e == need for _, e in right + left)
-    return right + inner + left, ok
-
-
-def _cancel_junctions(right, inner, left):
-    """(right', inner', left') with right' + inner' + left' the free
-    reduction of right + inner + left, for freely reduced parts: only the
-    two junctions cancel, and when inner cancels away what is left of right
-    meets left."""
-    n = len(inner)
-    i = j = 0
-    if right:
-        m = min(len(right), n)
-        while i < m and right[-1 - i][0] is inner[i][0] and right[-1 - i][1] != inner[i][1]:
-            i += 1
-        right = right[:len(right) - i]
-    if left:
-        m = min(len(left), n - i)
-        while j < m and inner[n - 1 - j][0] is left[j][0] and inner[n - 1 - j][1] != left[j][1]:
-            j += 1
-        left = left[j:]
-    if i + j == n and right and left:
-        c, m = 0, min(len(right), len(left))
-        while c < m and right[-1 - c][0] is left[c][0] and right[-1 - c][1] != left[c][1]:
-            c += 1
-        right, left = right[:len(right) - c], left[c:]
-    return right, inner[i:n - j], left
 
 
 @dataclass(frozen=True)

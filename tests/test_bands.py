@@ -1,3 +1,4 @@
+import gc
 import random
 from dataclasses import replace
 
@@ -289,9 +290,10 @@ def tampered(band, rng):
 
 
 class TestCellMemo:
-    """verify_band keeps, per Presentation, each cell object that passed
-    every cell check in a band of its signed rule; a hit on that object in
-    a band of that rule skips the edge, boundary and kind checks."""
+    """verify_band keeps, per Presentation and Machine, each cell object
+    that passed every cell check in a band of its signed rule; a hit on that
+    object in a band of that rule skips the edge, boundary and kind checks.
+    The Machine is held weakly, so its entries die with it."""
 
     @pytest.fixture(scope="class")
     def objects(self, hw, mixed):
@@ -357,17 +359,17 @@ class TestCellMemo:
         W = mixed_word(hw, hw.sigma_w(((1, 1), (2, -1)), flavor="bar"))
         band = theta_band(pres, mixed, W, parse_rule("~t12(r2)"))
         assert verify_band(band, pres, mixed) == []
-        size = len(pres._cell_memo)
+        size = len(pres._cell_memo[mixed])
         for broken in tampered(band, rng):
             assert cell_lines(verify_band(broken, pres, mixed))
-        assert len(pres._cell_memo) == size
+        assert len(pres._cell_memo[mixed]) == size
 
     def test_malformed_cell_takes_the_full_path(self, hw, mixed, pres):
         # a cell with an unhashable field has no memo key
         W = mixed_word(hw, hw.sigma_w((), flavor="bar"))
         band = theta_band(pres, mixed, W, parse_rule("~t12(r1)"))
         assert verify_band(band, pres, mixed) == []
-        size = len(pres._cell_memo)
+        size = len(pres._cell_memo[mixed])
         cells = list(band.cells)
         cells[2] = replace(cells[2], dir=[1])
         broken = Band(band.rid, tuple(cells), band.bottom, band.top, band.base)
@@ -376,7 +378,7 @@ class TestCellMemo:
             f"cell 2: theta edges {cells[2].left!r}, {cells[2].right!r} with dir [1] "
             "are not of ~t12(r1)",
             "cell 2: boundary did not normalize: bad operand type for unary -: 'list'"]
-        assert len(pres._cell_memo) == size
+        assert len(pres._cell_memo[mixed]) == size
 
     @staticmethod
     def counted(monkeypatch):
@@ -410,7 +412,8 @@ class TestCellMemo:
         W = mixed_word(hw, hw.sigma_w((), flavor="bar"))
         band = theta_band(pres, mixed, W, parse_rule("~t12(r1)"))
         assert verify_band(band, pres, mixed) == []
-        entries = {id(c): pres._cell_memo[id(c)] for c in band.cells}
+        memo = pres._cell_memo[mixed]
+        entries = {id(c): memo[id(c)] for c in band.cells}
         assert all(hit == (c, band.rid) for c, hit in zip(band.cells, entries.values()))
         normalized = self.counted(monkeypatch)
         for name in ("~t12(r2)", "~t12(r1)^-1", "t12(r1)"):
@@ -421,7 +424,7 @@ class TestCellMemo:
                 for k, c in enumerate(band.cells)], name
             assert len(normalized) == len(band.cells)
             normalized.clear()
-        assert {key: pres._cell_memo[key] for key in entries} == entries
+        assert {key: memo[key] for key in entries} == entries
         assert verify_band(band, pres, mixed) == [] and normalized == []
 
     def test_only_cells_that_pass_get_an_entry(self, hw, mixed, pres):
@@ -445,14 +448,44 @@ class TestCellMemo:
             "cell 1: relator kind bar_main != bar_theta_a",
             f"cell {k}: theta edges {c.left!r}, {c.right!r} with dir -1 are not of ~t12(r2)"]
         # every other cell, and none of these, under the band's own rule
-        assert cold._cell_memo == {id(cell): (cell, band.rid) for j, cell in enumerate(cells)
-                                   if j not in (0, 1, k)}
+        assert list(cold._cell_memo) == [mixed]
+        assert cold._cell_memo[mixed] == {id(cell): (cell, band.rid)
+                                          for j, cell in enumerate(cells) if j not in (0, 1, k)}
         # a band of another rule adds none: its cells fail the edge check
         verify_band(replace(band, rid=parse_rule("~t12(r1)")), cold, mixed)
-        assert len(cold._cell_memo) == len(cells) - 3
+        assert len(cold._cell_memo[mixed]) == len(cells) - 3
+
+    def test_entries_die_with_their_machine(self, hw, pres):
+        # one height-4 trapezium, each time over a fresh Machine, checked
+        # against one presentation: once the machines are dropped, the live
+        # cells and the memo are one machine's worth
+        cold = Presentation(pres.n, pres.ee_label, pres.relations)
+        W = mixed_word(hw, hw.sigma_w(((1, 1),), flavor="bar"))
+        h = tuple(map(parse_rule, ("~t12(r1)", "~t2(r1,1)^-1", "~t2(r1,1)^-1", "~t2(r1,2)")))
+
+        def check():
+            machine = Machine(hw, "mixed")
+            trap = trapezium(None, machine, W, h)
+            assert verify_trapezium(trap, cold, machine) == []
+            return machine
+
+        def cells():
+            """The ids of the live Cell objects."""
+            gc.collect()
+            return {id(o) for o in gc.get_objects() if type(o) is Cell}
+
+        before = cells()
+        last = check()
+        one = cells() - before
+        assert one
+        for _ in range(50):
+            check()
+        assert cells() - before == one
+        assert list(cold._cell_memo) == [last]
+        assert set(cold._cell_memo[last]) == one
 
     def test_emit_leaves_the_memo_empty(self, hw):
-        assert emit(hw)._cell_memo == {}
+        assert len(emit(hw)._cell_memo) == 0
 
 
 class TestTrapezia:

@@ -305,7 +305,7 @@ class TestRoundTrip:
         assert back == pres and back.ee_label == pres.ee_label
         assert back.index() is not pres.index()
         assert dict(back.index()) == dict(pres.index())
-        assert back._cell_memo == {}
+        assert len(back._cell_memo) == 0 and back._cell_memo is not pres._cell_memo
         if trip is not ROUND_TRIPS["pickle"]:
             # relators and relations are immutable: a copy shares them
             assert trip(rel.relator) is rel.relator and trip(rel) is rel

@@ -273,10 +273,21 @@ class TestLongWalks:
 def fold_word(hw, coord, inner):
     """L1^-1 inner L1 at coord, strict: a fold-back in the K1-zone, inner
     given as (index, sign) pairs."""
-    st = hw.state("L", 1, coord)
-    zone = hw.zone_after((st.base, -1))
-    letters = ((st, -1),) + tuple((hw.tape(i, zone), s) for i, s in inner) + ((st, 1),)
-    return hw.parse_admissible(Word(letters, reduce=False), "strict")
+    return fold_at(hw, hw.state("L", 1, coord), -1, inner, "strict")
+
+
+def fold_at(hw, st, s, inner, flavor):
+    """st^s inner st^-s: a fold-back, inner given as (index, sign) pairs
+    in the zone after st^s."""
+    zone = hw.zone_after((st.base, s))
+    letters = tuple((hw.tape(i, zone, flavor == "bar"), e) for i, e in inner)
+    return hw.parse_admissible(Word(((st, s),) + letters + ((st, -s),), reduce=False), flavor)
+
+
+def ee_with_long_relator():
+    """The sample presentation plus r3 = (a1 a2)^20, its own prime."""
+    return EEPresentation(m=2, mbar=2, involution=(2, 1),
+                          relators=((), (1, 2), (2, 1), (1, 2) * 20))
 
 
 def ee_with_square():
@@ -288,12 +299,14 @@ def ee_with_square():
 
 class TestJunctions:
     """t34(r) on a fold-back L1^-1 w L1 at (r,3) turns the K1-zone word w
-    into r^-1 w r: the attached r^-1 is negative, the sector positive."""
+    into r^-1 w r: the attached r^-1 is negative, the sector positive.
+    t2(r,i) turns the sector of a fold into a_i^-1 w a_i, so both junctions
+    can cancel."""
 
-    def step_both(self, monkeypatch, hw, W, rid):
+    def step_both(self, monkeypatch, hw, W, rid, flavor="strict"):
         """Machine.step against the reference, with the number of full
         validations the step ran: none on these trusted words."""
-        machine = Machine(hw, "strict")
+        machine = Machine(hw, flavor)
         assert hw.trusts(W)
         calls = counting_validate(monkeypatch, hw)
         got = machine.step(rid, W)
@@ -327,6 +340,61 @@ class TestJunctions:
     def test_surviving_wrong_sign_letter_is_a_positivity_violation(self, monkeypatch, hw):
         # a2^-1 a1^-1 . a1 . a1 a2 = a2^-1 a1 a2: a2^-1 survives
         W = fold_word(hw, Coord(1, 3), ((1, 1),))
+        rid = RuleId("34", 1, None)
+        (out, diag), full = self.step_both(monkeypatch, hw, W, rid)
+        assert out is None and full == 0
+        assert diag == Diagnosis("ResultNotAdmissible", "PositivityViolation")
+        strict = Machine(hw, "strict")
+        want = raised(oracles.apply, strict, rid, W)
+        assert raised(strict._apply, rid, W) == want
+        assert want[2] == "PositivityViolation: sector 0 between L1(r1,4) and L1(r1,4)"
+
+    # Sectors of 20-60 letters, longer than any sector a step of the
+    # benchmark changes (at most 9 letters).
+
+    def test_long_sector_cancels_at_one_junction(self, monkeypatch, hw):
+        # a2^-1 a1^-1 . a1 a2 x . a1 a2 = x a1 a2, x 30 positive letters
+        x = ((1, 1), (1, 1), (2, 1)) * 10
+        W = fold_word(hw, Coord(1, 3), ((1, 1), (2, 1)) + x)
+        (out, diag), full = self.step_both(monkeypatch, hw, W, RuleId("34", 1, None))
+        assert diag is None and full == 0 and hw.trusts(out)
+        assert [(t.i, s) for t, s in out.inners[0]] == list(x + ((1, 1), (2, 1)))
+
+    @pytest.mark.parametrize("flavor", ("strict", "bar"))
+    def test_long_sector_cancels_at_both_junctions(self, monkeypatch, hw, flavor):
+        # t2(r1,1) conjugates the sector of a fold by a1:
+        # a1^-1 . a1 x a1^-1 . a1 = x, x 40 letters of both signs; strict,
+        # the L1-zone of L1 w L1^-1 needs no sign; bar, the K2-zone of
+        # L2^-1 w L2 (no bar letters in j=1 zones)
+        bar = flavor == "bar"
+        x = ((2, 1), (1, 1), (2, 1), (1, -1)) * 10
+        st = hw.state("L", 2 if bar else 1, Coord(1, 2), bar)
+        W = fold_at(hw, st, -1 if bar else 1, ((1, 1),) + x + ((1, -1),), flavor)
+        rid = RuleId("2", 1, 1, bar)
+        (out, diag), full = self.step_both(monkeypatch, hw, W, rid, flavor)
+        assert diag is None and full == 0 and hw.trusts(out)
+        assert [(t.i, s) for t, s in out.inners[0]] == list(x)
+
+    @pytest.mark.parametrize("flavor", ("strict", "bar"))
+    def test_long_inner_word_consumed_so_right_meets_left(self, monkeypatch, flavor):
+        # r^-1 . w . r = w for r = (a1 a2)^20 and w = (a1 a2)^12: w cancels
+        # into r^-1, and the 16 letters of r^-1 left cancel into r
+        hw = Hardware(ee_with_long_relator(), 8)
+        bar = flavor == "bar"
+        w = ((1, 1), (2, 1)) * 12
+        st = hw.state("L", 2 if bar else 1, Coord(3, 3), bar)
+        W = fold_at(hw, st, -1, w, flavor)
+        (out, diag), full = self.step_both(monkeypatch, hw, W, RuleId("34", 3, None, bar),
+                                           flavor)
+        assert diag is None and full == 0 and hw.trusts(out)
+        assert [(t.i, s) for t, s in out.inners[0]] == list(w)
+
+    @pytest.mark.parametrize("head", (((1, 1),), ((2, 1),)), ids=("a1", "a2"))
+    def test_long_sector_keeps_a_wrong_sign_letter(self, monkeypatch, hw, head):
+        # a2^-1 a1^-1 . a1 x . a1 a2 = a2^-1 x a1 a2 (a2^-1 survives), and
+        # a2^-1 a1^-1 . a2 x . a1 a2 keeps both: sector 0 is not positive
+        x = ((1, 1), (1, 1), (2, 1)) * 15
+        W = fold_word(hw, Coord(1, 3), head + x)
         rid = RuleId("34", 1, None)
         (out, diag), full = self.step_both(monkeypatch, hw, W, rid)
         assert out is None and full == 0
