@@ -245,11 +245,11 @@ def _check_band(band, pres, machine, pb=None):
             report.append(f"cell {k}: theta edges {cell.left!r}, {cell.right!r} "
                           f"with dir {cell.dir} are not of {rid!r}")
         try:
-            rel = normalize_relator(cell.boundary())
+            relator = normalize_relator(cell.boundary())
         except Exception as e:
             report.append(f"cell {k}: boundary did not normalize: {e}")
             continue
-        rel = index.get(rel)
+        rel = index.get(relator.letters)
         if rel is None:
             report.append(f"cell {k}: boundary is not a relator")
         elif rel.kind != cell.kind:

@@ -24,7 +24,10 @@ all x-letters erased and the j=1 zone letters dropped; finally there is the
 single hub relator.  Relators for negative rules are consequences and are
 not emitted.  Every relator is stored in its canonical form, the
 lexicographically least of the cyclic rotations of itself and its inverse,
-before deduplication.  The hub, and the main and bar_main relators at the
+before deduplication.  A ``Relation`` is one object per relator: its kind
+and that form's tuple of letters, with no ``CyclicWord`` kept; the
+relator index (``Presentation.index``) is keyed by those tuples, so its
+hashing runs in C.  The hub, and the main and bar_main relators at the
 base letters a rule acts at (v_z or u_z not empty), vary with the rule and
 go through ``normalize_relator``.  Every other kind is fixed-shape, and so
 is a main or bar_main relator at a letter the rule does not act at:
@@ -36,8 +39,8 @@ from tables built once per machine, so once per ``emit``
 (``_RelatorLetters``: the tape letters of each zone, plain and bar, and
 the state letters of each base letter at each coordinate); only the theta
 and x letters, which name the rule, are looked up per rule.  A fixed-shape
-relation is built in one frame, its relator and Relation together, with
-no call per relation (``_add_relations``).
+relation is built in one frame around its letter tuple, with no call per
+relation (``_add_relations``).
 
 ``emit`` and ``read_presentation`` build a whole presentation: hundreds of
 thousands of tuples, words and relations, and no reference cycles.  So
@@ -59,7 +62,7 @@ from weakref import WeakKeyDictionary
 from .hardware import Hardware
 from .smachine import Machine, enumerate_rule_ids
 from .words import (
-    BaseLetter, CyclicWord, RuleId, State, Tape, Theta, Word, X, _set_cyclic_letters,
+    BaseLetter, CyclicWord, RuleId, State, Tape, Theta, Word, X,
     conjugator_length, content_lines, least_rotation, letter_keys, parse_symbol,
     word_to_text,
 )
@@ -78,19 +81,30 @@ _AT = {"main": (State, "base"), "bar_main": (State, "base"), "k_x": (State, "bas
 
 @dataclass(frozen=True, slots=True, init=False)
 class Relation:
-    """One relator of the presentation.  Its rule and place are not stored:
-    the letters of the relator name them."""
+    """One relator of the presentation: its kind and the letters of its
+    canonical form (the least of the cyclic rotations of itself and its
+    inverse).  Its rule and place are not stored: the letters name them.
+    Two relations are equal when their kinds and letters are."""
 
     kind: str
-    relator: CyclicWord  # normalized: least of relator/inverse rotations
+    letters: tuple  # normalized: least of relator/inverse rotations
 
-    def __init__(self, kind, relator):
+    def __init__(self, kind, relator: CyclicWord):
         # the slots are set through their descriptors, past the frozen
         # __setattr__ (one Relation per relator)
         if kind not in KINDS:
             raise PresentationError(f"unknown relation kind {kind!r}")
         _set_kind(self, kind)
-        _set_relator(self, relator)
+        _set_letters(self, relator.letters)
+
+    @property
+    def relator(self) -> CyclicWord:
+        """The canonical relator, as a new CyclicWord on each access."""
+        return CyclicWord._rotated(self.letters)
+
+    def __repr__(self):
+        # the relator spelled out, not its tuple of letter pairs
+        return f"Relation(kind={self.kind!r}, relator={self.relator!r})"
 
     # immutable over interned symbols: a copy is the relation itself, so a
     # copied Presentation shares its relations
@@ -103,7 +117,7 @@ class Relation:
     @property
     def rule(self) -> Optional[RuleId]:
         """The positive rule its theta or x letters name; None for the hub."""
-        for sym, _ in self.relator:
+        for sym, _ in self.letters:
             if isinstance(sym, (Theta, X)):
                 return sym.rule
         return None
@@ -116,7 +130,7 @@ class Relation:
         if self.kind not in _AT:
             return None
         cls, attr = _AT[self.kind]
-        for sym, _ in self.relator:
+        for sym, _ in self.letters:
             if isinstance(sym, cls):
                 return getattr(sym, attr)
         return None
@@ -124,7 +138,7 @@ class Relation:
 
 _new = object.__new__
 _set_kind = Relation.__dict__["kind"].__set__
-_set_relator = Relation.__dict__["relator"].__set__
+_set_letters = Relation.__dict__["letters"].__set__
 
 
 def normalize_relator(w: Word):
@@ -171,13 +185,14 @@ class Presentation:
                                           default_factory=WeakKeyDictionary)
 
     def __post_init__(self):
-        index = {rel.relator: rel for rel in self.relations}  # one hash per relator
+        # keyed by letter tuples: each hash runs in C
+        index = {rel.letters: rel for rel in self.relations}
         if len(index) != len(self.relations):
             seen = set()
             for rel in self.relations:
-                if rel.relator in seen:
+                if rel.letters in seen:
                     raise PresentationError(f"duplicate relator {rel.relator!r}")
-                seen.add(rel.relator)
+                seen.add(rel.letters)
         object.__setattr__(self, "_index", MappingProxyType(index))
 
     def __reduce__(self):
@@ -194,11 +209,12 @@ class Presentation:
         from .words import symbol_key
         syms = set()
         for rel in self.relations:
-            syms.update(sym for sym, _ in rel.relator)
+            syms.update(sym for sym, _ in rel.letters)
         return sorted(syms, key=symbol_key)
 
     def index(self):
-        """Read-only map from each normalized relator to its Relation.
+        """Read-only map from the letters of each normalized relator (a
+        tuple, as ``normalize_relator(w).letters``) to its Relation.
 
         Built once, at construction, by the duplicate check; every call
         returns the same mapping."""
@@ -431,18 +447,16 @@ class _RelatorLetters:
 
 def _add_relations(rels, kind, spelled):
     """Append to rels a Relation of kind for each tuple of letters in
-    spelled, each already in canonical rotation.  The CyclicWord and the
-    Relation are built here, in this one frame, as ``CyclicWord._rotated``
-    and ``Relation.__init__`` would build them: ``rule_relations`` passes
-    only kinds of KINDS, so the kind check would pass, and the rotation
-    pass is not needed."""
+    spelled, each already in canonical rotation.  Each Relation is built
+    here, in this one frame, as ``Relation(kind,
+    CyclicWord._rotated(letters))`` would build it, with no CyclicWord:
+    ``rule_relations`` passes only kinds of KINDS, so the kind check would
+    pass."""
     add = rels.append
     for letters in spelled:
-        relator = _new(CyclicWord)
-        _set_cyclic_letters(relator, letters)
         rel = _new(Relation)
         _set_kind(rel, kind)
-        _set_relator(rel, relator)
+        _set_letters(rel, letters)
         add(rel)
 
 
@@ -474,7 +488,7 @@ def write_presentation(p: Presentation, fh):
     fh.write(f"n: {p.n}\nee-file: {p.ee_label or '-'}\n")
     rels = p.relations
     for k in range(0, len(rels), _WRITE_LINES):
-        fh.write("".join([f"relator {rel.kind}: {word_to_text(rel.relator.letters)}\n"
+        fh.write("".join([f"relator {rel.kind}: {word_to_text(rel.letters)}\n"
                           for rel in rels[k:k + _WRITE_LINES]]))
 
 
@@ -527,7 +541,7 @@ def read_presentation(fh):
         except PresentationError as e:  # a repeated relator
             first = {}
             for k, rel in enumerate(rels):
-                j = first.setdefault(rel.relator, k)
+                j = first.setdefault(rel.letters, k)
                 if j != k:
                     break
             raise PresentationError(

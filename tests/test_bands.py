@@ -15,7 +15,7 @@ from smkit.derive import bar_conjugated_insertion
 from smkit.hardware import BaseLetter
 from smkit.presentation import Presentation, alpha, emit
 from smkit.smachine import Machine, NotApplicable
-from smkit.words import Coord, CyclicWord, State, Word, parse_rule, parse_word, wletter
+from smkit.words import Coord, State, Word, parse_rule, parse_word, wletter
 from test_step import seeded_words
 
 B = BaseLetter
@@ -70,7 +70,7 @@ class TestStrictBands:
         # the boundary is the main relator for (t1(e,1), P_j): the top
         # carries the x-decorated a-letters around P
         from smkit.presentation import normalize_relator
-        rel = pres.index()[normalize_relator(cell.boundary())]
+        rel = pres.index()[normalize_relator(cell.boundary()).letters]
         assert rel.kind == "main" and rel.at == B("P", 1)
         assert rel.rule == parse_rule("t1(e,1)")
 
@@ -327,7 +327,7 @@ class TestCellMemo:
             for band in bands:
                 want = []
                 for k, cell in enumerate(band.cells):
-                    hit = index.get(CyclicWord._rotated(oracles.normalize_relator(cell.boundary())))
+                    hit = index.get(oracles.normalize_relator(cell.boundary()))
                     if hit is None:
                         want.append(f"cell {k}: boundary is not a relator")
                     elif hit.kind != cell.kind:

@@ -13,13 +13,13 @@ import oracles
 from conftest import DATA, GOLDEN
 from smkit.hardware import BaseLetter, Hardware, load_ee, load_ee_file
 from smkit.presentation import (
-    KINDS, Presentation, PresentationError, Relation, _pair, _RelatorLetters, alpha,
-    beta, delta, emit, gamma, normalize_relator, read_presentation, rule_relations,
-    write_presentation,
+    KINDS, Presentation, PresentationError, Relation, _add_relations, _pair,
+    _RelatorLetters, alpha, beta, delta, emit, gamma, normalize_relator,
+    read_presentation, rule_relations, write_presentation,
 )
 from smkit.smachine import Machine, enumerate_rule_ids
 from smkit.words import (
-    Coord, RuleId, State, Tape, Theta, Word, X, cyclic_reduce, parse_rule,
+    Coord, CyclicWord, RuleId, State, Tape, Theta, Word, X, cyclic_reduce, parse_rule,
     parse_word, word_to_text,
 )
 
@@ -299,7 +299,8 @@ class TestRoundTrip:
         # a copy is rebuilt from n, label and relations: a fresh index and
         # an empty cell memo
         rel = pres.relations[0]
-        assert trip(rel.relator) == rel.relator
+        relator = rel.relator
+        assert trip(relator) == relator
         assert trip(rel) == rel
         back = trip(pres)
         assert back == pres and back.ee_label == pres.ee_label
@@ -307,9 +308,20 @@ class TestRoundTrip:
         assert dict(back.index()) == dict(pres.index())
         assert len(back._cell_memo) == 0 and back._cell_memo is not pres._cell_memo
         if trip is not ROUND_TRIPS["pickle"]:
-            # relators and relations are immutable: a copy shares them
-            assert trip(rel.relator) is rel.relator and trip(rel) is rel
+            # relators and relations are immutable: a copy shares them,
+            # and so their letters
+            assert trip(relator) is relator and trip(rel) is rel
             assert all(a is b for a, b in zip(back.relations, pres.relations))
+            assert all(back.relations[k].letters is pres.relations[k].letters
+                       for k in range(len(pres.relations)))
+
+    def test_plain_symbols_round_trip(self):
+        # plain-string symbols take word_to_text's general path
+        p = read_presentation(io.StringIO("n: 8\nrelator main: a b a^-1 b^-1\n"))
+        buf = io.StringIO()
+        write_presentation(p, buf)
+        assert buf.getvalue() == "n: 8\nee-file: -\nrelator main: a b a^-1 b^-1\n"
+        assert read_presentation(io.StringIO(buf.getvalue())) == p
 
     def test_empty_presentation(self, tmp_path):
         p = Presentation(8, "x", ())
@@ -368,16 +380,16 @@ class TestIndex:
         index = pres.index()
         assert len(index) == len(pres.relations)
         for rel in pres.relations:
-            hit = index[rel.relator]
+            hit = index[rel.letters]
             assert (hit.kind, hit.rule, hit.at) == (rel.kind, rel.rule, rel.at)
 
     def test_read_only(self, pres):
         index = pres.index()
         rel = pres.relations[0]
         with pytest.raises(TypeError):
-            index[rel.relator] = rel
+            index[rel.letters] = rel
         with pytest.raises(TypeError):
-            del index[rel.relator]
+            del index[rel.letters]
 
     def test_duplicate_relator_rejected(self, pres):
         rel = pres.relations[0]
@@ -397,8 +409,45 @@ class TestIndex:
         assert rebuilt.ee_label == "sample.ee"
         assert dict(rebuilt.index()) == dict(pres.index())
         for rel in rebuilt.relations:
-            assert rebuilt.index()[rel.relator] is rel
+            assert rebuilt.index()[rel.letters] is rel
 
+
+
+class TestRelation:
+    """A Relation holds its kind and the letters of its canonical relator,
+    and compares and hashes on both."""
+
+    def test_exactly_kind_and_letters(self, pres):
+        assert Relation.__slots__ == ("kind", "letters")
+        for rel in pres.relations:
+            assert type(rel.letters) is tuple and not hasattr(rel, "__dict__")
+
+    def test_kind_counts(self):
+        w = normalize_relator(parse_word("K1(e,1) L1(e,1)"))
+        assert Relation("main", w) == Relation("main", w)
+        assert Relation("main", w) != Relation("theta_a", w)
+        assert hash(Relation("main", w)) == hash(Relation("main", CyclicWord._rotated(w.letters)))
+
+    def test_relabelled_kind_reads_back_unequal(self, pres):
+        buf = io.StringIO()
+        write_presentation(pres, buf)
+        head, line, rest = buf.getvalue().partition("\nrelator main: ")
+        assert line
+        back = read_presentation(io.StringIO(head + "\nrelator theta_a: " + rest))
+        assert back != pres
+        assert [rel.letters for rel in back.relations] == [rel.letters for rel in pres.relations]
+
+    def test_relator_wraps_the_letters(self, pres):
+        for rel in pres.relations:
+            assert rel.relator == CyclicWord._rotated(rel.letters)
+            assert normalize_relator(rel.relator.word()) == rel.relator
+
+    def test_fast_path_matches_checked_constructor(self, pres):
+        for kind in KINDS:
+            spelled = [rel.letters for rel in pres.relations if rel.kind == kind]
+            rels = []
+            _add_relations(rels, kind, spelled)
+            assert rels == [Relation(kind, CyclicWord._rotated(letters)) for letters in spelled]
 
 
 class TestCollectorPause:
@@ -452,15 +501,15 @@ class TestCollectorPause:
 
 class TestTrackedObjects:
     """The objects an emit leaves for the collector to scan once it runs
-    again: about three per relation (the Relation, its CyclicWord and its
-    letters tuple), since letter pairs are built once per symbol."""
+    again: about two per relation (the Relation and its letters tuple),
+    since letter pairs are built once per symbol."""
 
-    def test_fewer_than_3_5_tracked_objects_per_relation(self, hw, pres):
+    def test_fewer_than_2_5_tracked_objects_per_relation(self, hw, pres):
         gc.collect()
         before = len(gc.get_objects())
         p = emit(hw)
         made = len(gc.get_objects()) - before
-        assert made / len(p.relations) < 3.5
+        assert made / len(p.relations) < 2.5
 
     def test_one_letter_pair_per_symbol(self, hw):
         for sym in (hw.tape(1, B("L", 2)), Theta(parse_rule("t2(r1,1)"), B("L", 2)),
@@ -542,7 +591,7 @@ class TestShiftIndex:
                 img = oracles.shift_index(rel.relator.word(), 5)
             except oracles.NonUniformIndex:
                 continue
-            assert normalize_relator(img) in index, rel
+            assert normalize_relator(img).letters in index, rel
             checked[rel.kind] += 1
             if min(checked.values()) > 60:
                 break
