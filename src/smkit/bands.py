@@ -26,9 +26,10 @@ its cells' letters, freely reduced.
 
 Building spells each distinct cell once per Machine, which keeps it under
 its signed rule and the one letter it is drawn on.  Verification checks
-each cell object once per Presentation: the presentation remembers every
-cell that passed all the cell checks in a band of its signed rule, by
-identity, and a band of that rule skips them for that cell.  A cell equal
+each cell object once per Presentation and Machine: the presentation keeps
+a memo per machine (held weakly) of every cell that passed all the cell
+checks in a band of its signed rule, by identity, and a band of that rule
+checked with that machine skips them for that cell.  A cell equal
 to a remembered one but another object, one that failed, or one in a band
 of another rule is checked in full.  So callers that build and check many
 diagrams over one machine and one presentation gain the most.
@@ -249,7 +250,7 @@ def _check_band(band, pres, machine, pb=None):
         except Exception as e:
             report.append(f"cell {k}: boundary did not normalize: {e}")
             continue
-        rel = index.get(relator.letters)
+        rel = index.get(relator)
         if rel is None:
             report.append(f"cell {k}: boundary is not a relator")
         elif rel.kind != cell.kind:

@@ -24,8 +24,9 @@ all x-letters erased and the j=1 zone letters dropped; finally there is the
 single hub relator.  Relators for negative rules are consequences and are
 not emitted.  Every relator is stored in its canonical form, the
 lexicographically least of the cyclic rotations of itself and its inverse,
-before deduplication.  A ``Relation`` is one object per relator: its kind
-and that form's tuple of letters, with no ``CyclicWord`` kept; the
+before deduplication.  That form is a tuple of (letter, sign) pairs, the
+one representation of a relator: ``normalize_relator`` returns it, a
+``Relation`` is one object holding its kind and that tuple, and the
 relator index (``Presentation.index``) is keyed by those tuples, so its
 hashing runs in C.  The hub, and the main and bar_main relators at the
 base letters a rule acts at (v_z or u_z not empty), vary with the rule and
@@ -62,7 +63,7 @@ from weakref import WeakKeyDictionary
 from .hardware import Hardware
 from .smachine import Machine, enumerate_rule_ids
 from .words import (
-    BaseLetter, CyclicWord, RuleId, State, Tape, Theta, Word, X,
+    BaseLetter, RuleId, State, Tape, Theta, Word, X,
     conjugator_length, content_lines, least_rotation, letter_keys, parse_symbol,
     word_to_text,
 )
@@ -83,28 +84,24 @@ _AT = {"main": (State, "base"), "bar_main": (State, "base"), "k_x": (State, "bas
 class Relation:
     """One relator of the presentation: its kind and the letters of its
     canonical form (the least of the cyclic rotations of itself and its
-    inverse).  Its rule and place are not stored: the letters name them.
-    Two relations are equal when their kinds and letters are."""
+    inverse), the tuple ``normalize_relator`` returns.  Its rule and place
+    are not stored: the letters name them.  Two relations are equal when
+    their kinds and letters are."""
 
     kind: str
     letters: tuple  # normalized: least of relator/inverse rotations
 
-    def __init__(self, kind, relator: CyclicWord):
+    def __init__(self, kind, letters: tuple):
         # the slots are set through their descriptors, past the frozen
         # __setattr__ (one Relation per relator)
         if kind not in KINDS:
             raise PresentationError(f"unknown relation kind {kind!r}")
         _set_kind(self, kind)
-        _set_letters(self, relator.letters)
-
-    @property
-    def relator(self) -> CyclicWord:
-        """The canonical relator, as a new CyclicWord on each access."""
-        return CyclicWord._rotated(self.letters)
+        _set_letters(self, letters)
 
     def __repr__(self):
         # the relator spelled out, not its tuple of letter pairs
-        return f"Relation(kind={self.kind!r}, relator={self.relator!r})"
+        return f"Relation(kind={self.kind!r}, relator={_relator_text(self.letters)})"
 
     # immutable over interned symbols: a copy is the relation itself, so a
     # copied Presentation shares its relations
@@ -141,16 +138,22 @@ _set_kind = Relation.__dict__["kind"].__set__
 _set_letters = Relation.__dict__["letters"].__set__
 
 
+def _relator_text(letters):
+    """A relator's letters as ``Relation.__repr__`` and the duplicate-relator
+    error spell them: ``CyclicWord('...')``."""
+    return f"CyclicWord({word_to_text(letters)!r})"
+
+
 def normalize_relator(w: Word):
     """Canonical form of the relator w, up to cyclic conjugation and inversion.
 
     Strips the conjugating prefix and suffix of w, leaving the core c, and
-    returns whichever is lexicographically smaller under ``letter_key``: the
-    least rotation of c or the least rotation of c^-1.  Raises
-    PresentationError when nothing is left.  For w freely reduced the result
-    is cyclically reduced, so normalizing it again changes nothing.  Each
-    letter is keyed once; the keys of c^-1 are those of c reversed with the
-    sign bit flipped.
+    returns the letters of whichever is lexicographically smaller under
+    ``letter_key``, as a tuple: the least rotation of c or the least
+    rotation of c^-1.  Raises PresentationError when nothing is left.  For
+    w freely reduced the result is cyclically reduced, so normalizing it
+    again changes nothing.  Each letter is keyed once; the keys of c^-1 are
+    those of c reversed with the sign bit flipped.
     """
     letters = w.letters
     i = conjugator_length(letters)
@@ -162,9 +165,9 @@ def normalize_relator(w: Word):
     k = least_rotation(keys)
     kinv = least_rotation(inv_keys)
     if keys[k:] + keys[:k] <= inv_keys[kinv:] + inv_keys[:kinv]:
-        return CyclicWord._rotated(core[k:] + core[:k])
+        return core[k:] + core[:k]
     inv = tuple((sym, -sign) for sym, sign in reversed(core))
-    return CyclicWord._rotated(inv[kinv:] + inv[:kinv])
+    return inv[kinv:] + inv[:kinv]
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,7 @@ class Presentation:
     ee_label: str = field(compare=False)
     relations: tuple
     _index: MappingProxyType = field(init=False, repr=False, compare=False)
-    # bands.verify_band's memo: machine -> {id(cell): (cell, signed rule)},
+    # bands._check_band's memo: machine -> {id(cell): (cell, signed rule)},
     # for each cell object that passed every cell check (theta edges,
     # boundary a relator, kind) in a band of that rule checked with that
     # machine; holding the cell keeps its id from naming another object.
@@ -191,7 +194,7 @@ class Presentation:
             seen = set()
             for rel in self.relations:
                 if rel.letters in seen:
-                    raise PresentationError(f"duplicate relator {rel.relator!r}")
+                    raise PresentationError(f"duplicate relator {_relator_text(rel.letters)}")
                 seen.add(rel.letters)
         object.__setattr__(self, "_index", MappingProxyType(index))
 
@@ -213,8 +216,8 @@ class Presentation:
         return sorted(syms, key=symbol_key)
 
     def index(self):
-        """Read-only map from the letters of each normalized relator (a
-        tuple, as ``normalize_relator(w).letters``) to its Relation.
+        """Read-only map from each normalized relator (the tuple
+        ``normalize_relator(w)``) to its Relation.
 
         Built once, at construction, by the duplicate check; every call
         returns the same mapping."""
@@ -359,7 +362,7 @@ def rule_relations(machine: Machine, rid: RuleId):
             v, u = _alpha_letters(rid.inverse, v), _alpha_letters(rid.inverse, u)
         # its canonical letters, wrapped with the family's below
         spelled.append(normalize_relator(Word(
-            (zbn, srcp, zap, *_inverse(u), dstn, *_inverse(v)))).letters)
+            (zbn, srcp, zap, *_inverse(u), dstn, *_inverse(v)))))
     _add_relations(rels, "bar_main" if bar else "main", spelled)
     # the pairs of the tape letters over each zone (none over a bar j=1
     # zone), and for a plain rule those of x(a, tau) over each non-P zone
@@ -448,10 +451,9 @@ class _RelatorLetters:
 def _add_relations(rels, kind, spelled):
     """Append to rels a Relation of kind for each tuple of letters in
     spelled, each already in canonical rotation.  Each Relation is built
-    here, in this one frame, as ``Relation(kind,
-    CyclicWord._rotated(letters))`` would build it, with no CyclicWord:
-    ``rule_relations`` passes only kinds of KINDS, so the kind check would
-    pass."""
+    here, in this one frame, as ``Relation(kind, letters)`` would build it,
+    with no call per relation: ``rule_relations`` passes only kinds of
+    KINDS, so the kind check would pass."""
     add = rels.append
     for letters in spelled:
         rel = _new(Relation)

@@ -477,13 +477,6 @@ class CyclicWord:
     def __reduce__(self):
         return CyclicWord._rotated, (self.letters,)
 
-    # immutable over interned symbols: a copy is the word itself
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
     def __len__(self):
         return len(self.letters)
 

@@ -13,10 +13,11 @@ builds and validates its result twice with unmemoized tape parts and no
 step plan, pair nesting compares every arc with every other, the minus
 pairing is searched for over every non-crossing matching, a theta-band is
 the positive band of its rule's positive form, mirrored cell by cell for a
-negative rule, the symbol order is recomputed from the fields, zone
-components are grown by search, the base-word geometry is read off
-hw.sigma and the zone-naming rule, the standard words are built block by
-block, and the acceptance search keys its words on their text.
+negative rule, a band is checked cell by cell with no memo, the symbol
+order is recomputed from the fields, zone components are grown by search,
+the base-word geometry is read off hw.sigma and the zone-naming rule, the
+standard words are built block by block, and the acceptance search keys
+its words on their text.
 """
 
 import functools
@@ -624,6 +625,73 @@ def band(machine, W, rid):
         return Band(rid, tuple(cells), bottom, top, base)
     cells = [Cell(c.kind, c.left, c.right, c.top, c.bottom, -c.dir) for c in cells]
     return Band(rid, tuple(cells), top, bottom, base)
+
+
+def verify_band(band, pres, machine):
+    """The report of ``bands.verify_band``, from the definitions and with no
+    memo: every cell is checked in full, against ``pres.index()`` (that of
+    a full ``emit``), every time.
+
+    Per cell: both theta edges name the band's rule's positive form and the
+    cell points the rule's way (dir is its sign); the boundary
+    left^-dir bottom right^dir top^-1, canonicalized by
+    ``normalize_relator``, is a relator, of the cell's kind.  Then
+    neighbouring cells share their theta edge and dir; the cells' bottoms,
+    and their tops, freely reduce to the band's labels; both labels read
+    the band's base; each two state letters in a row are a legal base
+    shape (the successor along the base word, or the fold-back y^s y^-s,
+    not at a zone the rule locks); and the tape-and-state projections of
+    the labels differ in length by at most |base| times the longest relator
+    of the input."""
+    hw = machine.hw
+    rid = band.rid
+    pos = rid.positive
+    if pos not in machine.rules:
+        return [f"unknown rule {rid!r}"]
+    rule = machine.rules[pos]
+    index = pres.index()
+    report = []
+    for k, cell in enumerate(band.cells):
+        if not (isinstance(cell.left, Theta) and isinstance(cell.right, Theta)
+                and cell.left.rule == pos and cell.right.rule == pos and cell.dir == rid.sign):
+            report.append(f"cell {k}: theta edges {cell.left!r}, {cell.right!r} "
+                          f"with dir {cell.dir} are not of {rid!r}")
+        try:
+            letters = ([(cell.left, -cell.dir)] + list(cell.bottom.letters)
+                       + [(cell.right, cell.dir)]
+                       + [(sym, -sign) for sym, sign in reversed(cell.top.letters)])
+            relator = normalize_relator(Word(free_reduce(letters), reduce=False))
+        except Exception as e:
+            report.append(f"cell {k}: boundary did not normalize: {e}")
+            continue
+        rel = index.get(relator)
+        if rel is None:
+            report.append(f"cell {k}: boundary is not a relator")
+        elif rel.kind != cell.kind:
+            report.append(f"cell {k}: relator kind {rel.kind} != {cell.kind}")
+    for k in range(len(band.cells) - 1):
+        c1, c2 = band.cells[k], band.cells[k + 1]
+        if c1.right != c2.left or c1.dir != c2.dir:
+            report.append(f"cells {k},{k + 1}: theta edges {c1.right!r} != {c2.left!r}")
+    for name, label in (("bottom", band.bottom), ("top", band.top)):
+        spelled = [l for c in band.cells for l in getattr(c, name).letters]
+        if free_reduce(spelled) != tuple(label.letters):
+            report.append(f"{name} label mismatch")
+    signed = [(sym.base, s) for sym, s in band.bottom.letters if isinstance(sym, State)]
+    top_base = [sym.base for sym, _ in band.top.letters if isinstance(sym, State)]
+    if [y for y, _ in signed] != top_base or tuple(top_base) != tuple(band.base):
+        report.append("top and bottom bases differ")
+    for (y, s), (y2, s2) in zip(signed, signed[1:]):
+        if (y2, s2) == (y, -s):
+            if zone_after(hw, (y, s)).kind in rule.locks:
+                report.append(f"fold-back at {y}^{s} in a locked zone")
+        elif (y2, s2) != succ(hw, (y, s)):
+            report.append(f"illegal 2-letter base {y}^{s} {y2}^{s2}")
+    grown = [len(free_reduce([l for l in label.letters if isinstance(l[0], (Tape, State))]))
+             for label in (band.bottom, band.top)]
+    if abs(grown[1] - grown[0]) > len(band.base) * max(len(r) for r in hw.ee.relators):
+        report.append("band growth exceeds base-length * max-relator-length")
+    return report
 
 
 # ---------------------------------------------------------------------------

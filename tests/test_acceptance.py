@@ -155,7 +155,7 @@ def test_c4_compiler_soundness(hw):
         assert derived == json.load(f)["stats"]
     exceptional = 0
     for rel in pres.relations:
-        core = cyclic_reduce(delta(rel.relator.word()))[1]
+        core = cyclic_reduce(delta(Word(rel.letters, reduce=False)))[1]
         main34L = rel.kind in ("main", "bar_main") and rel.rule is not None \
             and rel.rule.family == "34" and rel.at.kind == "L" \
             and not (rel.kind == "bar_main" and rel.at.j == 1)

@@ -19,7 +19,7 @@ from smkit.presentation import (
 )
 from smkit.smachine import Machine, enumerate_rule_ids
 from smkit.words import (
-    Coord, CyclicWord, RuleId, State, Tape, Theta, Word, X, cyclic_reduce, parse_rule,
+    Coord, RuleId, State, Tape, Theta, Word, X, cyclic_reduce, parse_rule,
     parse_word, word_to_text,
 )
 
@@ -146,16 +146,16 @@ class TestEmission:
     def test_no_duplicate_relators(self, pres):
         seen = set()
         for rel in pres.relations:
-            assert rel.relator not in seen
-            seen.add(rel.relator)
+            assert rel.letters not in seen
+            seen.add(rel.letters)
 
     def test_a_x_shape(self, pres):
         from smkit.words import Tape, X
         for rel in pres.relations:
             if rel.kind != "a_x":
                 continue
-            tapes = sum(1 for s, _ in rel.relator if isinstance(s, Tape))
-            xs = sum(1 for s, _ in rel.relator if isinstance(s, X))
+            tapes = sum(1 for s, _ in rel.letters if isinstance(s, Tape))
+            xs = sum(1 for s, _ in rel.letters if isinstance(s, X))
             assert (tapes, xs) == (2, 5)
 
     def test_delta_images(self, hw, pres):
@@ -164,7 +164,7 @@ class TestEmission:
         # at L_1 carries no tape letters (the bar machine never writes the
         # index-1 zones) and maps to 1 as well
         for rel in pres.relations:
-            img = delta(rel.relator.word())
+            img = delta(Word(rel.letters, reduce=False))
             core = cyclic_reduce(img)[1]
             if rel.kind in ("main", "bar_main") and rel.rule is not None \
                     and rel.rule.family == "34" and rel.at.kind == "L" \
@@ -182,15 +182,15 @@ class TestEmission:
                    if rel.kind == "main"}
         at_L = by_prov[(rid, B("L", 3))]
         from smkit.words import Tape, X
-        tapes = [s for s, _ in at_L.relator if isinstance(s, Tape)]
+        tapes = [s for s, _ in at_L.letters if isinstance(s, Tape)]
         assert {t.zone for t in tapes} == {B("K", 3), B("L", 3)}
         at_R = by_prov[(rid, B("R", 3))]
-        assert not any(isinstance(s, Tape) for s, _ in at_R.relator)
+        assert not any(isinstance(s, Tape) for s, _ in at_R.letters)
 
     def test_inventory_covers_relators(self, pres):
         inv = set(pres.inventory())
         for rel in pres.relations[:200]:
-            for sym, _ in rel.relator:
+            for sym, _ in rel.letters:
                 assert sym in inv
 
 
@@ -208,7 +208,7 @@ class TestByRule:
             assert {rel.rule for rel in rels} == {rid}
             start += len(rels)
         (hub,) = pres.relations[start:]
-        assert hub.kind == "hub" and hub.relator == normalize_relator(hw.hub())
+        assert hub.kind == "hub" and hub.letters == normalize_relator(hw.hub())
         assert hub.rule is None and hub.at is None
 
     def test_letters_name_the_rule_and_place(self, emitted):
@@ -217,10 +217,10 @@ class TestByRule:
                  "bar_theta_a": (Theta, "zone"), "a_x": (Tape, "zone")}
         _, pres = emitted
         for rel in pres.relations[:-1]:
-            named = {sym.rule for sym, _ in rel.relator if isinstance(sym, (Theta, X))}
+            named = {sym.rule for sym, _ in rel.letters if isinstance(sym, (Theta, X))}
             assert named == {rel.rule}, rel
             cls, attr = place[rel.kind]
-            places = {getattr(sym, attr) for sym, _ in rel.relator if isinstance(sym, cls)}
+            places = {getattr(sym, attr) for sym, _ in rel.letters if isinstance(sym, cls)}
             assert places == {rel.at}, rel
 
     @pytest.mark.parametrize("emitted", [("four", 8)], indirect=True, ids=["four-N8"])
@@ -267,8 +267,8 @@ class TestRoundTrip:
         write_presentation(p, buf)
         back = read_presentation(io.StringIO(buf.getvalue()))
         assert back == p and back.ee_label == p.ee_label
-        assert [rel.relator.letters for rel in back.relations] == \
-            [rel.relator.letters for rel in p.relations]
+        assert [rel.letters for rel in back.relations] == \
+            [rel.letters for rel in p.relations]
         assert provenance(back) == provenance(p)
 
     def test_write_read_equal(self, pres, tmp_path):
@@ -287,10 +287,10 @@ class TestRoundTrip:
         form directly."""
         lines = [f"n: {pres.n}", "ee-file: -"]
         for k, rel in enumerate(pres.relations):
-            letters = rel.relator.letters[1:] + rel.relator.letters[:1]
+            letters = rel.letters[1:] + rel.letters[:1]
             w = Word(letters, reduce=False)
             spelled = w.inverse() if k % 2 else w
-            assert spelled.letters != rel.relator.letters
+            assert spelled.letters != rel.letters
             lines.append(f"relator {rel.kind}: {word_to_text(spelled)}")
         assert read_presentation(io.StringIO("\n".join(lines) + "\n")) == pres
 
@@ -299,8 +299,7 @@ class TestRoundTrip:
         # a copy is rebuilt from n, label and relations: a fresh index and
         # an empty cell memo
         rel = pres.relations[0]
-        relator = rel.relator
-        assert trip(relator) == relator
+        assert trip(rel.letters) == rel.letters
         assert trip(rel) == rel
         back = trip(pres)
         assert back == pres and back.ee_label == pres.ee_label
@@ -308,9 +307,9 @@ class TestRoundTrip:
         assert dict(back.index()) == dict(pres.index())
         assert len(back._cell_memo) == 0 and back._cell_memo is not pres._cell_memo
         if trip is not ROUND_TRIPS["pickle"]:
-            # relators and relations are immutable: a copy shares them,
-            # and so their letters
-            assert trip(relator) is relator and trip(rel) is rel
+            # relations are immutable: a copy shares them, and so their
+            # letters
+            assert trip(rel) is rel
             assert all(a is b for a, b in zip(back.relations, pres.relations))
             assert all(back.relations[k].letters is pres.relations[k].letters
                        for k in range(len(pres.relations)))
@@ -353,16 +352,16 @@ class TestRoundTrip:
         text = "n: 8\n" + line + "# the same relator again\n\n" + line
         with pytest.raises(PresentationError) as err:
             read_presentation(io.StringIO(text))
-        rel = normalize_relator(parse_word("K1(e,1) L1(e,1)"))
-        assert str(err.value) == f"line 5: duplicate relator {rel!r} (first on line 2)"
+        assert str(err.value) == \
+            "line 5: duplicate relator CyclicWord('K1(e,1) L1(e,1)') (first on line 2)"
 
     def test_duplicate_relator_of_an_input_read_once(self):
         # lines that cannot be read again: the lines are kept as they are read
         line = "relator main: K1(e,1) L1(e,1)"
         with pytest.raises(PresentationError) as err:
             read_presentation(iter(["n: 8", line, line]))
-        rel = normalize_relator(parse_word("K1(e,1) L1(e,1)"))
-        assert str(err.value) == f"line 3: duplicate relator {rel!r} (first on line 2)"
+        assert str(err.value) == \
+            "line 3: duplicate relator CyclicWord('K1(e,1) L1(e,1)') (first on line 2)"
 
     def test_golden_head(self, pres):
         buf = io.StringIO()
@@ -393,7 +392,7 @@ class TestIndex:
 
     def test_duplicate_relator_rejected(self, pres):
         rel = pres.relations[0]
-        twin = Relation("hub", rel.relator)
+        twin = Relation("hub", rel.letters)
         with pytest.raises(PresentationError, match="duplicate relator"):
             Presentation(8, "", (rel, twin))
 
@@ -426,7 +425,7 @@ class TestRelation:
         w = normalize_relator(parse_word("K1(e,1) L1(e,1)"))
         assert Relation("main", w) == Relation("main", w)
         assert Relation("main", w) != Relation("theta_a", w)
-        assert hash(Relation("main", w)) == hash(Relation("main", CyclicWord._rotated(w.letters)))
+        assert hash(Relation("main", w)) == hash(Relation("main", tuple(list(w))))
 
     def test_relabelled_kind_reads_back_unequal(self, pres):
         buf = io.StringIO()
@@ -437,17 +436,28 @@ class TestRelation:
         assert back != pres
         assert [rel.letters for rel in back.relations] == [rel.letters for rel in pres.relations]
 
-    def test_relator_wraps_the_letters(self, pres):
+    def test_letters_are_their_own_normal_form(self, pres):
         for rel in pres.relations:
-            assert rel.relator == CyclicWord._rotated(rel.letters)
-            assert normalize_relator(rel.relator.word()) == rel.relator
+            assert not hasattr(rel, "relator")
+            assert normalize_relator(Word(rel.letters, reduce=False)) == rel.letters
+
+    def test_repr_spells_the_relator(self, pres):
+        assert repr(pres.relations[0]) == (
+            "Relation(kind='main', relator=CyclicWord('K1(e,1) th(t1(e,1),K1) "
+            "K1(e,1)^-1 th(t1(e,1),K8)^-1'))")
+        assert repr(pres.relations[-1]) == (
+            "Relation(kind='hub', relator=CyclicWord('"
+            "K1(e,1) L1(e,1) P1(e,1) R1(e,1) K2(e,1)^-1 R2(e,1)^-1 P2(e,1)^-1 L2(e,1)^-1 "
+            "K3(e,1) L3(e,1) P3(e,1) R3(e,1) K4(e,1)^-1 R4(e,1)^-1 P4(e,1)^-1 L4(e,1)^-1 "
+            "K5(e,1) L5(e,1) P5(e,1) R5(e,1) K6(e,1)^-1 R6(e,1)^-1 P6(e,1)^-1 L6(e,1)^-1 "
+            "K7(e,1) L7(e,1) P7(e,1) R7(e,1) K8(e,1)^-1 R8(e,1)^-1 P8(e,1)^-1 L8(e,1)^-1'))")
 
     def test_fast_path_matches_checked_constructor(self, pres):
         for kind in KINDS:
             spelled = [rel.letters for rel in pres.relations if rel.kind == kind]
             rels = []
             _add_relations(rels, kind, spelled)
-            assert rels == [Relation(kind, CyclicWord._rotated(letters)) for letters in spelled]
+            assert rels == [Relation(kind, letters) for letters in spelled]
 
 
 class TestCollectorPause:
@@ -493,7 +503,7 @@ class TestCollectorPause:
 
     def test_enabled_again_after_read_raises(self, pres, collector):
         gc.enable()
-        line = f"relator {pres.relations[0].kind}: {word_to_text(pres.relations[0].relator)}\n"
+        line = f"relator {pres.relations[0].kind}: {word_to_text(pres.relations[0].letters)}\n"
         with pytest.raises(PresentationError, match="duplicate relator"):
             read_presentation(io.StringIO("n: 8\n" + line + line))
         assert gc.isenabled()
@@ -583,15 +593,15 @@ class TestShiftIndex:
         for rel in pres.relations:
             if rel.kind not in checked:
                 continue
-            if any(isinstance(s, State) and s.kind == "K" for s, _ in rel.relator):
+            if any(isinstance(s, State) and s.kind == "K" for s, _ in rel.letters):
                 continue
-            if any(isinstance(s, Theta) and s.bar for s, _ in rel.relator):
+            if any(isinstance(s, Theta) and s.bar for s, _ in rel.letters):
                 continue
             try:
-                img = oracles.shift_index(rel.relator.word(), 5)
+                img = oracles.shift_index(Word(rel.letters, reduce=False), 5)
             except oracles.NonUniformIndex:
                 continue
-            assert normalize_relator(img).letters in index, rel
+            assert normalize_relator(img) in index, rel
             checked[rel.kind] += 1
             if min(checked.values()) > 60:
                 break

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +129,16 @@ class TestCyclic:
         w = C("b^-1 a b b^-1 a^-1 b")
         for rot in list(w.rotations()):
             assert CyclicWord(rot) == w
+
+    @pytest.mark.parametrize("trip", (copy.copy, copy.deepcopy,
+                                      lambda obj: pickle.loads(pickle.dumps(obj))),
+                             ids=("copy", "deepcopy", "pickle"))
+    def test_copy_and_pickle(self, trip):
+        # through __reduce__: an equal word, also inside a pairing
+        w = CyclicWord(parse_word("K1(e,1) a1(L1) a1(L1)^-1 K1(e,1)^-1", reduce=False).letters)
+        assert trip(w) == w and trip(C("a b a^-1 b^-1")) == C("a b a^-1 b^-1")
+        pairing = enumerate_pairings(w)[0]
+        assert trip(pairing) == pairing and trip(pairing).word == w
 
 
 class TestLeastRotation:
