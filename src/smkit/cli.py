@@ -318,9 +318,9 @@ def build_parser():
     common(sp)
     sp.add_argument("--word", required=True)
     sp.add_argument("--max-steps", type=_int_at_least(0), required=True)
-    sp.add_argument("--max-nodes", type=_int_at_least(1), default=None,
+    sp.add_argument("--max-nodes", type=_int_at_least(1), default=1_000_000,
                     help="stop once the search has seen more words than this "
-                         "(default: no bound)")
+                         "(default: %(default)s, about 0.5 GB)")
     sp.add_argument("--flavor", choices=("strict", "bar", "mixed"), default="strict")
     sp.set_defaults(fn=cmd_accept)
 

@@ -189,6 +189,13 @@ def accept_bfs(machine: Machine, W: AdmissibleWord, max_steps, stats=None, max_n
     steps left, and the words it builds come in the order of the full
     search, so the returned trace is the one the unpruned search returns.
 
+    Each word is built once.  A frontier entry carries the step back to the
+    word it was built from, and ``applicable_rules`` lists that pair at its
+    rule's place instead of rebuilding the parent, which is counted in
+    ``generated`` and ``dedup_hits`` like any word seen before.  The trace
+    holds the words the search built, read back along ``seen``, with no
+    replay.
+
     When ``stats`` is a dict, the search writes into it on return: the
     nodes ``expanded`` (their applicable rules listed), the words
     ``generated`` by those rules, the ``dedup_hits`` among them, the
@@ -220,9 +227,9 @@ def accept_bfs(machine: Machine, W: AdmissibleWord, max_steps, stats=None, max_n
 
     if is_accept_target(hw, W):
         return done(Trace((), (W,), None))
-    frontier = deque([(W, 0)])
+    frontier = deque([(W, 0, None)])
     while frontier:
-        cur, depth = frontier.popleft()
+        cur, depth, back = frontier.popleft()
         if depth >= max_steps:
             cut = True
             continue
@@ -230,7 +237,7 @@ def accept_bfs(machine: Machine, W: AdmissibleWord, max_steps, stats=None, max_n
         reach = max_steps - depth - 1
         if stats is not None:  # only the stats read the count
             pruned += machine.beyond(cur.coord, reach)
-        pairs = machine.applicable_rules(cur, reach)
+        pairs = machine.applicable_rules(cur, reach, back)
         generated += len(pairs)
         for rid, nxt in pairs:
             size = len(seen)
@@ -239,15 +246,15 @@ def accept_bfs(machine: Machine, W: AdmissibleWord, max_steps, stats=None, max_n
                 dedup_hits += 1
                 continue
             if is_accept_target(hw, nxt):
-                h = []
+                h, words = [], [nxt]
                 k = nxt
                 while seen[k][0] is not None:
                     k, rid2 = seen[k]
                     h.append(rid2)
-                h.reverse()
-                return done(machine.run(W, tuple(h)))
+                    words.append(k)
+                return done(Trace(tuple(reversed(h)), tuple(reversed(words)), None))
             if max_nodes is not None and len(seen) > max_nodes:
                 over = True
                 return done(None)
-            frontier.append((nxt, depth + 1))
+            frontier.append((nxt, depth + 1, (rid.inverse, cur)))
     return done(None)

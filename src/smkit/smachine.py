@@ -327,7 +327,7 @@ class Machine:
             words.append(out)
         return Trace(tuple(history), tuple(words), None)
 
-    def applicable_rules(self, W, reach=None):
+    def applicable_rules(self, W, reach=None, back=None):
         """[(rid, W o rid)] for every signed rule rid that applies to W.
 
         The order is canonical: rules in the order of ``self.rules``, each
@@ -341,7 +341,14 @@ class Machine:
         ``distance``) is skipped before any check and never built: the
         result is the rules of the full list that lead within reach, in
         the same order.
+
+        ``back`` is a pair (rid, word) whose word the caller vouches is
+        W o rid, such as the step back to the word W was built from.  Its
+        rid runs the same reach, shape and lock checks as every other rule;
+        if it passes, the pair itself is listed at rid's place and W o rid
+        is never built.
         """
+        back_rid = None if back is None else back[0]
         shape_ok = {}
         table = self._table_of(W)
         blocked = self._blocked_kinds(W, table)
@@ -353,6 +360,9 @@ class Machine:
             if ok is None:
                 ok = shape_ok[rid.bar] = self._shape_error(W, rid.bar, table) is None
             if not ok or locks & blocked:
+                continue
+            if rid is back_rid:
+                out.append(back)
                 continue
             try:
                 out.append((rid, self._apply(rid, W, table)))

@@ -221,7 +221,27 @@ class TestAccept:
         code, out, err = run_cli(capsys, "accept", "--ee", EE, "--word", "K1(e,1) L1(e,1)",
                                  "--max-steps", "30", "--max-nodes", "200")
         assert code == 1 and out == ""
-        assert err.startswith("no accepting computation found (budget; ")
+        assert err == "no accepting computation found (budget; 94 nodes expanded)\n"
+
+    def test_node_budget_by_default(self, capsys, monkeypatch):
+        # the search is handed a million-word budget when --max-nodes is not
+        # given; a stand-in search that stops at once, so none is run
+        from smkit import cli
+        budgets = []
+
+        def search(machine, W, max_steps, stats, max_nodes):
+            budgets.append(max_nodes)
+            stats.update(stop="budget", expanded=0)
+
+        monkeypatch.setattr(cli, "accept_bfs", search)
+        code, out, err = run_cli(capsys, "accept", "--ee", EE, "--word", "K1(e,1) L1(e,1)",
+                                 "--max-steps", "30")
+        assert (code, out, budgets) == (1, "", [1_000_000])
+        assert err == "no accepting computation found (budget; 0 nodes expanded)\n"
+        with pytest.raises(SystemExit):
+            main(["accept", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "(default: 1000000, about 0.5 GB)" in help_text
 
     @pytest.mark.parametrize("value", ["0", "-1", "x"])
     def test_node_budget_below_one_exit_two(self, capsys, value):

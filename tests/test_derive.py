@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 import oracles
@@ -6,7 +10,7 @@ from smkit.derive import (
     DeriveError, LENGTH_C, LENGTH_L, accept_bfs, bar_conjugated_insertion,
     copy_history, derivation_history, insertion_history, is_accept_target,
 )
-from smkit.smachine import brief_history, is_historical_form, inverse_history
+from smkit.smachine import brief_history, history_text, is_historical_form, inverse_history
 from smkit.words import Coord, parse_rule, parse_word
 
 
@@ -380,6 +384,113 @@ class TestAcceptBFS:
             assert Coord(None, 2) not in machine.distance
             assert Coord(None, 3) not in machine.distance
             assert machine.distance == _relaxed_distances(machine)
+
+
+class TestPinnedSearch:
+    """The answers and stats of a fixed, seeded query set (``pinned_searches``)
+    as the search gave them when it still rebuilt the word each node came
+    from and replayed the accepting history with ``Machine.run``."""
+
+    # sha256 over the JSON of every query's ``_answer``, in query order
+    DIGEST = "897fa67d8c8dfe5e46757b9ec8c221c034bcd1c1d690a018960497862c91ff9d"
+    # queries, accepted, and the sums of seen, generated, dedup_hits, pruned
+    TOTALS = (195, 120, 9504, 12957, 3409, 9015)
+
+    def test_answers_and_stats(self, hw, strict, mixed, bar):
+        answers = []
+        for machine, W, k, budget in pinned_searches(hw, strict, mixed, bar):
+            stats = {}
+            answers.append(_answer(accept_bfs(machine, W, k, stats, budget), stats))
+        totals = (len(answers), sum(a["ok"] is True for a in answers),
+                  *(sum(a["stats"][key] for a in answers)
+                    for key in ("seen", "generated", "dedup_hits", "pruned")))
+        digest = hashlib.sha256(json.dumps(answers, sort_keys=True).encode()).hexdigest()
+        assert (totals, digest) == (self.TOTALS, self.DIGEST)
+
+    def test_traces_are_the_replayed_histories(self, hw, strict, mixed, bar):
+        accepted = 0
+        for machine, W, k, budget in pinned_searches(hw, strict, mixed, bar):
+            trace = accept_bfs(machine, W, k, max_nodes=budget)
+            if trace is not None:
+                accepted += 1
+                want = machine.run(W, trace.history)
+                assert (trace.history, trace.words, trace.ok) == \
+                    (want.history, want.words, want.ok), (W.text(), k)
+                assert trace.words[0] is W
+        assert accepted == self.TOTALS[1]
+
+    def test_each_parent_is_the_inverse_step(self, hw, strict, mixed, bar, monkeypatch):
+        # every edge (cur, rid, nxt) the searches build: rid^-1 takes nxt
+        # back to cur, and naming (rid^-1, cur) as the pair to list leaves
+        # applicable_rules(nxt, reach) as it is
+        edges = {}
+        for machine in (strict, mixed, bar):
+            monkeypatch.setattr(machine, "applicable_rules",
+                                _recording(machine, machine.applicable_rules, edges))
+        for machine, W, k, budget in pinned_searches(hw, strict, mixed, bar):
+            accept_bfs(machine, W, k, max_nodes=budget)
+        monkeypatch.undo()
+        assert len(edges) > 1000
+        for machine, cur, rid, nxt in edges:
+            assert oracles.step(machine, rid.inverse, nxt) == (cur, None)
+            for reach in (None, 0, 1, 2, 3):
+                assert machine.applicable_rules(nxt, reach, (rid.inverse, cur)) == \
+                    machine.applicable_rules(nxt, reach), (nxt.text(), rid, reach)
+
+
+PIN_SEED = 27
+# perfbench's Search.WALKS family sequences
+PIN_WALKS = ("1 12 2", "1 1 12", "51 5 5", "12 23 3", "12 23 3 3 3", "51 5 5 5 5")
+
+
+def pinned_searches(hw, strict, mixed, bar):
+    """(machine, W, max_steps, max_nodes) for each query TestPinnedSearch
+    pins.  Per machine: two seeded walks of each family sequence of
+    perfbench's Search.WALKS, and a word at each of (e,2)..(e,5) (the
+    exhausted queries of Search start at (e,2) and (e,3), with max_steps
+    3), each searched with its walk's length (3 off Sigma), -1, +1 and
+    +2.
+    Then the strict search from K1(e,1) L1(e,1) at 30 steps, which grows
+    without end, under node budgets of 1, 200 and 500."""
+    rng = random.Random(PIN_SEED)
+    queries = []
+    for flavor, machine in (("strict", strict), ("mixed", mixed), ("bar", bar)):
+        starts = []
+        for sequence in PIN_WALKS:
+            families = sequence.split()
+            starts += [(_family_walk(hw, machine, rng, flavor, families), len(families))
+                       for _ in range(2)]
+        for omega in (2, 3, 4, 5):
+            w = random_positive(rng, hw.ee.mbar, 2) if flavor == "strict" \
+                else random_reduced(rng, hw.ee.mbar, 2)
+            W = hw.sigma_w(w, flavor).with_coord(hw, Coord(None, omega),
+                                                 True if flavor == "bar" else None)
+            starts.append((hw.parse_admissible(W.flat(), flavor), 3))
+        queries += [(machine, W, k + more, None) for W, k in starts for more in (-1, 0, 1, 2)]
+    W = hw.parse_admissible(parse_word("K1(e,1) L1(e,1)"))
+    queries += [(strict, W, 30, budget) for budget in (1, 200, 500)]
+    return queries
+
+
+def _answer(trace, stats):
+    """A query's answer as JSON data: the history, the trace's words as
+    text and ``ok`` (all None when nothing was found), and the stats."""
+    if trace is None:
+        return {"history": None, "words": None, "ok": None, "stats": stats}
+    return {"history": history_text(trace.history), "words": [W.text() for W in trace.words],
+            "ok": trace.ok, "stats": stats}
+
+
+def _recording(machine, applicable_rules, edges):
+    """applicable_rules that keeps each (machine, W, rid, W o rid) it built
+    as a key of ``edges``; a pair named by ``back`` is listed, not built."""
+    def recording(W, reach=None, back=None):
+        pairs = applicable_rules(W, reach, back)
+        for rid, nxt in pairs:
+            if back is None or rid is not back[0]:
+                edges[machine, W, rid, nxt] = None
+        return pairs
+    return recording
 
 
 def _family_walk(hw, machine, rng, flavor, families):

@@ -411,6 +411,83 @@ class TestJunctions:
         assert strict.step(RuleId("34", 1, None, False, -1), out) == (W, None)
 
 
+def long_sector_word(hw, rng, coord, empty, flavor):
+    """A full-base word at coord whose zones outside ``empty`` carry 20-60
+    letters: positive ones for strict, freely reduced ones for bar."""
+    bar = flavor == "bar"
+    pick = random_reduced if bar else random_positive
+    w = [() if k in empty else pick(rng, hw.ee.mbar, 60, 20) for k in "KLPR"]
+    return with_k1(hw, hw.sigma_four(*w, r=coord.r, i=coord.omega, bar=bar), coord, flavor)
+
+
+class TestListedPair:
+    """``applicable_rules(W, reach, back)``: the rule of ``back`` runs the
+    checks every candidate runs, and the pair itself is listed at that
+    rule's place, never built.  Named as the step back to the word W was
+    built from, it leaves the list as it is."""
+
+    def test_checked_in_place_and_never_built(self, monkeypatch, machine_words):
+        machine, words = machine_words
+        stand_in = object()
+        built_rids = []
+        real = machine._apply
+        monkeypatch.setattr(machine, "_apply", lambda rid, W, table=None:
+                            built_rids.append(rid) or real(rid, W, table))
+        far = float("inf")
+        codes = set()
+        for W in words:
+            order = [signed for rid in machine.rules for signed in (rid, rid.inverse)
+                     if machine.coords_of(signed)[0] == W.coord]
+            for reach in (None, 0, 2):
+                built = dict(machine.applicable_rules(W, reach))
+                near = [rid for rid in order if reach is None or
+                        machine.distance.get(machine.coords_of(rid)[1], far) <= reach]
+                for rid in order:
+                    diag = machine.applicable(rid, W)
+                    passes = rid in near and (diag is None or diag.code == "ResultNotAdmissible")
+                    want = [(r, stand_in if r is rid else built[r]) for r in near
+                            if r in built or (r is rid and passes)]
+                    del built_rids[:]
+                    assert machine.applicable_rules(W, reach, (rid, stand_in)) == want, \
+                        (W.text(), rid, reach)
+                    assert rid not in built_rids
+                    codes.add(None if diag is None else diag.code)
+        # pairs were checked past every kind of failure a candidate can have
+        assert codes >= {None, "FlavorMismatch", "ForbiddenSectorShape", "LockedSectorNonEmpty"}
+        assert ("ResultNotAdmissible" in codes) == (machine.flavor == "strict")
+
+    @pytest.mark.parametrize("flavor", ("strict", "bar", "mixed"))
+    def test_the_step_back_on_long_sectors(self, hw, flavor):
+        # seeded words with sectors of 20-60 letters and fold-backs, as
+        # TestJunctions builds them: rid^-1 takes W o rid back to W, and
+        # listing (rid^-1, W) for it leaves applicable_rules(W o rid, reach)
+        # as it is
+        machine = Machine(hw, flavor)
+        rng = random.Random(11)
+        base = "bar" if flavor == "bar" else "strict"
+        pick = random_reduced if flavor == "bar" else random_positive
+        words = [long_sector_word(hw, rng, coord, empty, base)
+                 for coord in hw.ee.coords()
+                 for empty in ("", "K", "KR", "LP", "KLR", "LPR")]
+        for coord in (Coord(1, 2), Coord(1, 3), Coord(2, 3)):
+            if base == "bar":
+                st = hw.state("L", 2, coord, True)
+                words.append(fold_at(hw, st, -1, pick(rng, hw.ee.mbar, 60, 20), "bar"))
+            else:
+                words.append(fold_word(hw, coord, pick(rng, hw.ee.mbar, 60, 20)))
+        if flavor == "mixed":
+            words = [hw.parse_admissible(W.flat(), "mixed") for W in words]
+        edges = 0
+        for W in words:
+            for rid, nxt in machine.applicable_rules(W):
+                edges += 1
+                assert oracles.step(machine, rid.inverse, nxt) == (W, None)
+                for reach in (None, 0, 1, 2, 3):
+                    assert machine.applicable_rules(nxt, reach, (rid.inverse, W)) == \
+                        machine.applicable_rules(nxt, reach), (nxt.text(), rid, reach)
+        assert edges > 100
+
+
 class TestFlavorOtherThanTheRuleShape:
     def test_strict_word_with_the_bar_shape_under_bar_rules(self, monkeypatch, hw, mixed):
         # K1(e,1) L1(e,1) is strict, and has the bar shape too: its states
