@@ -117,7 +117,7 @@ def _band_step(machine, W, rid):
             # the state letter separates two reduced tape words, and alpha
             # keeps a reduced word reduced, so the image is spelled reduced
             # at once
-            image = (*left_part.letters, (st2, s), *right_part.letters)
+            image = (*left_part, (st2, s), *right_part)
             if not bar:
                 image = tuple(_alpha_letters(pos.inverse, image))
             ends = (reduced_word((y,)), reduced_word(image))[::d]  # (bottom, top)
@@ -126,7 +126,7 @@ def _band_step(machine, W, rid):
         cells.append(cell)
         if k == len(src.inners):
             break
-        for letter in src.inners[k].letters:
+        for letter in src.inners[k]:
             cell = memo.get(letter)
             if cell is None:
                 st, s = y
@@ -146,9 +146,9 @@ def _band_step(machine, W, rid):
         # attaches outside src's first and last state letters (none at a
         # K-type letter)
         (st, s), (st2, s2) = src.states[0], src.states[-1]
-        image = (*machine._parts(pos, st.kind, st.j, s)[0].letters,
+        image = (*machine._parts(pos, st.kind, st.j, s)[0],
                  *(out if d > 0 else W).flat().letters,
-                 *machine._parts(pos, st2.kind, st2.j, s2)[1].letters)
+                 *machine._parts(pos, st2.kind, st2.j, s2)[1])
         bottom, top = (reduced_word(free_reduce(src.flat().letters)),
                        reduced_word(free_reduce(image)))[::d]
     else:

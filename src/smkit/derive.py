@@ -163,8 +163,9 @@ def is_accept_target(hw: Hardware, W: AdmissibleWord):
             if len(inner):
                 return False
             continue
-        content = inner if sg > 0 else inner.inverse()
-        got = tuple((t.i, e) for t, e in content)
+        # a sector the base word reads backward holds v inverted
+        content = inner if sg > 0 else reversed(inner)
+        got = tuple((t.i, e * sg) for t, e in content)
         if zone.j == 1 and not got:
             continue  # bar shape
         if ref is None:

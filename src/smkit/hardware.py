@@ -29,7 +29,10 @@ j=1 zones (``tape_word``).
 An admissible word is y_1 u_1 y_2 ... y_t u_t y_{t+1} where the y_i are
 signed state letters with equal coordinates, y_{i+1} is succ(y_i) or
 y_i^-1, each u_i is a word over the tape alphabet of the sector's zone, and
-the whole word is freely reduced.  Flavors:
+the whole word is freely reduced.  An ``AdmissibleWord`` keeps its state
+letters and, for each sector, the tuple of the (symbol, sign) letters of
+u_i (``inners``; an empty sector is ``()``); ``flat()`` joins them into one
+``Word``.  Flavors:
 
     strict -- letters unbarred; the inner part of a sector is positive when
               the sector ends at L_j/P_j or starts at R_j (and negative in
@@ -455,14 +458,14 @@ class Hardware:
         if not letters:
             raise BadBasePattern("empty word")
         if not is_reduced(letters):
-            raise NotReduced(word_to_text(Word(letters, reduce=False)))
+            raise NotReduced(word_to_text(letters))
         states = []
         inners = []
         current = []
         for sym, s in letters:
             if isinstance(sym, State):
                 if states:
-                    inners.append(Word(current, reduce=False))
+                    inners.append(tuple(current))
                 current = []
                 states.append((sym, s))
             elif isinstance(sym, Tape):
@@ -533,7 +536,7 @@ class Hardware:
         table = self.sector_table(aw.states)
         mbar = self.ee.mbar
         for k, (zone, inner) in enumerate(zip(table.zones, aw.inners)):
-            for sym, _ in inner.letters:
+            for sym, _ in inner:
                 if sym.zone != zone:
                     raise BadInnerAlphabet(
                         f"sector {k}: {sym!r} is not in the {zone!r}-zone alphabet")
@@ -552,7 +555,7 @@ class Hardware:
                 bar = True
         else:
             raise ValueError(f"unknown flavor {aw.flavor!r}")
-        if all(is_reduced(inner.letters) for inner in aw.inners):
+        if all(is_reduced(inner) for inner in aw.inners):
             object.__setattr__(aw, "_table", table)
             object.__setattr__(aw, "_bar_shape", bar)
 
@@ -564,14 +567,14 @@ class Hardware:
         if table.not_plain is not None:
             raise BadInnerAlphabet(f"{table.not_plain!r} is not a plain state letter")
         for inner in aw.inners:
-            for sym, _ in inner.letters:
+            for sym, _ in inner:
                 if not self.plain_tape_ok(sym):
                     raise BadInnerAlphabet(f"{sym!r} is not a plain tape letter")
 
     def _validate_strict(self, aw, table):
         self.validate_plain_shape(aw, table)
         for k, (need, inner) in enumerate(zip(table.signs, aw.inners)):
-            if need and any(s != need for _, s in inner.letters):
+            if need and any(s != need for _, s in inner):
                 raise PositivityViolation.at(aw.states, k)
 
     def validate_bar_shape(self, aw, table=None):
@@ -582,9 +585,9 @@ class Hardware:
         if table.not_bar is not None:
             raise BadInnerAlphabet(f"{table.not_bar!r} is not a bar state letter")
         for k, (zone, inner) in enumerate(zip(table.zones, aw.inners)):
-            if zone.j == 1 and inner.letters:
+            if zone.j == 1 and inner:
                 raise BarSectorNotEmpty(f"sector {k} in zone {zone!r}")
-            for sym, _ in inner.letters:
+            for sym, _ in inner:
                 if not self.bar_tape_ok(sym):
                     raise BadInnerAlphabet(f"{sym!r} is not a bar tape letter")
 
@@ -607,7 +610,7 @@ class Hardware:
 class AdmissibleWord:
     flavor: str
     states: tuple  # (State, sign) pairs
-    inners: tuple  # Word per sector, len == len(states) - 1
+    inners: tuple  # letter tuple per sector, len == len(states) - 1
 
     # The SectorTable of the Hardware that validated the word, or None, and
     # the shape the word passed then: True for the bar shape, False for the
@@ -622,7 +625,7 @@ class AdmissibleWord:
         # states are not hashed again.
         table = self._table
         return hash((self.flavor, hash(self.states) if table is None else table.states_hash,
-                     tuple([inner.letters for inner in self.inners])))
+                     self.inners))
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -643,7 +646,7 @@ class AdmissibleWord:
     def flat(self):
         letters = list(self.states[:1])
         for y, inner in zip(self.states[1:], self.inners):
-            letters += inner.letters
+            letters += inner
             letters.append(y)
         return Word(letters, reduce=False)
 
@@ -665,5 +668,6 @@ class AdmissibleWord:
 
     def inverse(self):
         states = tuple((st, -s) for st, s in reversed(self.states))
-        inners = tuple(w.inverse() for w in reversed(self.inners))
+        inners = tuple(tuple((t, -e) for t, e in reversed(inner))
+                       for inner in reversed(self.inners))
         return AdmissibleWord(self.flavor, states, inners)

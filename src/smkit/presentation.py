@@ -357,7 +357,7 @@ def rule_relations(machine: Machine, rid: RuleId):
             else:
                 spelled.append((dstp, zan, srcn, zbp))
             continue
-        v, u = (part.letters for part in machine._parts(rid, bl.kind, bl.j, 1))
+        v, u = machine._parts(rid, bl.kind, bl.j, 1)
         if not bar:
             v, u = _alpha_letters(rid.inverse, v), _alpha_letters(rid.inverse, u)
         # its canonical letters, wrapped with the family's below

@@ -31,27 +31,29 @@ that changes.  The plan hangs on the SectorTable of W's states
 (``table.plans[rid]``), so it depends only on the Hardware and the signed
 rule, is shared by every Machine over that Hardware, and lives as long as
 the table: one plan per signed rule applied per distinct states tuple.
-The tape parts behind it are memoized per Machine (``_parts``, at most
-signed rules x 4N x 2 entries).
+The tape parts behind it are letter tuples, like the sectors of an
+``AdmissibleWord``, memoized per Machine (``_parts``, at most signed rules
+x 4N x 2 entries).
 
 Every changed sector becomes right + inner + left, freely reduced once
-(``free_reduce``), whatever the word.  A word the Hardware trusts (it
-validated the word, or built it in a step from a trusted word; see
-``hardware``) carries its table and the plain or bar shape it passed, so a
-step reads the table without hashing the states tuple, checks the rule's
-shape without walking the letters when it is the recorded one
-(``_shape_error``), and skips the full ``Hardware.validate`` on the result.
-The zone, index and plain/bar letter clauses hold by construction of the
-tape parts, and the result's states have the rule's plain or bar shape.
-What is left is the sign of the letters in a strict sector that needs one
-and whose attached words do not all have it: every inner letter of a
-trusted strict word already has that sign, so a letter of the reduced
-sector with another sign is an attached one that survived.  The first
-sector holding one is the PositivityViolation the full ``validate`` would
-raise first, and is raised as such.  A result that passes carries its
-table and the rule's shape, and is trusted in turn.  When W is not
-trusted, or its flavor asks for the other shape (a strict W under a bar
-rule, a bar W under a plain rule), the full ``validate`` runs.
+(``free_reduce``), whatever the word; the tuple ``free_reduce`` returns is
+the result's sector as it is, and unchanged sectors are W's own tuples.
+A word the Hardware trusts (it validated the word, or built it in a step
+from a trusted word; see ``hardware``) carries its table and the plain or
+bar shape it passed, so a step reads the table without hashing the states
+tuple, checks the rule's shape without walking the letters when it is the
+recorded one (``_shape_error``), and skips the full ``Hardware.validate`` on
+the result.  The zone, index and plain/bar letter clauses hold by
+construction of the tape parts, and the result's states have the rule's
+plain or bar shape.  What is left is the sign of the letters in a strict
+sector that needs one and whose attached words do not all have it: every
+inner letter of a trusted strict word already has that sign, so a letter of
+the reduced sector with another sign is an attached one that survived.  The
+first sector holding one is the PositivityViolation the full ``validate``
+would raise first, and is raised as such.  A result that passes carries its
+table and the rule's shape, and is trusted in turn.  When W is not trusted,
+or its flavor asks for the other shape (a strict W under a bar rule, a bar W
+under a plain rule), the full ``validate`` runs.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ from typing import Optional
 
 from .hardware import AdmissibleError, AdmissibleWord, Hardware, PositivityViolation
 from .words import (
-    AGE_FAMILIES, FAMILIES, BaseLetter, Coord, RuleId, EMPTY, TRANSITION_FAMILIES, TokenError,
-    content_lines, family_relators, free_reduce, parse_rule, reduced_word, rule_token,
+    AGE_FAMILIES, FAMILIES, BaseLetter, Coord, RuleId, TRANSITION_FAMILIES, TokenError, Word,
+    content_lines, family_relators, free_reduce, parse_rule, rule_token,
 )
 
 # One row per family, the table of the module docstring: source and target age, the zone
@@ -177,8 +179,9 @@ class Machine:
     # -- applying rules --------------------------------------------------
 
     def _parts(self, rid, kind, j, s):
-        """(left, right) tape words the signed rule rid attaches around one
-        occurrence of the signed basic letter (kind_j)^s.
+        """(left, right) tape parts the signed rule rid attaches around one
+        occurrence of the signed basic letter (kind_j)^s, each the letters
+        tuple of its ``Hardware.tape_word``.
 
         They depend on nothing else, so they are memoized per machine under
         the key (rid, kind, j, s): at most (signed rules) x 4N x 2 entries.
@@ -199,7 +202,7 @@ class Machine:
             hit = hw.tape_word(v, zb, rid.bar), hw.tape_word(u, za, rid.bar)
         else:
             hit = hw.tape_word(u, za, rid.bar, True), hw.tape_word(v, zb, rid.bar, True)
-        self._part_memo[key] = hit
+        hit = self._part_memo[key] = hit[0].letters, hit[1].letters
         return hit
 
     def step(self, rid: RuleId, W: AdmissibleWord):
@@ -232,7 +235,7 @@ class Machine:
                     st, s = W.states[k]
                     return None, Diagnosis("ForbiddenSectorShape",
                                            f"fold-back at {st!r}^{s} in locked {zone!r}-zone")
-                if inner.letters:
+                if inner:
                     return None, Diagnosis("LockedSectorNonEmpty", repr(zone))
         try:
             return self._apply(rid, W, table), None
@@ -257,12 +260,13 @@ class Machine:
         ``table`` is the SectorTable of W's states when the caller has it.
 
         Each changed sector becomes right + inner + left, freely reduced
-        once.  On a trusted W whose flavor takes the rule's shape, what is
-        left to check is the sign of the letters of a strict sector whose
-        plan names one (see the module docstring): the first sector with a
-        letter of another sign is the first error ``validate`` would raise,
-        and a result without one is trusted.  Every other case runs the
-        full ``validate``."""
+        once: the result holds the tuple ``free_reduce`` returns, and W's
+        own tuples for the sectors the plan leaves alone.  On a trusted W
+        whose flavor takes the rule's shape, what is left to check is the
+        sign of the letters of a strict sector whose plan names one (see the
+        module docstring): the first sector with a letter of another sign is
+        the first error ``validate`` would raise, and a result without one
+        is trusted.  Every other case runs the full ``validate``."""
         if table is None:
             table = self._table_of(W)
         plan = table.plans.get(rid)
@@ -275,10 +279,10 @@ class Machine:
         if changes:
             inners = list(inners)
             for k, right, left, need in changes:
-                letters = free_reduce(right + inners[k].letters + left)
-                if strict and need is not None and any(e != need for _, e in letters):
+                inner = free_reduce(right + inners[k] + left)
+                if strict and need is not None and any(e != need for _, e in inner):
                     raise PositivityViolation.at(states, k)
-                inners[k] = reduced_word(letters)
+                inners[k] = inner
             inners = tuple(inners)
         out = AdmissibleWord(W.flavor, states, inners)
         if fast:
@@ -291,11 +295,12 @@ class Machine:
     def _plan(self, rid, states):
         """The step plan of rid on words with these state letters: the
         result's states tuple; (k, right, left, need) for each sector k whose
-        inner word becomes right + inner + left, freely reduced (the sectors
-        not listed keep their inner words), where need is the sign every
-        letter of the sector must have in a strict word, or None when every
-        letter of right and left has it or the sector needs none; and the
-        result's SectorTable."""
+        inner word becomes right + inner + left, freely reduced (right and
+        left are ``_parts`` letter tuples; the sectors not listed keep their
+        inner words), where need is the sign every letter of the sector
+        must have in a strict word, or None when every letter of right and
+        left has it or the sector needs none; and the result's
+        SectorTable."""
         rule = self.rules[rid.positive]
         dst = rule.dst if rid.sign > 0 else rule.src
         state, parts = self.hw.state, self._parts
@@ -304,7 +309,7 @@ class Machine:
         sides = [parts(rid, st.kind, st.j, s) for st, s in states]
         changes = []
         for k, need in enumerate(out_table.signs):
-            right, left = sides[k][1].letters, sides[k + 1][0].letters
+            right, left = sides[k][1], sides[k + 1][0]
             if right or left:
                 if need is not None and all(e == need for _, e in right + left):
                     need = None
@@ -439,7 +444,7 @@ class Machine:
         are non-empty or fold back: a rule applies only if it locks none of
         them."""
         return {zone.kind for zone, fold, inner in zip(table.zones, table.folds, W.inners)
-                if fold or inner.letters}
+                if fold or inner}
 
     # -- content-independent sector transport ----------------------------
 
@@ -450,13 +455,15 @@ class Machine:
         z' following z.  Returns (u, v) with  z W' z' o h  =  z1 u W' v z'1
         in the free group for every inner part W'.  Histories touching a
         rule that locks the sector's zone are rejected (the action is then
-        only defined on empty inner parts).
+        only defined on empty inner parts).  The ``_parts`` letter tuples
+        are joined along the history and each side is freely reduced once,
+        into a ``Word``.
         """
         (z, s), (z2, s2) = sector
         if (z2, s2) != self.hw.succ((z, s)) and (z2, s2) != (z, -s):
             raise ValueError("not a sector shape")
         zone = self.hw.zone_after((z, s))
-        u, v = EMPTY, EMPTY
+        u, v = (), ()
         coord = None
         for rid in history:
             rule = self.rule(rid)
@@ -470,9 +477,9 @@ class Machine:
                 raise ValueError(f"{rid!r} locks the {zone!r}-zone: undefined action")
             right = self._parts(rid, z.kind, z.j, s)[1]
             left = self._parts(rid, z2.kind, z2.j, s2)[0]
-            u = right * u
-            v = v * left
-        return u, v
+            u = right + u
+            v = v + left
+        return Word(u), Word(v)
 
 
 @dataclass(frozen=True)

@@ -576,7 +576,7 @@ def apply(machine, rid, W):
         parts.append(_parts(machine, rule, rid.sign, st, s))
     inners = []
     for k, inner in enumerate(W.inners):
-        inners.append(parts[k][1] * inner * parts[k + 1][0])
+        inners.append(free_reduce(parts[k][1].letters + inner + parts[k + 1][0].letters))
     out = AdmissibleWord(W.flavor, tuple(states), tuple(inners))
     validate(machine.hw, out)
     return out

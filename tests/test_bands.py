@@ -199,8 +199,8 @@ class TestOnePassBuild:
             assert (band.bottom, band.top) == (want.bottom, want.top), (W.text(), rid)
             src = W if rid.sign > 0 else machine.apply(rid, W)
             (st, s), (st2, s2) = src.states[0], src.states[-1]
-            flanked += bool(machine._parts(rid.positive, st.kind, st.j, s)[0].letters
-                            or machine._parts(rid.positive, st2.kind, st2.j, s2)[1].letters)
+            flanked += bool(machine._parts(rid.positive, st.kind, st.j, s)[0]
+                            or machine._parts(rid.positive, st2.kind, st2.j, s2)[1])
         assert flanked >= 20
 
 

@@ -198,7 +198,7 @@ class TestSigmaW:
                 assert len(inner) == 2
                 copies += 1
             else:
-                assert inner.is_empty()
+                assert inner == ()
         assert copies == hw.N
 
     def test_positivity_required(self, hw):
@@ -215,7 +215,7 @@ class TestSigmaW:
         for k in range(len(W.inners)):
             (st, s), inner, _ = W.sector(k)
             if hw.zone_after((st.base, s)).j == 1:
-                assert inner.is_empty()
+                assert inner == ()
 
 
 class TestSigmaFour:

@@ -3,6 +3,7 @@ plans) and ``applicable_rules`` against the check-then-build reference in
 ``oracles``, the step/inverse law, the lazily filled zone lookup and the
 nesting of enumerated Dyck pairings."""
 
+import pickle
 import random
 
 import pytest
@@ -13,12 +14,12 @@ from genwords import (
     applicable_rules, block_word, dyck_words, random_bar_word, random_positive,
     random_reduced, random_walk,
 )
-from smkit.derive import bar_conjugated_insertion, insertion_history
+from smkit.derive import accept_bfs, bar_conjugated_insertion, insertion_history
 from smkit.hardware import (
     COORD_E1, AdmissibleError, AdmissibleWord, BaseLetter, EEPresentation, Hardware,
 )
 from smkit.smachine import Diagnosis, Machine
-from smkit.words import TRANSITION_FAMILIES, Coord, RuleId, Word, enumerate_pairings
+from smkit.words import TRANSITION_FAMILIES, Coord, RuleId, Tape, Word, enumerate_pairings
 
 B = BaseLetter
 CODES = {"UnknownRule", "FlavorMismatch", "CoordMismatch", "ForbiddenSectorShape",
@@ -549,23 +550,22 @@ class TestUntrustedWords:
         assert not other.trusts(U)
         with pytest.raises(Exception):
             Hardware(ee, 8).validate(AdmissibleWord("strict", W.states, W.inners[:-1]
-                                                    + (Word(((hw.tape(1, B("K", 1)), 1),)),)))
+                                                    + (((hw.tape(1, B("K", 1)), 1),),)))
 
     def test_unreduced_inner_word_is_not_trusted(self, hw, strict):
         W = hw.sigma_w(())
         a1 = hw.tape(1, B("P", 1))
-        loop = Word(((a1, 1), (a1, -1)), reduce=False)  # in the unsigned P1-zone
+        loop = ((a1, 1), (a1, -1))  # in the unsigned P1-zone
         U = AdmissibleWord("strict", W.states, W.inners[:2] + (loop,) + W.inners[3:])
         hw.validate(U)
         assert not hw.trusts(U)
         rid = RuleId("1", None, 2)
         got = strict.step(rid, U)
         assert got == oracles.step(strict, rid, U) and hw.trusts(got[0])
-        assert got[0].inners[2] == Word(((hw.tape(2, B("P", 1)), -1),))
+        assert got[0].inners[2] == ((hw.tape(2, B("P", 1)), -1),)
 
     def test_pickle_and_copy_drop_the_record(self, hw, strict):
         import copy
-        import pickle
         W = strict.apply(RuleId("1", None, 1), hw.sigma_w(((2, 1),)))
         assert hw.trusts(W) and W._bar_shape is False
         state = W.__getstate__()
@@ -628,3 +628,86 @@ class TestTrustedShape:
         # plain and bar words with one shape, and words of each record with both
         assert seen == {(False, (True, False)), (True, (False, True)),
                         (False, (True, True)), (True, (True, True))}
+
+
+def assert_letter_tuples(W):
+    """Each sector of W is a tuple of (tape letter, sign) pairs, ``sector``
+    hands it back as it is, and W equals and hashes like its untrusted copy
+    (a trusted word hashes through its table's states hash)."""
+    for k, inner in enumerate(W.inners):
+        assert type(inner) is tuple, (k, type(inner), W.text())
+        assert all(type(letter) is tuple and len(letter) == 2 and isinstance(letter[0], Tape)
+                   and letter[1] in (1, -1) for letter in inner), (k, W.text())
+        assert W.sector(k)[1] is inner
+    copy = AdmissibleWord(W.flavor, W.states, W.inners)
+    assert W == copy and hash(W) == hash(copy), W.text()
+    return W
+
+
+class TestOneRepresentation:
+    """One sector representation on every route that makes an admissible
+    word: parsing and the standard words, steps, runs, listed words with
+    and without a ``back`` pair, search traces, inverses, recoordinated
+    words and pickles; and the tape parts a step attaches."""
+
+    def test_parsed_and_standard_words(self, hw, machine_words):
+        machine, words = machine_words
+        for W in words:
+            assert_letter_tuples(W)
+            assert_letter_tuples(hw.parse_admissible(W.flat(), W.flavor))
+        for w in ((), ((1, 1),), ((1, 1), (2, 1))):
+            assert_letter_tuples(hw.sigma_w(w, machine.flavor))
+
+    def test_steps_and_tape_parts(self, machine_words):
+        machine, words = machine_words
+        built = 0
+        for W in words:
+            for rid in signed_rules(machine):
+                out, diag = machine.step(rid, W)
+                if diag is None:
+                    built += 1
+                    assert assert_letter_tuples(out) == assert_letter_tuples(machine.apply(rid, W))
+        assert built > len(words)
+        assert machine._part_memo
+        for parts in machine._part_memo.values():
+            assert type(parts) is tuple and len(parts) == 2
+            assert all(type(part) is tuple for part in parts)
+
+    def test_runs(self, hw, machine_words):
+        machine, _ = machine_words
+        rng = random.Random(29)
+        for _ in range(3):
+            W, h = choreography(hw, rng, machine.flavor)
+            trace = machine.run(W, h)
+            assert trace.ok, trace.failure
+            for U in trace.words:
+                assert_letter_tuples(U)
+
+    def test_listed_words(self, machine_words):
+        machine, words = machine_words
+        listed = 0
+        for W in words:
+            for rid, out in machine.applicable_rules(W):
+                assert_letter_tuples(out)
+                for reach in (None, 2):
+                    for _, nxt in machine.applicable_rules(out, reach, (rid.inverse, W)):
+                        listed += 1
+                        assert_letter_tuples(nxt)
+        assert listed > len(words)
+
+    def test_search_traces(self, hw, machine_words):
+        machine, _ = machine_words
+        rng = random.Random(31)
+        for _ in range(3):
+            W, h = choreography(hw, rng, machine.flavor)
+            trace = accept_bfs(machine, machine.run(W, h[:3]).final, 3)
+            assert trace is not None and trace.ok
+            for U in trace.words:
+                assert_letter_tuples(U)
+
+    def test_inverse_recoordinated_and_pickled_words(self, hw, machine_words):
+        machine, words = machine_words
+        for W in words:
+            assert assert_letter_tuples(W.inverse()).inverse() == W
+            assert_letter_tuples(W.with_coord(hw, Coord(1, 2)))
+            assert assert_letter_tuples(pickle.loads(pickle.dumps(W))) == W

@@ -16,7 +16,7 @@ from smkit.hardware import (
     AdmissibleError, AdmissibleWord, BadBasePattern, BadInnerAlphabet, BarSectorNotEmpty,
     Hardware, MixedCoordinates, PositivityViolation,
 )
-from smkit.words import KINDS, State, Tape, Word, parse_word
+from smkit.words import KINDS, State, Tape, parse_word
 from test_step import seeded_words
 
 
@@ -38,8 +38,7 @@ def replace(seq, k, item):
 
 
 def replace_letter(W, k, p, letter):
-    letters = W.inners[k].letters
-    inner = Word(replace(letters, p, letter), reduce=False)
+    inner = replace(W.inners[k], p, letter)
     return AdmissibleWord(W.flavor, W.states, replace(W.inners, k, inner))
 
 
@@ -70,7 +69,7 @@ def letter_edits(hw, W, zones, rng):
     if filled:
         k = rng.choice(filled)
         p = rng.randrange(len(inners[k]))
-        t, e = inners[k].letters[p]
+        t, e = inners[k][p]
         zone = rng.choice([hw.zone_after(y) for y in hw.sigma if hw.zone_after(y) != t.zone])
         out.append(("zone", replace_letter(W, k, p, (Tape(t.i, zone, t.bar), e))))
         out.append(("index", replace_letter(W, k, p, (Tape(hw.ee.mbar + 1, t.zone, t.bar), e))))
@@ -79,12 +78,12 @@ def letter_edits(hw, W, zones, rng):
     if signed:
         k = rng.choice(signed)
         p = rng.randrange(len(inners[k]))
-        t, e = inners[k].letters[p]
+        t, e = inners[k][p]
         out.append(("sign", replace_letter(W, k, p, (t, -e))))
     j1 = [k for k, z in enumerate(zones) if z.j == 1 and not len(inners[k])]
     if j1:
         k = rng.choice(j1)
-        inner = Word(((Tape(1, zones[k], True), 1),), reduce=False)
+        inner = ((Tape(1, zones[k], True), 1),)
         out.append(("bar j=1", AdmissibleWord(W.flavor, states, replace(inners, k, inner))))
     return out
 
@@ -163,7 +162,7 @@ class TestBlockBeyondN:
         # the one intended difference from the reference: it looked up the
         # successor of K9 (KeyError) or, for a lone letter, passed
         states = tuple(parse_word(text).letters)
-        W = AdmissibleWord("strict", states, tuple(Word() for _ in states[1:]))
+        W = AdmissibleWord("strict", states, ((),) * (len(states) - 1))
         if len(states) > 1:
             with pytest.raises(KeyError):
                 oracles.validate(hw, W)
