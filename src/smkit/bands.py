@@ -19,10 +19,13 @@ A check walks each band once: it compares the freely reduced letters of
 the cells with the band's labels without building words, and projects
 each label to its tape and state letters once, for the growth bound and
 for the replay of the history alike; in a trapezium a band's bottom equal
-to the top beneath it takes that top's projection.  Building takes a bar
-band's labels from the words W and W o tau (with the flanks), so the check
-is the one place that reduces the cells' letters; a plain band's labels are
-its cells' letters, freely reduced.
+to the top beneath it takes that top's projection.  A projection is a
+letter tuple, compared with its step's ``flat()``; the bottom's is what the
+replay parses.  Building takes a bar band's labels from the words W and
+W o tau (with the flanks), so the check is the one place that reduces the
+cells' letters; a plain band's labels are its cells' letters, freely
+reduced.  Labels and cells are ``Word``s built through its constructor: a
+label is reduced once, and a cell, spelled reduced, is not reduced again.
 
 Building spells each distinct cell once per Machine, which keeps it under
 its signed rule and the one letter it is drawn on.  Verification checks
@@ -43,7 +46,7 @@ from itertools import chain
 from .hardware import AdmissibleWord
 from .presentation import Presentation, _alpha_letters, normalize_relator
 from .smachine import Machine, is_reduced_history
-from .words import RuleId, State, Tape, Theta, Word, free_reduce, reduced_word, word_to_text
+from .words import RuleId, State, Tape, Theta, Word, free_reduce, word_to_text
 
 
 class BandError(ValueError):
@@ -93,8 +96,9 @@ def _band_step(machine, W, rid):
     sector's, which is the zone of the tape letter itself in every word
     ``Machine.apply`` accepts, so the letter alone is the key.
 
-    A bar band's labels are read off the words: the free reductions of W
-    and of W o rid with the flanks (see below), one scan each when already
+    A bar band's labels are read off the words: the ``Word``s of the
+    letters of W and of W o rid with the flanks, ``flat()`` spliced in as
+    it is (see below), one scan of free reduction each when already
     reduced.  A plain band's labels are its cells' letters, freely
     reduced."""
     out = machine.apply(rid, W)
@@ -120,7 +124,7 @@ def _band_step(machine, W, rid):
             image = (*left_part, (st2, s), *right_part)
             if not bar:
                 image = tuple(_alpha_letters(pos.inverse, image))
-            ends = (reduced_word((y,)), reduced_word(image))[::d]  # (bottom, top)
+            ends = (Word((y,), reduce=False), Word(image, reduce=False))[::d]  # (bottom, top)
             cell = memo[y] = Cell("bar_main" if bar else "main", Theta(pos, lzone),
                                   Theta(pos, rzone), *ends, d)
         cells.append(cell)
@@ -132,11 +136,11 @@ def _band_step(machine, W, rid):
                 st, s = y
                 theta = Theta(pos, hw.zone_after((st.base, s)))
                 if bar:
-                    bottom = top = reduced_word((letter,))
+                    bottom = top = Word((letter,), reduce=False)
                 else:
                     # alpha_rid below and alpha_{rid^-1} above, whatever rid's sign
-                    bottom = reduced_word(tuple(_alpha_letters(rid, (letter,))))
-                    top = reduced_word(tuple(_alpha_letters(rid.inverse, (letter,))))
+                    bottom = Word(_alpha_letters(rid, (letter,)), reduce=False)
+                    top = Word(_alpha_letters(rid.inverse, (letter,)), reduce=False)
                 cell = memo[letter] = Cell("bar_theta_a" if bar else "theta_a", theta,
                                            theta, bottom, top, d)
             cells.append(cell)
@@ -147,10 +151,9 @@ def _band_step(machine, W, rid):
         # K-type letter)
         (st, s), (st2, s2) = src.states[0], src.states[-1]
         image = (*machine._parts(pos, st.kind, st.j, s)[0],
-                 *(out if d > 0 else W).flat().letters,
+                 *(out if d > 0 else W).flat(),
                  *machine._parts(pos, st2.kind, st2.j, s2)[1])
-        bottom, top = (reduced_word(free_reduce(src.flat().letters)),
-                       reduced_word(free_reduce(image)))[::d]
+        bottom, top = (Word(src.flat()), Word(image))[::d]
     else:
         bottom = Word(chain.from_iterable(c.bottom.letters for c in cells))
         top = Word(chain.from_iterable(c.top.letters for c in cells))
@@ -206,7 +209,7 @@ _AK = (Tape, State)
 
 def _project_ak(w):
     """The tape and state letters of w, freely reduced."""
-    return Word([l for l in w.letters if isinstance(l[0], _AK)])
+    return free_reduce([l for l in w.letters if isinstance(l[0], _AK)])
 
 
 def verify_band(band: Band, pres: Presentation, machine: Machine):
@@ -321,13 +324,15 @@ def verify_trapezium(trap: Trapezium, pres: Presentation, machine: Machine):
     if not trace.ok:
         report.append(f"history does not run: {trace.failure}")
         return report
-    ok = p0 == trace.words[0].flat()
+    # a band above the last step of the history matches no step
+    steps = [W.flat() for W in trace.words] + [None] * (len(bands) + 1 - len(trace.words))
+    ok = p0 == steps[0]
     for i, (_, pb, pt) in enumerate(checked):
         if not glued[i]:
-            ok = pb == trace.words[i].flat()
+            ok = pb == steps[i]
         if not ok:
             report.append(f"band {i}: bottom projection is not step {i}")
-        ok = pt == trace.words[i + 1].flat()
+        ok = pt == steps[i + 1]
         if not ok:
             report.append(f"band {i}: top projection is not step {i + 1}")
     return report

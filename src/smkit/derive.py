@@ -145,7 +145,10 @@ def bar_conjugated_insertion(hw: Hardware, w, u, r):
 
 def is_accept_target(hw: Hardware, W: AdmissibleWord):
     """True iff W is graphically Sigma(v)^s K1(e,1) for some word v, s >= 1
-    (bar shape allowed: block 1 carries no tape letters)."""
+    (bar shape allowed: block 1 carries no tape letters).
+
+    Once the signed base is Sigma^s K1(e,1), sector k follows the letter
+    ``hw.sigma[k % 4N]``, so it sits in the zone ``hw.zones[k % 4N]``."""
     if W.coord != COORD_E1:
         return False
     n = len(hw.sigma)
@@ -153,14 +156,13 @@ def is_accept_target(hw: Hardware, W: AdmissibleWord):
     if len(sb) < n + 1 or (len(sb) - 1) % n:
         return False
     s = (len(sb) - 1) // n
-    if sb != tuple(hw.sigma) * s + ((hw.sigma[0][0], 1),):
+    sigma = hw.sigma * s
+    if sb != sigma + hw.sigma[:1]:
         return False
     ref = None
-    for k in range(len(W.inners)):
-        (st, sg), inner, _ = W.sector(k)
-        zone = hw.zone_after((st.base, sg))
+    for (_, sg), zone, inner in zip(sigma, hw.zones * s, W.inners):
         if zone.kind != "P":
-            if len(inner):
+            if inner:
                 return False
             continue
         # a sector the base word reads backward holds v inverted

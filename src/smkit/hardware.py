@@ -32,7 +32,7 @@ y_i^-1, each u_i is a word over the tape alphabet of the sector's zone, and
 the whole word is freely reduced.  An ``AdmissibleWord`` keeps its state
 letters and, for each sector, the tuple of the (symbol, sign) letters of
 u_i (``inners``; an empty sector is ``()``); ``flat()`` joins them into one
-``Word``.  Flavors:
+letter tuple, the word as the machine layer passes it around.  Flavors:
 
     strict -- letters unbarred; the inner part of a sector is positive when
               the sector ends at L_j/P_j or starts at R_j (and negative in
@@ -86,7 +86,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .words import (
-    EMPTY, BaseLetter, Coord, State, Tape, Word, content_lines, is_reduced,
+    BaseLetter, Coord, State, Tape, Word, content_lines, free_reduce, is_reduced,
     parse_generators, word_to_text,
 )
 
@@ -375,14 +375,15 @@ class Hardware:
 
     def tape_word(self, w, zone, bar=False, invert=False):
         """Copy of w (a sequence of (index, sign) pairs) in the zone alphabet,
-        inverted when ``invert`` is set.  The bar copy has no tape letters
-        over the j=1 zones, so there it is the empty word whatever w is."""
+        inverted when ``invert`` is set, as its freely reduced letter tuple.
+        The bar copy has no tape letters over the j=1 zones, so there it is
+        ``()`` whatever w is."""
         if bar and zone.j == 1:
-            return EMPTY
+            return ()
         seq = [(self.tape(i, zone, bar), s) for i, s in w]
         if invert:
             seq = [(t, -s) for t, s in reversed(seq)]
-        return Word(seq)
+        return free_reduce(seq)
 
     def plain_tape_ok(self, t: Tape):
         return not t.bar
@@ -417,7 +418,7 @@ class Hardware:
         letters = []
         for (bl, s), zone in zip(self.sigma, self.zones):
             letters.append((self.state(bl.kind, bl.j, coord, bar), s))
-            letters += self.tape_word(slots[zone.kind], zone, bar, s < 0).letters
+            letters += self.tape_word(slots[zone.kind], zone, bar, s < 0)
         return Word(letters)
 
     def sigma_w(self, w, flavor="strict"):
@@ -427,8 +428,8 @@ class Hardware:
             raise PositivityViolation("sigma_w needs a positive word for the strict flavor")
         bar = flavor == "bar"
         body = self.sigma_four((), (), w, (), r=None, i=1, bar=bar)
-        flat = Word(body.letters + ((self.state("K", 1, COORD_E1, bar), 1),), reduce=False)
-        return self.parse_admissible(flat, flavor)
+        return self.parse_admissible(body.letters + ((self.state("K", 1, COORD_E1, bar), 1),),
+                                     flavor)
 
     # -- admissible words -------------------------------------------------
 
@@ -440,10 +441,9 @@ class Hardware:
         their plain brothers and are stored unbarred.  Each distinct symbol
         is canonicalized once per Hardware; one that fails (a tape index out
         of range) is never remembered and raises on every call."""
-        letters = tuple(w.letters) if isinstance(w, Word) else tuple(w)
         memo = self._canon
         canon = []
-        for sym, s in letters:
+        for sym, s in w:
             if isinstance(sym, _LETTERS):
                 c = memo.get(sym)
                 if c is None:
@@ -648,7 +648,7 @@ class AdmissibleWord:
         for y, inner in zip(self.states[1:], self.inners):
             letters += inner
             letters.append(y)
-        return Word(letters, reduce=False)
+        return tuple(letters)
 
     def __len__(self):
         return len(self.states) + sum(len(i) for i in self.inners)

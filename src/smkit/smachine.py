@@ -180,8 +180,8 @@ class Machine:
 
     def _parts(self, rid, kind, j, s):
         """(left, right) tape parts the signed rule rid attaches around one
-        occurrence of the signed basic letter (kind_j)^s, each the letters
-        tuple of its ``Hardware.tape_word``.
+        occurrence of the signed basic letter (kind_j)^s: the pair of letter
+        tuples ``Hardware.tape_word`` returns, kept as they are.
 
         They depend on nothing else, so they are memoized per machine under
         the key (rid, kind, j, s): at most (signed rules) x 4N x 2 entries.
@@ -202,7 +202,7 @@ class Machine:
             hit = hw.tape_word(v, zb, rid.bar), hw.tape_word(u, za, rid.bar)
         else:
             hit = hw.tape_word(u, za, rid.bar, True), hw.tape_word(v, zb, rid.bar, True)
-        hit = self._part_memo[key] = hit[0].letters, hit[1].letters
+        self._part_memo[key] = hit
         return hit
 
     def step(self, rid: RuleId, W: AdmissibleWord):

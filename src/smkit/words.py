@@ -361,18 +361,6 @@ class Word:
 
 EMPTY = Word()
 
-_new_object = object.__new__
-_set_letters = Word.__dict__["letters"].__set__
-
-
-def reduced_word(letters):
-    """The Word over ``letters``, a tuple the caller knows to be freely
-    reduced: built without a copy, a check or a call of ``__init__``."""
-    w = _new_object(Word)
-    _set_letters(w, letters)
-    return w
-
-
 def wletter(sym, sign=1):
     return Word(((sym, sign),), reduce=False)
 

@@ -1,8 +1,11 @@
-"""Seeded generators for fuzzing: random admissible words and random
-applicable rule walks."""
+"""Seeded generators for fuzzing: random admissible words, random
+applicable rule walks and tampered trapezia."""
 
+from dataclasses import replace
+
+from smkit.bands import theta_band
 from smkit.hardware import BaseLetter
-from smkit.words import CyclicWord
+from smkit.words import CyclicWord, State, Word
 
 
 def random_positive(rng, mbar, maxlen, minlen=0):
@@ -38,9 +41,7 @@ def random_bar_word(hw, rng, maxlen=2, coord=None, empty_kinds=""):
         coords = hw.ee.coords()
         coord = coords[rng.randrange(len(coords))]
     body = hw.sigma_four(w1, w2, w3, w4, r=coord.r, i=coord.omega, bar=True)
-    from smkit.words import Word
-    flat = Word(body.letters + ((hw.state("K", 1, coord, True), 1),), reduce=False)
-    return hw.parse_admissible(flat, "bar")
+    return hw.parse_admissible(body.letters + ((hw.state("K", 1, coord, True), 1),), "bar")
 
 
 def block_word(hw, rng, j, coord, kinds="KLPR", flavor="strict", maxlen=3):
@@ -61,8 +62,7 @@ def block_word(hw, rng, j, coord, kinds="KLPR", flavor="strict", maxlen=3):
             w = random_positive(rng, hw.ee.mbar, maxlen)
         for i, s in w:
             letters.append((hw.tape(i, zone), s))
-    from smkit.words import Word
-    return hw.parse_admissible(Word(letters, reduce=False), flavor)
+    return hw.parse_admissible(letters, flavor)
 
 
 def applicable_rules(machine, W, coords_first=True):
@@ -93,6 +93,60 @@ def random_walk(machine, W, rng, steps, allow=None, reduced=True):
         h.append(rid)
         words.append(machine._apply(rid, words[-1]))
     return tuple(h), words
+
+
+def tampered_trapezia(machine, trap, words, rng):
+    """(edit, copy of trap with that one edit) for each kind of edit, the
+    band, letter or rule picked with rng: a band dropped, repeated, or
+    swapped with the next one (height >= 2); a band replaced by its mirror,
+    the band of the inverse rule over the word above it; one letter of a
+    band's bottom or top label changed (a tape letter's index, a state
+    letter's sign); two cells of a band swapped; one rule of the history
+    replaced by another, one with the same source coordinate when there is
+    one.  ``words`` are the words of trap's computation, bottom first."""
+    hw = machine.hw
+    bands, history = list(trap.bands), list(trap.history)
+    n = len(bands)
+
+    def with_bands(new):
+        return replace(trap, bands=tuple(new))
+
+    def with_band(i, band):
+        return with_bands(bands[:i] + [band] + bands[i + 1:])
+
+    out = []
+    i = rng.randrange(n)
+    out.append(("dropped", with_bands(bands[:i] + bands[i + 1:])))
+    i = rng.randrange(n)
+    out.append(("repeated", with_bands(bands[:i + 1] + bands[i:])))
+    if n > 1:
+        i = rng.randrange(n - 1)
+        out.append(("swapped", with_bands(bands[:i] + [bands[i + 1], bands[i]] + bands[i + 2:])))
+    i = rng.randrange(n)
+    out.append(("mirror", with_band(i, theta_band(None, machine, words[i + 1],
+                                                  history[i].inverse))))
+    i = rng.randrange(n)
+    side = rng.choice(("bottom", "top"))
+    letters = list(getattr(bands[i], side).letters)
+    p = rng.randrange(len(letters))
+    sym, s = letters[p]
+    if isinstance(sym, State):
+        letters[p] = (sym, -s)
+    else:
+        letters[p] = (hw.tape(sym.i % hw.ee.mbar + 1, sym.zone, sym.bar), s)
+    out.append(("letter", with_band(i, replace(bands[i], **{side: Word(letters, reduce=False)}))))
+    i = rng.randrange(n)
+    cells = list(bands[i].cells)
+    p, q = sorted(rng.sample(range(len(cells)), 2))
+    cells[p], cells[q] = cells[q], cells[p]
+    out.append(("cells", with_band(i, replace(bands[i], cells=tuple(cells)))))
+    k = rng.randrange(n)
+    rules = [signed for rid in machine.rules for signed in (rid, rid.inverse)
+             if signed != history[k]]
+    near = [rid for rid in rules if machine.coords_of(rid)[0] == words[k].coord]
+    history[k] = rng.choice(near or rules)
+    out.append(("rule", replace(trap, history=tuple(history))))
+    return out
 
 
 def dyck_words(max_len):

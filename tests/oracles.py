@@ -9,15 +9,18 @@ letter by letter, trying every rotation, the fixed-shape and main relators
 are spelled as the paper writes each relation, the block-index shift
 rebuilds every letter from its fields, admissibility is checked letter
 by letter with no sector table, rule application checks a rule, then
-builds and validates its result twice with unmemoized tape parts and no
-step plan, pair nesting compares every arc with every other, the minus
-pairing is searched for over every non-crossing matching, a theta-band is
-the positive band of its rule's positive form, mirrored cell by cell for a
-negative rule, a band is checked cell by cell with no memo, the symbol
-order is recomputed from the fields, zone components are grown by search,
-the base-word geometry is read off hw.sigma and the zone-naming rule, the
-standard words are built block by block, and the acceptance search keys
-its words on their text.
+builds and validates its result twice with no step plan and tape parts
+spelled letter by letter (no ``Hardware.tape_word``), pair nesting
+compares every arc with every other, the minus pairing is searched for
+over every non-crossing matching, a theta-band is the positive band of its
+rule's positive form, mirrored cell by cell for a negative rule, a band is
+checked cell by cell with no memo, a trapezium is checked band by band and
+replayed step by step with nothing reused, the symbol order is recomputed
+from the fields, zone components are grown by search, the base-word
+geometry is read off hw.sigma and the zone-naming rule, the standard words
+are built block by block, an acceptance target is checked sector by sector
+from each sector's letter, and the acceptance search keys its words on
+their text.
 """
 
 import functools
@@ -33,7 +36,7 @@ from smkit.hardware import (
 from smkit.presentation import PresentationError, alpha
 from smkit.smachine import Diagnosis
 from smkit.words import (
-    EMPTY, FAMILIES, KINDS, BaseLetter, Coord, CyclicWord, DyckPairing, State, Tape, Theta,
+    FAMILIES, KINDS, BaseLetter, Coord, CyclicWord, DyckPairing, State, Tape, Theta,
     Word, X, is_dyck, letter_key,
 )
 
@@ -303,9 +306,9 @@ def main_relators(machine, rid):
         before, after = zones_of(hw, bl)
         v, u = _parts(machine, rule, 1, z, 1)
         if not bar:
-            v, u = alpha(rid.inverse, v), alpha(rid.inverse, u)
+            v, u = alpha(rid.inverse, v).letters, alpha(rid.inverse, u).letters
         lhs = [(Theta(rid, before), -1), (z, 1), (Theta(rid, after), 1)]
-        rhs = list(v.letters) + [(z2, 1)] + list(u.letters)
+        rhs = list(v) + [(z2, 1)] + list(u)
         word = Word(lhs + [(y, -s) for y, s in reversed(rhs)])
         out.append(("bar_main" if bar else "main", normalize_relator(word)))
     return out
@@ -516,7 +519,11 @@ def validate_bar_shape(hw, aw):
 
 
 def _parts(machine, rule, sign, st, s):
+    """(left, right) letter tuples the rule tau^sign attaches around the
+    letter st^s, each spelled letter by letter in its zone's alphabet and
+    freely reduced here; the bar copy has none over a j=1 zone."""
     hw = machine.hw
+    bar = rule.rid.bar
     zb, za = zone_after(hw, (st.base, -1)), zone_after(hw, (st.base, 1))
     v = rule.v_spec(st.kind)
     u = rule.u_spec(st.kind)
@@ -525,9 +532,12 @@ def _parts(machine, rule, sign, st, s):
         u = tuple((i, -e) for i, e in reversed(u))
 
     def mat(spec, zone, invert):
-        if rule.rid.bar and zone.j == 1:
-            return EMPTY
-        return hw.tape_word(spec, zone, rule.rid.bar, invert)
+        if bar and zone.j == 1:
+            return ()
+        letters = [(hw.tape(i, zone, bar), e) for i, e in spec]
+        if invert:
+            letters = [(t, -e) for t, e in reversed(letters)]
+        return free_reduce(letters)
 
     if s > 0:
         return mat(v, zb, False), mat(u, za, False)
@@ -576,7 +586,7 @@ def apply(machine, rid, W):
         parts.append(_parts(machine, rule, rid.sign, st, s))
     inners = []
     for k, inner in enumerate(W.inners):
-        inners.append(free_reduce(parts[k][1].letters + inner + parts[k + 1][0].letters))
+        inners.append(free_reduce(parts[k][1] + inner + parts[k + 1][0]))
     out = AdmissibleWord(W.flavor, tuple(states), tuple(inners))
     validate(machine.hw, out)
     return out
@@ -603,8 +613,7 @@ def band(machine, W, rid):
     for k, (st, s) in enumerate(W.states):
         zb, za = zones_of(hw, st.base)
         left, right = _parts(machine, rule, 1, st, s)
-        top = Word(left.letters + ((hw.state(st.kind, st.j, rule.dst, pos.bar), s),)
-                   + right.letters)
+        top = Word(left + ((hw.state(st.kind, st.j, rule.dst, pos.bar), s),) + right)
         if not pos.bar:
             top = alpha(pos.inverse, top)
         cells.append(Cell("bar_main" if pos.bar else "main", Theta(pos, zb if s > 0 else za),
@@ -691,6 +700,57 @@ def verify_band(band, pres, machine):
              for label in (band.bottom, band.top)]
     if abs(grown[1] - grown[0]) > len(band.base) * max(len(r) for r in hw.ee.relators):
         report.append("band growth exceeds base-length * max-relator-length")
+    return report
+
+
+def verify_trapezium(trap, pres, machine):
+    """The report of ``bands.verify_trapezium``, from the definitions, with
+    no memo and nothing carried from one check to the next.
+
+    Each band's report (``verify_band`` above), its lines prefixed
+    ``band i: ``; then the history freely reduced (no rule next to its
+    inverse); per pair of neighbouring bands, the lower top equal to the
+    upper bottom and the two not mirror bands; the bands' rules equal to
+    the history.  Then the tape-and-state projection of the trapezium's
+    bottom, freely reduced here, must parse in the machine's flavor and the
+    history must run from it rule by rule through ``step`` above; at the
+    first failure the report ends there.  Last, band i's bottom projection
+    must be the letters of step i and its top projection those of step
+    i + 1, a step past the end of the history matching none."""
+    bands = trap.bands
+    history = tuple(trap.history)
+    report = []
+    for i, band in enumerate(bands):
+        report += [f"band {i}: {line}" for line in verify_band(band, pres, machine)]
+    if any(b == a.inverse for a, b in zip(history, history[1:])):
+        report.append("history is not reduced")
+    for i in range(len(bands) - 1):
+        if bands[i].top != bands[i + 1].bottom:
+            report.append(f"bands {i},{i + 1}: top does not glue onto bottom")
+        if bands[i + 1].rid == bands[i].rid.inverse:
+            report.append(f"bands {i},{i + 1}: mirror bands (reducible pair)")
+    if tuple(band.rid for band in bands) != history:
+        report.append("band rules disagree with the history")
+
+    def projection(label):
+        return free_reduce([l for l in label.letters if isinstance(l[0], (Tape, State))])
+
+    try:
+        W = machine.hw.parse_admissible(projection(trap.bottom), machine.flavor)
+    except Exception as e:
+        report.append(f"bottom does not parse: {e}")
+        return report
+    steps = [W]
+    for k, rid in enumerate(history):
+        out, diag = step(machine, rid, steps[-1])
+        if diag is not None:
+            report.append(f"history does not run: {(k, diag)}")
+            return report
+        steps.append(out)
+    for i, band in enumerate(bands):
+        for name, label, k in (("bottom", band.bottom, i), ("top", band.top, i + 1)):
+            if k >= len(steps) or projection(label) != steps[k].flat():
+                report.append(f"band {i}: {name} projection is not step {k}")
     return report
 
 
@@ -831,13 +891,45 @@ def zone_components(hw):
 
 
 # ---------------------------------------------------------------------------
-# acceptance search, deduplicating on serialized words
+# acceptance targets, and a search deduplicating on serialized words
 # ---------------------------------------------------------------------------
+
+def is_accept_target(hw, W):
+    """True iff W is graphically Sigma(v)^s K1(e,1) for some word v, s >= 1,
+    block 1 allowed empty (the bar shape): the signed base is checked whole,
+    then each sector's zone is looked up from the letter it starts at."""
+    if W.coord != Coord(None, 1):
+        return False
+    n = len(hw.sigma)
+    sb = W.signed_base()
+    if len(sb) < n + 1 or (len(sb) - 1) % n:
+        return False
+    s = (len(sb) - 1) // n
+    if sb != tuple(hw.sigma) * s + ((hw.sigma[0][0], 1),):
+        return False
+    ref = None
+    for k in range(len(W.inners)):
+        (st, sg), inner, _ = W.sector(k)
+        zone = zone_after(hw, (st.base, sg))
+        if zone.kind != "P":
+            if len(inner):
+                return False
+            continue
+        # a sector the base word reads backward holds v inverted
+        content = inner if sg > 0 else reversed(inner)
+        got = tuple((t.i, e * sg) for t, e in content)
+        if zone.j == 1 and not got:
+            continue  # bar shape
+        if ref is None:
+            ref = got
+        elif got != ref:
+            return False
+    return True
+
 
 def accept_bfs(machine, W, max_steps):
     """Breadth-first search keyed on W.text(), the way the library searched
     before it keyed on the words themselves."""
-    from smkit.derive import is_accept_target
     from smkit.smachine import Trace
     hw = machine.hw
     if is_accept_target(hw, W):

@@ -190,8 +190,8 @@ def test_c5_bar_trapezia(hw, mixed, pres, rng):
         trace = mixed.run(Wm, h)
         assert trace.ok
         for i, band in enumerate(trap.bands):
-            assert band.bottom == trace.words[i].flat()
-            assert band.top == trace.words[i + 1].flat()
+            assert band.bottom.letters == trace.words[i].flat()
+            assert band.top.letters == trace.words[i + 1].flat()
         built += 1
     ok("C5 bar trapezia (500 verified, side projections replay the "
        "computation letter for letter)")

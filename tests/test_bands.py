@@ -5,12 +5,13 @@ from dataclasses import replace
 import pytest
 
 import oracles
-from genwords import random_bar_word, random_walk
+from genwords import random_bar_word, random_walk, tampered_trapezia
 from smkit import bands
 from smkit.bands import (
     BandError, Band, Cell, band_text, theta_band, trapezium, trapezium_text, verify,
     verify_band, verify_trapezium,
 )
+from smkit.cli import _rules_presentation
 from smkit.derive import bar_conjugated_insertion
 from smkit.hardware import BaseLetter
 from smkit.presentation import Presentation, alpha, emit
@@ -31,8 +32,8 @@ class TestBarBands:
         W = mixed_word(hw, hw.sigma_w(((1, 1), (2, 1)), flavor="bar"))
         band = theta_band(pres, mixed, W, parse_rule("~t12(r1)"))
         assert verify_band(band, pres, mixed) == []
-        assert band.bottom == W.flat()
-        assert band.top == mixed.apply(parse_rule("~t12(r1)"), W).flat()
+        assert band.bottom.letters == W.flat()
+        assert band.top.letters == mixed.apply(parse_rule("~t12(r1)"), W).flat()
         k_cells = [c for c in band.cells if c.kind == "bar_main"]
         a_cells = [c for c in band.cells if c.kind == "bar_theta_a"]
         assert len(k_cells) == 33
@@ -55,7 +56,7 @@ class TestBarBands:
                 if mixed.applicable(rid, W) is not None:
                     continue
                 band = theta_band(pres, mixed, W, rid)
-                assert band.top == mixed.apply(rid, W).flat()
+                assert band.top.letters == mixed.apply(rid, W).flat()
                 assert verify_band(band, pres, mixed) == []
 
 
@@ -149,7 +150,7 @@ class TestOnePassBuild:
             for (st, s), cell in zip(base.states, mains):
                 left, right = oracles._parts(mixed, rule, 1, st, s)
                 st2 = hw.state(st.kind, st.j, rule.dst, pos.bar)
-                want = Word(left.letters + ((st2, s),) + right.letters)
+                want = Word(left + ((st2, s),) + right)
                 if not pos.bar:
                     want = alpha(pos.inverse, want)
                 assert (cell.top if rid.sign > 0 else cell.bottom) == want, (rid, st)
@@ -183,7 +184,7 @@ class TestOnePassBuild:
         rng = random.Random(12)
         words = []
         for coord in hw.ee.coords():
-            flat = random_bar_word(hw, rng, 2, coord).flat().letters
+            flat = random_bar_word(hw, rng, 2, coord).flat()
             at = [k for k, (sym, _) in enumerate(flat)
                   if isinstance(sym, State) and sym.kind in "LPR" and sym.j > 1]
             for _ in range(3):
@@ -502,7 +503,7 @@ class TestTrapezia:
         assert trap.height == len(h)
         assert verify_trapezium(trap, pres, mixed) == []
         wp = ((1, 1), (2, -1), (1, 1), (2, 1), (2, 1))
-        assert trap.top == hw.sigma_w(wp, flavor="bar").flat()
+        assert trap.top.letters == hw.sigma_w(wp, flavor="bar").flat()
 
     def test_side_words_spell_history(self, hw, mixed, pres):
         h = (parse_rule("~t12(r1)"), parse_rule("~t2(r1,1)^-1"))
@@ -540,7 +541,7 @@ class TestTrapezia:
                 continue
             trap = trapezium(pres, mixed, Wm, h)
             assert verify_trapezium(trap, pres, mixed) == []
-            assert trap.top == words[-1].flat()
+            assert trap.top.letters == words[-1].flat()
             built += 1
 
 
@@ -766,6 +767,11 @@ TRAPEZIUM_REPORTS = {
             "band 1: top projection is not step 2",
             "band 2: bottom projection is not step 2",
             "band 2: top projection is not step 3"]),
+    "a band above the last step": (lambda t, m: replace(t, bands=t.bands + t.bands[-1:]), [
+        "bands 2,3: top does not glue onto bottom",
+        "band rules disagree with the history",
+        "band 3: bottom projection is not step 3",
+        "band 3: top projection is not step 4"]),
     "bottom does not parse": (lambda t, m: replace(t, bottom=t.bottom * parse_word("~a1(P2)")), [
         "bottom does not parse: BadBasePattern: word must end with a state letter"]),
     "history does not run": (
@@ -794,3 +800,70 @@ class TestTrapeziumReport:
     def test_report(self, walk, pres, mixed, case):
         tamper, want = TRAPEZIUM_REPORTS[case]
         assert verify_trapezium(tamper(walk, mixed), pres, mixed) == want
+
+
+class TestTrapeziumSweep:
+    """``verify_trapezium`` against ``oracles.verify_trapezium`` on seeded
+    bar trapezia of heights 1-6 and on one copy of each with each edit of
+    ``genwords.tampered_trapezia``.  Four runs: cold (a fresh ``emit`` whose
+    memo is cleared before each trapezium), warm (the same presentation
+    after every clean trapezium was checked), against the session's
+    ``emit`` as other tests left it, and against ``cli._rules_presentation``
+    of the rules of the clean and the tampered bands, each checked after its
+    clean trapezium."""
+
+    HEIGHTS = range(1, 7)
+    PER_HEIGHT = 6
+
+    @pytest.fixture(scope="class")
+    def sweep(self, hw):
+        machine = Machine(hw, "mixed")
+        rng = random.Random(29)
+        out = []  # (clean trapezium, [(edit, tampered trapezium)])
+        for height in self.HEIGHTS:
+            built = 0
+            while built < self.PER_HEIGHT:
+                W = mixed_word(hw, random_bar_word(hw, rng, maxlen=1))
+                h, words = random_walk(machine, W, rng, height, allow=lambda r: r.bar)
+                if len(h) < height:
+                    continue
+                trap = trapezium(None, machine, W, h)
+                out.append((trap, tampered_trapezia(machine, trap, words, rng)))
+                built += 1
+        return machine, out
+
+    def test_reports_equal_the_oracle(self, hw, pres, sweep):
+        machine, cases = sweep
+        full = emit(hw)
+        want = {}
+        for trap, edits in cases:
+            assert oracles.verify_trapezium(trap, full, machine) == []
+            for edit, bad in edits:
+                want[id(bad)] = oracles.verify_trapezium(bad, full, machine)
+        tampered = [bad for _, edits in cases for _, bad in edits]
+        cold = emit(hw)
+        for bad in tampered:
+            cold._cell_memo.clear()
+            assert verify_trapezium(bad, cold, machine) == want[id(bad)]
+        for trap, _ in cases:
+            assert verify_trapezium(trap, cold, machine) == []
+        for bad in tampered:
+            assert verify_trapezium(bad, cold, machine) == want[id(bad)]
+        for bad in tampered:
+            assert verify_trapezium(bad, pres, machine) == want[id(bad)]
+        for trap, edits in cases:
+            for edit, bad in edits:
+                rules = _rules_presentation(
+                    machine, trap.history + tuple(band.rid for band in bad.bands))
+                assert verify_trapezium(trap, rules, machine) == []
+                assert verify_trapezium(bad, rules, machine) == want[id(bad)], edit
+        # every edit is reported somewhere, and the reports reach each part
+        # of the check: band cells and labels, gluing, mirror bands, the
+        # history, the parse and run of the bottom and the replay
+        edits = {edit for _, more in cases for edit, bad in more if want[id(bad)]}
+        assert edits == {"dropped", "repeated", "swapped", "mirror", "letter", "cells", "rule"}
+        lines = [line for lines in want.values() for line in lines]
+        for part in ("cell", "label mismatch", "top does not glue", "mirror bands",
+                     "history is not reduced", "band rules disagree", "does not run",
+                     "bottom projection is not step", "top projection is not step"):
+            assert any(part in line for line in lines), part

@@ -10,6 +10,7 @@ from smkit.derive import (
     DeriveError, LENGTH_C, LENGTH_L, accept_bfs, bar_conjugated_insertion,
     copy_history, derivation_history, insertion_history, is_accept_target,
 )
+from smkit.hardware import AdmissibleWord
 from smkit.smachine import brief_history, history_text, is_historical_form, inverse_history
 from smkit.words import Coord, parse_rule, parse_word
 
@@ -436,6 +437,83 @@ class TestPinnedSearch:
             for reach in (None, 0, 1, 2, 3):
                 assert machine.applicable_rules(nxt, reach, (rid.inverse, cur)) == \
                     machine.applicable_rules(nxt, reach), (nxt.text(), rid, reach)
+
+
+class TestAcceptTarget:
+    """``is_accept_target`` against ``oracles.is_accept_target``, which looks
+    each sector's zone up from its letter, on targets, near misses and every
+    word the pinned searches test."""
+
+    def test_same_answers_as_the_oracle(self, hw, strict, mixed, bar, monkeypatch):
+        rng = random.Random(PIN_SEED)
+        words = []
+        for _ in range(6):
+            v = random_positive(rng, hw.ee.mbar, 3, 1)
+            u = random_reduced(rng, hw.ee.mbar, 3, 1)
+            words += [hw.sigma_w(v), hw.sigma_w(u, "bar"), hw.sigma_w(u, "mixed"),
+                      _sigma_power(hw, v, 2), _sigma_power(hw, u, 2, bar=True)]
+        words += [hw.sigma_w(()), hw.sigma_w((), "bar"),
+                  hw.parse_admissible(parse_word("K1(e,1) L1(e,1)"))]
+        near = []
+        for W in words:
+            near += _one_letter_edits(hw, W, rng)
+            near.append(W.with_coord(hw, Coord(1, 2), True if W.flavor == "bar" else None))
+        words += near
+        # every word the pinned searches test, start and built words alike
+        tested = []
+
+        def recording(hw_, W):
+            tested.append(W)
+            return is_accept_target(hw_, W)
+
+        monkeypatch.setattr("smkit.derive.is_accept_target", recording)
+        for machine, W, k, budget in pinned_searches(hw, strict, mixed, bar):
+            accept_bfs(machine, W, k, max_nodes=budget)
+        monkeypatch.undo()
+        assert len(tested) > 5000
+        words += tested
+        got = [is_accept_target(hw, W) for W in words]
+        assert got == [oracles.is_accept_target(hw, W) for W in words]
+        # each kind of word answers both ways somewhere
+        assert sum(got[:len(words) - len(tested)]) >= 30
+        assert 0 < sum(got) < len(got)
+
+
+def _sigma_power(hw, w, s, bar=False):
+    """Sigma(w)^s K1(e,1), parsed in the strict or bar flavor."""
+    body = hw.sigma_four((), (), w, (), bar=bar).letters * s
+    return hw.parse_admissible(body + ((hw.state("K", 1, Coord(None, 1), bar), 1),),
+                               "bar" if bar else "strict")
+
+
+def _one_letter_edits(hw, W, rng):
+    """Words one letter off W, not validated: in a P-sector one letter's
+    index or sign changed, one letter dropped or one added; and one letter
+    added to a K- and to an L-sector."""
+    out = []
+
+    def edited(k, inner):
+        inners = W.inners[:k] + (tuple(inner),) + W.inners[k + 1:]
+        return AdmissibleWord(W.flavor, W.states, inners)
+
+    zones = [hw.zone_after((st.base, s)) for st, s in W.states[:-1]]
+    for kind in "PKL":
+        ks = [k for k, zone in enumerate(zones) if zone.kind == kind]
+        if not ks:
+            continue
+        k = rng.choice(ks)
+        inner, zone = list(W.inners[k]), zones[k]
+        bar = any(t.bar for t, _ in inner) or W.flavor == "bar"
+        add = (hw.tape(rng.randint(1, hw.ee.mbar), zone, bar), rng.choice((1, -1)))
+        out.append(edited(k, inner + [add]))
+        if kind == "P" and inner:
+            p = rng.randrange(len(inner))
+            t, e = inner[p]
+            other = hw.tape(t.i % hw.ee.mbar + 1, t.zone, t.bar)
+            for letter in ((other, e), (t, -e)):
+                out.append(edited(k, inner[:p] + [letter] + inner[p + 1:]))
+            out.append(edited(k, inner[:p] + inner[p + 1:]))
+    return out
 
 
 PIN_SEED = 27

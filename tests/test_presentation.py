@@ -91,7 +91,7 @@ class TestAlpha:
             w = random_sigma_word(hw, rng).flat()
             img = alpha(rid, w)
             proj = img.project(lambda s: isinstance(s, (Tape, State)))
-            assert proj == w
+            assert proj.letters == w
 
     def test_bar_rejected(self, hw):
         with pytest.raises(PresentationError):

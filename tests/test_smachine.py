@@ -348,7 +348,7 @@ class TestBarCopyMoves:
                     # for the leftward families the copy accumulates in
                     # reverse order, so the multiplier is rev(w)
                     for base in (w, tuple(reversed(w))):
-                        cop = hw.tape_word(base, zone, True)
+                        cop = Word(hw.tape_word(base, zone, True))
                         for eps in (-1, 0, 1):
                             for dlt in (-1, 0, 1):
                                 a = {0: EMPTY, 1: cop, -1: cop.inverse()}[eps]
