@@ -10,22 +10,25 @@ x-letters and read W and flanks + (W o tau) directly.  The band of tau^-1
 over W, the vertical mirror of the positive band over W o tau^-1, is built
 in one pass over W o tau^-1 with every cell upside down (dir -1).
 
-A trapezium is a stack of bar bands whose tops chain graphically onto the
-next band's bottoms; the construction requires the bottom word to start
-and end with K-type letters, which makes every trim word empty and the
-chaining exact.
+A trapezium is its stack of bar bands, bottom first, whose tops chain
+graphically onto the next band's bottoms, and it holds nothing else: its
+history is the bands' rules, its bottom band 0's bottom and its top the
+last band's top.  The construction requires the bottom word to start and
+end with K-type letters, which makes every trim word empty and the chaining
+exact.
 
 A check walks each band once: it compares the freely reduced letters of
 the cells with the band's labels without building words, and projects
 each label to its tape and state letters once, for the growth bound and
 for the replay of the history alike; in a trapezium a band's bottom equal
 to the top beneath it takes that top's projection.  A projection is a
-letter tuple, compared with its step's ``flat()``; the bottom's is what the
-replay parses.  Building takes a bar band's labels from the words W and
-W o tau (with the flanks), so the check is the one place that reduces the
-cells' letters; a plain band's labels are its cells' letters, freely
-reduced.  Labels and cells are ``Word``s built through its constructor: a
-label is reduced once, and a cell, spelled reduced, is not reduced again.
+letter tuple, compared with its step's ``flat()``; band 0's bottom
+projection is what the replay parses.  Building takes a bar band's labels
+from the words W and W o tau (with the flanks), so the check is the one
+place that reduces the cells' letters; a plain band's labels are its
+cells' letters, freely reduced.  Labels and cells are ``Word``s built
+through its constructor: a label is reduced once, and a cell, spelled
+reduced, is not reduced again.
 
 Building spells each distinct cell once per Machine, which keeps it under
 its signed rule and the one letter it is drawn on.  Verification checks
@@ -162,10 +165,26 @@ def _band_step(machine, W, rid):
 
 @dataclass(frozen=True)
 class Trapezium:
-    history: tuple
+    """A stack of bands, bottom first, and nothing else: the history, the
+    bottom label and the top label are read off the bands."""
     bands: tuple
-    bottom: Word
-    top: Word
+
+    def __post_init__(self):
+        if not self.bands:
+            raise BandError("a trapezium has at least one band")
+
+    @property
+    def history(self):
+        """The bands' rules, bottom to top."""
+        return tuple(band.rid for band in self.bands)
+
+    @property
+    def bottom(self):
+        return self.bands[0].bottom
+
+    @property
+    def top(self):
+        return self.bands[-1].top
 
     @property
     def height(self):
@@ -197,7 +216,7 @@ def trapezium(pres: Presentation, machine: Machine, W: AdmissibleWord, history):
     for rid in history:
         band, cur = _band_step(machine, cur, rid)
         bands.append(band)
-    return Trapezium(tuple(history), tuple(bands), bands[0].bottom, bands[-1].top)
+    return Trapezium(tuple(bands))
 
 
 # ---------------------------------------------------------------------------
@@ -289,51 +308,42 @@ def _check_band(band, pres, machine, pb=None):
 
 
 def verify_trapezium(trap: Trapezium, pres: Presentation, machine: Machine):
-    """Band checks plus gluing, history and the simulated computation."""
+    """Band checks plus gluing, mirror bands and the simulated computation:
+    band 0's bottom projection must parse, the bands' rules must run from
+    it, and each band's projections must be the words of its two steps."""
     report = []
     bands = trap.bands
-    # glued[i]: band i's bottom is the word beneath it, band i-1's top (or
-    # the trapezium's bottom for band 0).  Each such word is projected and
-    # compared with the machine's word once, for both bands that carry it.
-    glued = [trap.bottom == b.bottom for b in bands[:1]] + [
-        b1.top == b2.bottom for b1, b2 in zip(bands, bands[1:])]
+    # glued[i]: band i's bottom is band i-1's top, the word beneath it, so
+    # the band check takes that top's projection rather than projecting the
+    # same word again
+    glued = [False] + [b1.top == b2.bottom for b1, b2 in zip(bands, bands[1:])]
     checked = []
     for i, band in enumerate(bands):
-        checked.append(_check_band(band, pres, machine,
-                                   checked[-1][2] if i and glued[i] else None))
+        checked.append(_check_band(band, pres, machine, checked[-1][2] if glued[i] else None))
     for i, (msgs, _, _) in enumerate(checked):
         report += [f"band {i}: {msg}" for msg in msgs]
-    if not is_reduced_history(trap.history):
-        report.append("history is not reduced")
     for i, (b1, b2) in enumerate(zip(bands, bands[1:])):
         if not glued[i + 1]:
             report.append(f"bands {i},{i + 1}: top does not glue onto bottom")
         if b2.rid == b1.rid.inverse:
             report.append(f"bands {i},{i + 1}: mirror bands (reducible pair)")
-    if tuple(b.rid for b in bands) != tuple(trap.history):
-        report.append("band rules disagree with the history")
     # the side projections must replay as a computation, letter for letter;
     # the band checks projected every band label already
     try:
-        p0 = checked[0][1] if bands and glued[0] else _project_ak(trap.bottom)
-        W0 = machine.hw.parse_admissible(p0, machine.flavor)
+        W0 = machine.hw.parse_admissible(checked[0][1], machine.flavor)
     except Exception as e:
         report.append(f"bottom does not parse: {e}")
         return report
-    trace = machine.run(W0, trap.history)
+    trace = machine.run(W0, [band.rid for band in bands])
     if not trace.ok:
-        report.append(f"history does not run: {trace.failure}")
+        k, diag = trace.failure
+        report.append(f"history does not run: step {k} failed: {diag}")
         return report
-    # a band above the last step of the history matches no step
-    steps = [W.flat() for W in trace.words] + [None] * (len(bands) + 1 - len(trace.words))
-    ok = p0 == steps[0]
+    steps = [W.flat() for W in trace.words]
     for i, (_, pb, pt) in enumerate(checked):
-        if not glued[i]:
-            ok = pb == steps[i]
-        if not ok:
+        if pb != steps[i]:
             report.append(f"band {i}: bottom projection is not step {i}")
-        ok = pt == steps[i + 1]
-        if not ok:
+        if pt != steps[i + 1]:
             report.append(f"band {i}: top projection is not step {i + 1}")
     return report
 

@@ -359,8 +359,6 @@ class Word:
         return Word(l for l in self.letters if keep(l[0]))
 
 
-EMPTY = Word()
-
 def wletter(sym, sign=1):
     return Word(((sym, sign),), reduce=False)
 

@@ -1,11 +1,11 @@
 """Seeded generators for fuzzing: random admissible words, random
-applicable rule walks and tampered trapezia."""
+applicable rule walks, and tampered bands and trapezia."""
 
 from dataclasses import replace
 
 from smkit.bands import theta_band
 from smkit.hardware import BaseLetter
-from smkit.words import CyclicWord, State, Word
+from smkit.words import CyclicWord, State, Tape, Word
 
 
 def random_positive(rng, mbar, maxlen, minlen=0):
@@ -95,17 +95,71 @@ def random_walk(machine, W, rng, steps, allow=None, reduced=True):
     return tuple(h), words
 
 
+def _changed_letter(hw, letters, rng):
+    """letters with one tape or state letter changed: a tape letter's
+    index, a state letter's sign."""
+    letters = list(letters)
+    p = rng.choice([k for k, (sym, _) in enumerate(letters) if isinstance(sym, (State, Tape))])
+    sym, s = letters[p]
+    if isinstance(sym, State):
+        letters[p] = (sym, -s)
+    else:
+        letters[p] = (hw.tape(sym.i % hw.ee.mbar + 1, sym.zone, sym.bar), s)
+    return Word(letters, reduce=False)
+
+
+def tampered_bands(machine, band, rng):
+    """(edit, copy of band with that one edit) for each kind of edit, the
+    cell, letter or rule picked with rng: one cell replaced by a cell the
+    machine built for band's rule on another letter, or by one it built for
+    another signed rule (of the same kind when there is one, and left out
+    when the machine has built no such cell); one cell's ``dir`` flipped;
+    one cell dropped or repeated; one letter of the bottom or top label
+    changed (a tape letter's index, a state letter's sign).
+
+    The replacement cells are the very objects of the machine's cell cache,
+    so a presentation that has checked the bands they came from holds them
+    in its cell memo."""
+    cells = list(band.cells)
+    out = []
+
+    def edit(name, k, new):
+        """band with cell k replaced by the cells new."""
+        out.append((name, replace(band, cells=tuple(cells[:k] + new + cells[k + 1:]))))
+
+    def swap_in(name, pool):
+        k = rng.randrange(len(cells))
+        pool = [c for c in pool if c != cells[k]]
+        pool = [c for c in pool if c.kind == cells[k].kind] or pool
+        if pool:
+            edit(name, k, [rng.choice(pool)])
+
+    memo = machine._cell_memo
+    swap_in("letter cell", memo[band.rid].values())
+    others = [rid for rid in memo if rid != band.rid]
+    if others:
+        swap_in("rule cell", memo[rng.choice(others)].values())
+    k = rng.randrange(len(cells))
+    edit("dir", k, [replace(cells[k], dir=-cells[k].dir)])
+    edit("dropped", rng.randrange(len(cells)), [])
+    k = rng.randrange(len(cells))
+    edit("repeated", k, [cells[k], cells[k]])
+    side = rng.choice(("bottom", "top"))
+    out.append(("label", replace(band, **{side: _changed_letter(
+        machine.hw, getattr(band, side).letters, rng)})))
+    return out
+
+
 def tampered_trapezia(machine, trap, words, rng):
     """(edit, copy of trap with that one edit) for each kind of edit, the
-    band, letter or rule picked with rng: a band dropped, repeated, or
-    swapped with the next one (height >= 2); a band replaced by its mirror,
-    the band of the inverse rule over the word above it; one letter of a
-    band's bottom or top label changed (a tape letter's index, a state
-    letter's sign); two cells of a band swapped; one rule of the history
-    replaced by another, one with the same source coordinate when there is
-    one.  ``words`` are the words of trap's computation, bottom first."""
-    hw = machine.hw
-    bands, history = list(trap.bands), list(trap.history)
+    band, letter or rule picked with rng: a band dropped (height >= 2),
+    repeated, or swapped with the next one (height >= 2); a band replaced
+    by its mirror, the band of the inverse rule over the word above it; one
+    letter of a band's bottom or top label changed (a tape letter's index,
+    a state letter's sign); two cells of a band swapped; a band replaced by
+    the band of another rule that applies to the same word, when one does.
+    ``words`` are the words of trap's computation, bottom first."""
+    bands, history = list(trap.bands), trap.history
     n = len(bands)
 
     def with_bands(new):
@@ -115,8 +169,9 @@ def tampered_trapezia(machine, trap, words, rng):
         return with_bands(bands[:i] + [band] + bands[i + 1:])
 
     out = []
-    i = rng.randrange(n)
-    out.append(("dropped", with_bands(bands[:i] + bands[i + 1:])))
+    if n > 1:
+        i = rng.randrange(n)
+        out.append(("dropped", with_bands(bands[:i] + bands[i + 1:])))
     i = rng.randrange(n)
     out.append(("repeated", with_bands(bands[:i + 1] + bands[i:])))
     if n > 1:
@@ -127,25 +182,19 @@ def tampered_trapezia(machine, trap, words, rng):
                                                   history[i].inverse))))
     i = rng.randrange(n)
     side = rng.choice(("bottom", "top"))
-    letters = list(getattr(bands[i], side).letters)
-    p = rng.randrange(len(letters))
-    sym, s = letters[p]
-    if isinstance(sym, State):
-        letters[p] = (sym, -s)
-    else:
-        letters[p] = (hw.tape(sym.i % hw.ee.mbar + 1, sym.zone, sym.bar), s)
-    out.append(("letter", with_band(i, replace(bands[i], **{side: Word(letters, reduce=False)}))))
+    out.append(("letter", with_band(i, replace(bands[i], **{side: _changed_letter(
+        machine.hw, getattr(bands[i], side).letters, rng)}))))
     i = rng.randrange(n)
     cells = list(bands[i].cells)
     p, q = sorted(rng.sample(range(len(cells)), 2))
     cells[p], cells[q] = cells[q], cells[p]
     out.append(("cells", with_band(i, replace(bands[i], cells=tuple(cells)))))
-    k = rng.randrange(n)
-    rules = [signed for rid in machine.rules for signed in (rid, rid.inverse)
-             if signed != history[k]]
-    near = [rid for rid in rules if machine.coords_of(rid)[0] == words[k].coord]
-    history[k] = rng.choice(near or rules)
-    out.append(("rule", replace(trap, history=tuple(history))))
+    others = [(k, [rid for rid in applicable_rules(machine, words[k])
+                   if rid.bar and rid != history[k]]) for k in range(n)]
+    others = [(k, rids) for k, rids in others if rids]
+    if others:
+        k, rids = rng.choice(others)
+        out.append(("rule", with_band(k, theta_band(None, machine, words[k], rng.choice(rids)))))
     return out
 
 

@@ -1,15 +1,16 @@
 import gc
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 
 import oracles
-from genwords import random_bar_word, random_walk, tampered_trapezia
+from genwords import random_bar_word, random_walk, tampered_bands, tampered_trapezia
 from smkit import bands
 from smkit.bands import (
-    BandError, Band, Cell, band_text, theta_band, trapezium, trapezium_text, verify,
-    verify_band, verify_trapezium,
+    BandError, Band, Cell, Trapezium, band_text, theta_band, trapezium, trapezium_text,
+    verify, verify_band, verify_trapezium,
 )
 from smkit.cli import _rules_presentation
 from smkit.derive import bar_conjugated_insertion
@@ -513,6 +514,27 @@ class TestTrapezia:
         assert [sym.rule for sym, _ in left] == [rid.positive for rid in h]
         assert [s for _, s in left] == [rid.sign for rid in h]
 
+    def test_holds_its_bands_alone(self, hw, mixed, pres):
+        # history, bottom and top are read off the bands, so no copy of
+        # them can be set apart from the bands, and the check reads nothing
+        # else of the trapezium
+        h = (parse_rule("~t12(r1)"), parse_rule("~t2(r1,1)^-1"))
+        W = mixed_word(hw, hw.sigma_w((), flavor="bar"))
+        trap = trapezium(pres, mixed, W, h)
+        assert [f.name for f in fields(trap)] == ["bands"]
+        assert (trap.history, trap.bottom, trap.top, trap.height) == (
+            h, trap.bands[0].bottom, trap.bands[1].top, 2)
+        for name in ("history", "bottom", "top"):
+            with pytest.raises(TypeError):
+                replace(trap, **{name: getattr(trap, name)})
+        with pytest.raises(BandError):
+            Trapezium(())
+        stack = SimpleNamespace(bands=trap.bands)
+        assert verify_trapezium(stack, pres, mixed) == []
+        stack.bands = trap.bands[::-1]
+        assert verify_trapezium(stack, pres, mixed) == verify_trapezium(
+            Trapezium(trap.bands[::-1]), pres, mixed) != []
+
     def test_requires_reduced_history(self, hw, mixed, pres):
         W = mixed_word(hw, hw.sigma_w((), flavor="bar"))
         h = (parse_rule("~t12(r1)"), parse_rule("~t12(r1)^-1"))
@@ -678,6 +700,69 @@ class TestBandReport:
             for k, c in enumerate(band.cells)]
 
 
+class TestBandSweep:
+    """``verify_band`` against ``oracles.verify_band`` on seeded strict, bar
+    and mixed bands of both signs, each built over a machine of its flavor,
+    and on one copy of each with each edit of ``genwords.tampered_bands``.
+    Four runs: cold (a fresh ``emit`` whose memo is cleared before each
+    band), warm (the same presentation after every clean band was checked,
+    so a cell taken from a band of another rule is a memo hit under that
+    rule), against the session's ``emit`` as other tests left it, and
+    against ``cli._rules_presentation`` of the rules the band and its cells
+    name, each checked after its clean band."""
+
+    PER_FLAVOR = 40
+
+    @pytest.fixture(scope="class")
+    def sweep(self, hw):
+        rng = random.Random(31)
+        out = []  # (machine, clean band, [(edit, tampered band)])
+        for flavor in ("strict", "bar", "mixed"):
+            machine = Machine(hw, flavor)
+            pairs = applicable_pairs(machine, seeded_words(hw, flavor))
+            clean = [theta_band(None, machine, W, rid)
+                     for W, rid in rng.sample(pairs, self.PER_FLAVOR)]
+            out += [(machine, band, tampered_bands(machine, band, rng)) for band in clean]
+        return out
+
+    def test_reports_equal_the_oracle(self, hw, pres, sweep):
+        assert {(m.flavor, b.rid.bar, b.rid.sign) for m, b, _ in sweep} == {
+            (flavor, bar, sign) for flavor, bars in
+            (("strict", (False,)), ("bar", (True,)), ("mixed", (False, True)))
+            for bar in bars for sign in (1, -1)}
+        full = emit(hw)
+        want = {}
+        for machine, band, edits in sweep:
+            assert oracles.verify_band(band, full, machine) == []
+            for edit, bad in edits:
+                want[id(bad)] = oracles.verify_band(bad, full, machine)
+        tampered = [(machine, bad) for machine, _, edits in sweep for _, bad in edits]
+        cold = emit(hw)
+        for machine, bad in tampered:
+            cold._cell_memo.clear()
+            assert verify_band(bad, cold, machine) == want[id(bad)]
+        for machine, band, _ in sweep:
+            assert verify_band(band, cold, machine) == []
+        for machine, bad in tampered:
+            assert verify_band(bad, cold, machine) == want[id(bad)]
+        for machine, bad in tampered:
+            assert verify_band(bad, pres, machine) == want[id(bad)]
+        for machine, band, edits in sweep:
+            for edit, bad in edits:
+                rules = _rules_presentation(
+                    machine, (band.rid, *(cell.left.rule for cell in bad.cells)))
+                assert verify_band(band, rules, machine) == []
+                assert verify_band(bad, rules, machine) == want[id(bad)], edit
+        # every edit is reported somewhere, and the reports reach the cell,
+        # neighbour, label and shape lines (a label edit keeps the base)
+        edits = {edit for _, _, more in sweep for edit, bad in more if want[id(bad)]}
+        assert edits == {"letter cell", "rule cell", "dir", "dropped", "repeated", "label"}
+        lines = [line for lines in want.values() for line in lines]
+        for part in ("are not of", "boundary is not a relator", "cells ", "bottom label mismatch",
+                     "top label mismatch", "illegal 2-letter base"):
+            assert any(part in line for line in lines), part
+
+
 def with_band(trap, i, **fields):
     bands = list(trap.bands)
     bands[i] = replace(bands[i], **fields)
@@ -700,12 +785,19 @@ def _spliced(w, letters):
 
 def _pair(t, mixed):
     W1 = mixed.apply(t.history[0], mixed_word(mixed.hw, t.bottom))
-    back = theta_band(None, mixed, W1, t.history[0].inverse)
-    return replace(t, history=(t.history[0], back.rid), bands=(t.bands[0], back), top=back.top)
+    return replace(t, bands=(t.bands[0], theta_band(None, mixed, W1, t.history[0].inverse)))
 
 
-# Each tampered trapezium with its exact report.  The trapezium is the first
-# height-3 seeded bar walk (see ``walk``).
+def _cells_not_of(t, i, name):
+    """The lines for band i of t under the rule name, none of whose cells
+    are of that rule."""
+    return [f"band {i}: cell {k}: theta edges {c.left!r}, {c.right!r} with dir {c.dir} "
+            f"are not of {name}" for k, c in enumerate(t.bands[i].cells)]
+
+
+# Each tampered trapezium with its exact report, or a function of the
+# trapezium that gives it.  The trapezium is the first height-3 seeded bar
+# walk (see ``walk``).
 TRAPEZIUM_REPORTS = {
     "clean": (lambda t, m: t, []),
     "band 0 top gains a letter": (lambda t, m: _gained(t, 0), [
@@ -727,7 +819,11 @@ TRAPEZIUM_REPORTS = {
         "band 2: bottom projection is not step 2"]),
     "band 0 bottom replaced": (lambda t, m: with_band(t, 0, bottom=t.bands[0].top), [
         "band 0: bottom label mismatch",
-        "band 0: bottom projection is not step 0"]),
+        "band 0: top projection is not step 1",
+        "band 1: bottom projection is not step 1",
+        "band 1: top projection is not step 2",
+        "band 2: bottom projection is not step 2",
+        "band 2: top projection is not step 3"]),
     "band 1 bottom replaced": (lambda t, m: with_band(t, 1, bottom=t.bands[1].top), [
         "band 1: bottom label mismatch",
         "bands 0,1: top does not glue onto bottom",
@@ -741,44 +837,27 @@ TRAPEZIUM_REPORTS = {
             "band 1: top label mismatch",
             "band 2: bottom label mismatch"]),
     "bottom carries an x-letter": (
-        lambda t, m: replace(t, bottom=_spliced(t.bottom, X_LETTER)), []),
+        lambda t, m: with_band(t, 0, bottom=_spliced(t.bottom, X_LETTER)), [
+            "band 0: bottom label mismatch"]),
     "band 1 top and band 2 bottom carry the same cancelling pair": (
         lambda t, m: _glued(t, _spliced(t.bands[1].top, CANCELLING_PAIR)), [
             "band 1: top label mismatch",
             "band 2: bottom label mismatch"]),
-    "bottom is band 0's top": (lambda t, m: replace(t, bottom=t.bands[0].top), [
-        "band 0: bottom projection is not step 0",
-        "band 0: top projection is not step 1",
-        "band 1: bottom projection is not step 1",
-        "band 1: top projection is not step 2",
-        "band 2: bottom projection is not step 2",
-        "band 2: top projection is not step 3"]),
     "reducible pair": (_pair, [
-        "history is not reduced",
         "bands 0,1: mirror bands (reducible pair)"]),
-    "history disagrees with the bands": (
-        lambda t, m: replace(t, history=t.history[:2] + (parse_rule("~t4(e,1)"),)), [
-            "band rules disagree with the history",
-            "band 2: top projection is not step 3"]),
-    "unreduced history": (
-        lambda t, m: replace(t, history=(t.history[0], t.history[0].inverse, t.history[2])), [
-            "history is not reduced",
-            "band rules disagree with the history",
-            "band 1: top projection is not step 2",
-            "band 2: bottom projection is not step 2",
-            "band 2: top projection is not step 3"]),
     "a band above the last step": (lambda t, m: replace(t, bands=t.bands + t.bands[-1:]), [
         "bands 2,3: top does not glue onto bottom",
-        "band rules disagree with the history",
         "band 3: bottom projection is not step 3",
         "band 3: top projection is not step 4"]),
-    "bottom does not parse": (lambda t, m: replace(t, bottom=t.bottom * parse_word("~a1(P2)")), [
-        "bottom does not parse: BadBasePattern: word must end with a state letter"]),
+    "bottom does not parse": (
+        lambda t, m: with_band(t, 0, bottom=t.bottom * parse_word("~a1(P2)")), [
+            "band 0: bottom label mismatch",
+            "bottom does not parse: BadBasePattern: word must end with a state letter"]),
     "history does not run": (
-        lambda t, m: replace(t, history=(parse_rule("~t12(r1)"),) + t.history[1:]), [
-            "band rules disagree with the history",
-            "history does not run: (0, Diagnosis(code='CoordMismatch', "
-            "detail='word at (e,4), rule needs (e,1)'))"]),
+        lambda t, m: with_band(t, 0, rid=parse_rule("~t12(r1)")),
+        lambda t: _cells_not_of(t, 0, "~t12(r1)") + [
+            "history does not run: step 0 failed: CoordMismatch(word at (e,4), "
+            "rule needs (e,1))"]),
 }
 
 
@@ -799,7 +878,10 @@ class TestTrapeziumReport:
     @pytest.mark.parametrize("case", list(TRAPEZIUM_REPORTS))
     def test_report(self, walk, pres, mixed, case):
         tamper, want = TRAPEZIUM_REPORTS[case]
-        assert verify_trapezium(tamper(walk, mixed), pres, mixed) == want
+        trap = tamper(walk, mixed)
+        report = verify_trapezium(trap, pres, mixed)
+        assert report == oracles.verify_trapezium(trap, pres, mixed)
+        assert report == (want(walk) if callable(want) else want)
 
 
 class TestTrapeziumSweep:
@@ -858,12 +940,12 @@ class TestTrapeziumSweep:
                 assert verify_trapezium(trap, rules, machine) == []
                 assert verify_trapezium(bad, rules, machine) == want[id(bad)], edit
         # every edit is reported somewhere, and the reports reach each part
-        # of the check: band cells and labels, gluing, mirror bands, the
-        # history, the parse and run of the bottom and the replay
+        # of the check: band cells and labels, gluing, mirror bands, the run
+        # of the bands' rules and the replay
         edits = {edit for _, more in cases for edit, bad in more if want[id(bad)]}
         assert edits == {"dropped", "repeated", "swapped", "mirror", "letter", "cells", "rule"}
         lines = [line for lines in want.values() for line in lines]
         for part in ("cell", "label mismatch", "top does not glue", "mirror bands",
-                     "history is not reduced", "band rules disagree", "does not run",
-                     "bottom projection is not step", "top projection is not step"):
+                     "does not run: step", "bottom projection is not step",
+                     "top projection is not step"):
             assert any(part in line for line in lines), part

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -9,6 +10,7 @@ from conftest import DATA
 from smkit import words
 from smkit.cli import main
 from smkit.smachine import parse_history
+from smkit.words import parse_rule
 
 EE = os.path.join(DATA, "sample.ee")
 
@@ -326,6 +328,63 @@ class TestBandCli:
                                      "--history", str(hpath), *verify)
             assert code == 0 and out.startswith("trapezium height=1") and err == ""
         assert calls == []
+
+
+class TestTrapeziumRefusals:
+    """``trapezium``'s four preconditions are input errors: exit 2, nothing
+    on stdout and one ``error:`` line on stderr."""
+
+    @pytest.mark.parametrize("word, history, message", (
+        (None, "", "empty history"),
+        (None, "~t12(r1)\n~t12(r1)^-1\n", "history is not freely reduced"),
+        (None, "t1(e,1)\n", "trapezia are built over the bar machine"),
+        ("K1(e,1) L1(e,1)", "~t12(r1)\n", "bottom word must start and end with K-type letters"),
+    ), ids=("empty", "unreduced", "plain rule", "not K-type ends"))
+    def test_exit_two(self, capsys, tmp_path, hw, word, history, message):
+        if word is None:
+            word = hw.sigma_w((), flavor="bar").text()
+        hpath = tmp_path / "h.txt"
+        hpath.write_text(history)
+        code, out, err = run_cli(capsys, "trapezium", "--ee", EE, "--word", word,
+                                 "--history", str(hpath))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestDiagramDigests:
+    """The five ``band --verify`` and ``trapezium --verify`` calls of CI's
+    "Installed console script end to end" step, over the same words and
+    histories: each exits 0 with nothing on stderr and prints the stdout
+    whose sha256 CI pins."""
+
+    def test_stdout_digests(self, capsys, tmp_path, hw, mixed):
+        w0 = hw.sigma_w((), flavor="bar")
+        words = {
+            "w0": w0,
+            "w1": hw.sigma_w(((1, 1),), flavor="bar"),
+            "w2": mixed.apply(parse_rule("~t12(r1)"), hw.parse_admissible(w0.flat(), "mixed")),
+            "w3": hw.sigma_w(((1, 1),)),
+        }
+        for name, W in words.items():
+            (tmp_path / f"{name}.txt").write_text(W.text())
+        (tmp_path / "h.txt").write_text("~t12(r1)\n~t2(r1,1)^-1\n")
+        (tmp_path / "h4.txt").write_text("~t12(r1)\n~t2(r1,1)^-1\n~t2(r1,1)^-1\n~t2(r1,2)\n")
+        calls = (
+            (("band", "w0", "--rule", "~t12(r1)"),
+             "94a192738c48dbc0d4494e0162774997c4ef85c34d33402885158119e9df9c1c"),
+            (("band", "w2", "--rule", "~t12(r1)^-1"),
+             "c22cdf9a461d17879373ed8b928326abd43b263734ac9a15a4a3371b9b0db98c"),
+            (("band", "w3", "--rule", "t1(e,1)"),
+             "51ab3009dd848574eb5491ad3eb418cf321bc0e738c8ebeeddc7f9026022b04e"),
+            (("trapezium", "w1", "--history", str(tmp_path / "h.txt")),
+             "c16c0cfc8d7b33d483c67f7d2440a3cf7d2c082f436e01038311f9d9dcb9b380"),
+            (("trapezium", "w1", "--history", str(tmp_path / "h4.txt")),
+             "fb3361a551cc86a65d54343a4a759e741503a1d3d5b35b94f7991166d00df982"),
+        )
+        for (command, word, *rest), digest in calls:
+            code, out, err = run_cli(capsys, command, "--ee", EE, "--word",
+                                     str(tmp_path / f"{word}.txt"), *rest, "--verify")
+            assert (code, err) == (0, ""), (command, word)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, word)
 
 
 class TestPresent:

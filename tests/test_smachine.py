@@ -324,7 +324,6 @@ class TestBarCopyMoves:
         # the two sides by copies of w with exponents in {-1, 0, 1}, the
         # exponents depending only on the zone, never on the content
         from smkit.derive import copy_history
-        from smkit.words import EMPTY
         for g, locked in (("1", "KR"), ("2", "R"), ("3", "L"), ("4", "P"), ("5", "K")):
             r = None if g == "1" else 1
             coord = Coord(r, int(g))
@@ -351,8 +350,8 @@ class TestBarCopyMoves:
                         cop = Word(hw.tape_word(base, zone, True))
                         for eps in (-1, 0, 1):
                             for dlt in (-1, 0, 1):
-                                a = {0: EMPTY, 1: cop, -1: cop.inverse()}[eps]
-                                b = {0: EMPTY, 1: cop, -1: cop.inverse()}[dlt]
+                                a = {0: Word(), 1: cop, -1: cop.inverse()}[eps]
+                                b = {0: Word(), 1: cop, -1: cop.inverse()}[dlt]
                                 if a * old * b == new:
                                     combos.add((base, eps, dlt))
                     assert combos, (g, zone, old, new)
