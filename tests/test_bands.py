@@ -843,6 +843,18 @@ TRAPEZIUM_REPORTS = {
         lambda t, m: _glued(t, _spliced(t.bands[1].top, CANCELLING_PAIR)), [
             "band 1: top label mismatch",
             "band 2: bottom label mismatch"]),
+    # without band 0 the trapezium starts from band 0's top: a clean
+    # trapezium of height 2, since the check follows the bands
+    "bottom is band 0's top": (lambda t, m: replace(t, bands=t.bands[1:]), []),
+    # band 1 relabelled with the inverse of band 0's rule: the history read
+    # off the bands is h0, h0^-1, h2, whose replay the projections leave
+    "unreduced history": (
+        lambda t, m: with_band(t, 1, rid=t.history[0].inverse),
+        lambda t: _cells_not_of(t, 1, "~t4(e,2)") + [
+            "bands 0,1: mirror bands (reducible pair)",
+            "band 1: top projection is not step 2",
+            "band 2: bottom projection is not step 2",
+            "band 2: top projection is not step 3"]),
     "reducible pair": (_pair, [
         "bands 0,1: mirror bands (reducible pair)"]),
     "a band above the last step": (lambda t, m: replace(t, bands=t.bands + t.bands[-1:]), [
